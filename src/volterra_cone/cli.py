@@ -25,7 +25,7 @@ from .cone import ConeDomain, contains, transformed
 from .model import ModelParams, load_params
 from .pde import PdeProblem, convergence_study, observed_orders, residual_check, solve
 from .presets import DEFAULT_GRIDS, FIG3_FAMILY, PDE_BOXES, preset
-from .scheme import PathConfig, mean_oracle, simulate
+from .scheme import AGGREGATE_TOL, PathConfig, mean_oracle, simulate
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -183,26 +183,29 @@ def _run_simulation(args, argv: list[str], command: str) -> int:
     header += [f"v_{i + 1}" for i in range(n)]
     header += [f"u_{i + 1}" for i in range(n)]
     header += ["agg"]
+    states, coords, aggregates = cloud.states, cloud.transformed, cloud.aggregates
+    grid_steps, times = cloud.steps, cloud.times
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for path_id in range(cloud.states.shape[0]):
-            for rec, step in enumerate(cloud.steps):
-                row = [path_id, int(step), cloud.times[rec]]
-                row += list(cloud.states[path_id, rec])
-                row += list(cloud.transformed[path_id, rec])
-                row += [cloud.aggregates[path_id, rec]]
+        for path_id in range(coords.shape[0]):
+            for rec, step in enumerate(grid_steps):
+                row = [path_id, int(step), times[rec]]
+                row += list(states[path_id, rec])
+                row += list(coords[path_id, rec])
+                row += [aggregates[path_id, rec]]
                 fh.write(_csv_line(row) + "\n")
 
+    audit = cloud.audit()
     audit_path = Path(str(out) + ".audit.json")
-    _write_json(audit_path, cloud.audit())
+    _write_json(audit_path, audit)
     _write_manifest(out, command, argv,
                     {"T": horizon, "M": steps, "paths": paths,
                      "record": args.record, "params": params.to_dict()},
                     args.seed, [str(out), str(audit_path)], started)
-    print(json.dumps(cloud.audit()))
+    print(json.dumps(audit))
     if cloud.n_violations > 0 and not args.allow_nonadmissible:
-        print(f"cone audit failed: {cloud.n_violations} recorded states below "
-              f"-{cloud.tol}", file=sys.stderr)
+        print(f"cone audit failed: {cloud.n_violations} grid states below "
+              f"-{AGGREGATE_TOL}", file=sys.stderr)
         return EXIT_CONE_AUDIT
     return EXIT_OK
 
@@ -220,8 +223,7 @@ def cmd_mean_check(args, argv: list[str]) -> int:
     params = _resolve_params(args)
     matrix = _resolve_matrix(args, params)
     config = PathConfig(T=args.t, M=args.M, n_paths=args.paths, seed=args.seed)
-    cloud = simulate(params, matrix, config, threads=_threads(args),
-                     _skip_final_half_step=args.corrupt_scheme)
+    cloud = simulate(params, matrix, config, threads=_threads(args))
     mc = cloud.aggregates[:, -1]
     mc_mean = float(np.mean(mc))
     se = float(np.std(mc, ddof=1) / np.sqrt(mc.size))
@@ -408,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--threads", type=int, default=None)
     sub.add_argument("--out")
-    sub.add_argument("--corrupt-scheme", action="store_true", help=argparse.SUPPRESS)
     sub.set_defaults(func=cmd_mean_check)
 
     sub = subs.add_parser("check-domain", help="cone membership of a state vector")

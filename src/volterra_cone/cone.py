@@ -10,13 +10,13 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .admissible import AdmissibleMatrix
-from .model import ModelParams
+from .model import ModelParams, TransformedDynamics
 
 Array = NDArray[np.float64]
 
@@ -137,47 +137,34 @@ def boundary_condition_check(
 ) -> BoundaryCheckReport:
     """Audit tangency and inward drift on every face of the orthant.
 
-    For each face i the transformed dynamics must have a vanishing noise
-    component and a drift component >= -drift_tol at points with the i-th
-    coordinate set to zero.  Samples the free coordinates uniformly over a
-    box matched to simulation magnitudes (the condition is linear, so any
-    positive box is conclusive) and always includes the corner.
+    For each face i the transformed dynamics of ``params`` with anchor
+    mu / x must have a vanishing noise component and a drift component
+    >= -drift_tol at points with the i-th coordinate set to zero.  Samples
+    the free coordinates uniformly over a box matched to simulation
+    magnitudes (the condition is linear, so any positive box is conclusive)
+    and always includes the corner.  Raises ValueError for a matrix that
+    fails the row or column condition.
     """
     if mu < 0.0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     n = matrix.n
-    g = matrix.G
-    wbar = float(np.sum(matrix.w))
+    dynamics = TransformedDynamics.from_params(replace(params, v0=mu / params.x), matrix)
     hi = 10.0 * max(float(np.max(params.v0)), params.theta / float(np.min(params.x)))
     if hi <= 0.0:
         hi = 1.0
-    rng = np.random.default_rng(seed)
-
-    max_diff = 0.0
-    min_drift = np.inf
-    worst_face = 0
-    n_violations = 0
-    for face in range(n):
-        pts = rng.uniform(0.0, hi, size=(n_samples, n))
-        pts[:, face] = 0.0
-        pts[0] = 0.0  # corner belongs to every face
-        z_last = pts[:, n - 1]
-        drift = -(pts @ g.T) + np.outer(
-            wbar * (params.theta - params.lam * z_last + mu), np.eye(n)[n - 1]
-        )
-        sigma_face = params.nu * wbar * np.sqrt(z_last) if face == n - 1 else np.zeros(n_samples)
-        max_diff = max(max_diff, float(np.max(np.abs(sigma_face))))
-        face_min = float(np.min(drift[:, face]))
-        if face_min < min_drift:
-            min_drift = face_min
-            worst_face = face
-        n_violations += int(np.sum(drift[:, face] < -drift_tol))
-
+    faces = np.arange(n)
+    pts = np.random.default_rng(seed).uniform(0.0, hi, size=(n, n_samples, n))  # a block per face
+    pts[faces, :, faces] = 0.0
+    pts[:, 0] = 0.0  # corner belongs to every face
+    face_drift = dynamics.drift(pts)[faces, :, faces]
+    face_min = face_drift.min(axis=1)
+    # only u_N carries noise, with amplitude sqrt(2 * diffusion)
+    noise = np.sqrt(2.0 * dynamics.diffusion(pts[n - 1]))
     return BoundaryCheckReport(
         n_samples=n_samples,
-        max_diffusion_abs=max_diff,
-        min_drift=float(min_drift),
-        worst_face=worst_face,
-        n_violations=n_violations,
+        max_diffusion_abs=float(np.max(noise)),
+        min_drift=float(np.min(face_min)),
+        worst_face=int(np.argmin(face_min)),
+        n_violations=int(np.sum(face_drift < -drift_tol)),
         drift_tol=drift_tol,
     )

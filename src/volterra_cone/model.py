@@ -1,17 +1,21 @@
-"""Model parameters, the exponential-sum kernel and the aggregation map.
+"""Model parameters, the exponential-sum kernel, the aggregation map and the dynamics.
 
 Everything downstream (matrix construction, simulation, PDE solves) consumes
-a validated :class:`ModelParams`, so all precondition checks live here.
+a validated :class:`ModelParams`, so all precondition checks live here, and
+the dynamics in original and in transformed coordinates.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg import expm
+
+from .admissible import AdmissibleMatrix
 
 Array = NDArray[np.float64]
 
@@ -127,3 +131,84 @@ def aggregate(params: ModelParams, y) -> float:
     if y_arr.shape != (params.n_factors,):
         raise ValueError(f"state must have shape ({params.n_factors},), got {y_arr.shape}")
     return float(params.w @ y_arr)
+
+
+@dataclass(eq=False)
+class DriftSystem:
+    """Linear drift d/dt v = A v + b with cached exact propagators.
+
+    A couples the factors through the aggregate, b collects the mean levels.
+    The propagator pair (exp(A h), integral of exp(A s) ds @ b) is computed
+    from the exponential of the augmented (N+1) block matrix [[A, b], [0, 0]],
+    which avoids inverting A and stays valid when A is singular.
+    """
+
+    A: Array
+    b: Array
+    _cache: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def from_params(cls, params: ModelParams) -> "DriftSystem":
+        n = params.n_factors
+        a = -params.lam * np.outer(np.ones(n), params.w) - np.diag(params.x)
+        b = params.theta * np.ones(n) + params.x * params.v0
+        return cls(A=a, b=b)
+
+    def propagators(self, h: float) -> tuple[Array, Array]:
+        """Pair (exp(A h), c(h)) with c(h) the accumulated constant forcing."""
+        h = float(h)
+        if h < 0.0:
+            raise ValueError(f"step size must be >= 0, got {h}")
+        hit = self._cache.get(h)
+        if hit is not None:
+            return hit
+        n = self.A.shape[0]
+        if h == 0.0:
+            pair = (np.eye(n), np.zeros(n))
+        else:
+            aug = np.zeros((n + 1, n + 1))
+            aug[:n, :n] = self.A
+            aug[:n, n] = self.b
+            full = expm(aug * h)
+            pair = (full[:n, :n].copy(), full[:n, n].copy())
+        self._cache[h] = pair
+        return pair
+
+
+@dataclass(frozen=True, eq=False)
+class TransformedDynamics:
+    """The model in the coordinates u = Q v, where the cone is the orthant.
+
+    When the last row of Q is w and Q 1 = wbar e_N, u_N is the aggregate and
+    du = (K u + c) dt + nu wbar sqrt(u_N) e_N dW, where ``system`` holds
+    K = Q A Q^-1 and c = Q b conjugated from :meth:`DriftSystem.from_params`.
+    For an admissible Q, K = -G - lam wbar e_N e_N^T is a Metzler matrix and
+    c = G Q v0 + theta wbar e_N, which keeps the orthant invariant.
+    """
+
+    system: DriftSystem
+    #: variance rate nu^2 wbar^2 of u_N per unit of u_N
+    variance_rate: float
+
+    @classmethod
+    def from_params(cls, params: ModelParams, matrix: AdmissibleMatrix) -> "TransformedDynamics":
+        """Raises ValueError unless Q passes the row and column conditions."""
+        report = matrix.report()
+        if not (report.row_ok and report.col_ok):
+            raise ValueError("transform matrix fails the row or column condition")
+        original = DriftSystem.from_params(params)
+        system = DriftSystem(A=matrix.Q @ original.A @ matrix.Qinv, b=matrix.Q @ original.b)
+        return cls(system=system, variance_rate=params.nu**2 * params.wbar**2)
+
+    def drift(self, u) -> Array:
+        """Drift K u + c at one point or at the rows of an array of points."""
+        return np.asarray(u, dtype=float) @ self.system.A.T + self.system.b
+
+    @property
+    def divergence(self) -> Array:
+        """Per-axis terms d(K u + c)_i / du_i of the drift divergence."""
+        return np.diag(self.system.A)
+
+    def diffusion(self, u):
+        """Generator coefficient of d^2/du_N^2, half the variance rate of u_N."""
+        return 0.5 * self.variance_rate * np.asarray(u, dtype=float)[..., -1]

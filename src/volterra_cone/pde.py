@@ -21,7 +21,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .admissible import AdmissibleMatrix
-from .model import ModelParams
+from .model import DriftSystem, ModelParams, TransformedDynamics
 
 Array = NDArray[np.float64]
 
@@ -69,11 +69,6 @@ class PdeProblem:
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "n", int(self.n))
 
-    @property
-    def z0(self) -> Array:
-        """Transformed anchor, the image of v0 under the transform matrix."""
-        return self.matrix.Q @ self.params.v0
-
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -97,27 +92,16 @@ def manufactured_solution(problem: PdeProblem, z, t: float):
 def source_term(problem: PdeProblem, z):
     """Fabricated source that makes the manufactured solution exact.
 
-    Uses the rate matrix G of the problem's transform for the drift
-    contraction; :func:`residual_check` validates that reading against the
-    PDE operator itself.
+    Applies the generator of :class:`TransformedDynamics` to the exact
+    solution; :func:`residual_check` validates it in original coordinates.
     """
     z_arr = np.atleast_2d(np.asarray(z, dtype=float))
-    g = problem.matrix.G
-    z0 = problem.z0
-    wbar = problem.params.wbar
-    theta = problem.params.theta
-    lam = problem.params.lam
-    nu = problem.params.nu
-    alpha = problem.alpha
-    z_last = z_arr[:, -1]
-    a_last = alpha[-1]
-
-    drift_contract = np.einsum("ki,ki->k", alpha * z_arr, (z_arr - z0) @ g.T)
+    dynamics = TransformedDynamics.from_params(problem.params, problem.matrix)
+    grad = 2.0 * problem.alpha * z_arr
     vals = (
         problem.beta
-        - 2.0 * drift_contract
-        + 2.0 * a_last * wbar * (theta - lam * z_last) * z_last
-        + nu**2 * wbar**2 * a_last * z_last
+        + np.einsum("ki,ki->k", grad, dynamics.drift(z_arr))
+        + 2.0 * problem.alpha[-1] * dynamics.diffusion(z_arr)
     )
     return float(vals[0]) if np.asarray(z).ndim == 1 else vals
 
@@ -125,26 +109,27 @@ def source_term(problem: PdeProblem, z):
 def residual_check(problem: PdeProblem, n_samples: int = 100, seed: int = 0, source=None) -> float:
     """Max PDE residual of the manufactured solution at random box points.
 
-    Applies the transformed-coordinate operator to the exact solution
-    analytically and subtracts the source; a vanishing residual certifies
-    that solution and source are mutually consistent.  ``source`` may
-    override the built-in source term to probe alternative readings.
+    Applies the generator in original coordinates, drift A v + b and
+    diffusion nu^2 (w @ v) 1 1^T, to g(Q v) at v = Q^-1 z by the chain rule,
+    so a vanishing residual certifies :func:`source_term` independently of
+    the transformed dynamics.  ``source`` may override the built-in source
+    term to probe alternative readings.
     """
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in problem.box])
     hi = np.array([b[1] for b in problem.box])
     z = rng.uniform(lo, hi, size=(n_samples, len(problem.box)))
 
-    g = problem.matrix.G
-    wbar = problem.params.wbar
+    params = problem.params
+    q = problem.matrix.Q
+    original = DriftSystem.from_params(params)
+    v = z @ problem.matrix.Qinv.T
     grad = 2.0 * problem.alpha * z
-    z_last = z[:, -1]
-    a_last = problem.alpha[-1]
+    noise = q @ np.ones(params.n_factors)
     operator = (
         problem.beta
-        - np.einsum("ki,ki->k", grad, (z - problem.z0) @ g.T)
-        + wbar * (problem.params.theta - problem.params.lam * z_last) * grad[:, -1]
-        + 0.5 * problem.params.nu**2 * wbar**2 * z_last * 2.0 * a_last
+        + np.einsum("ki,ki->k", (v @ original.A.T + original.b) @ q.T, grad)
+        + 0.5 * params.nu**2 * (v @ params.w) * (noise**2 @ (2.0 * problem.alpha))
     )
     phi = source_term(problem, z) if source is None else np.asarray(source(z), dtype=float)
     return float(np.max(np.abs(operator - phi)))
@@ -167,17 +152,8 @@ def _assemble(problem: PdeProblem, upwind: bool):
     total = nodes.shape[0]
     shape = (n + 1,) * ndim
 
-    g = problem.matrix.G
-    wbar = problem.params.wbar
-    theta = problem.params.theta
-    lam = problem.params.lam
-    nu = problem.params.nu
-
-    drift = -((nodes - problem.z0) @ g.T)
-    drift[:, -1] += wbar * (theta - lam * nodes[:, -1])
-    div_drift = -np.diag(g).copy()
-    div_drift[-1] -= wbar * lam
-    diffusion = 0.5 * nu**2 * wbar**2 * nodes[:, -1]
+    dynamics = TransformedDynamics.from_params(problem.params, problem.matrix)
+    drift = dynamics.drift(nodes)
 
     idx = np.arange(total).reshape(shape)
     interior = idx[(slice(1, -1),) * ndim].ravel()
@@ -207,9 +183,9 @@ def _assemble(problem: PdeProblem, upwind: bool):
             rows.extend([local, local])
             cols.extend([plus, minus])
             vals.extend([drift[plus, dim] / (2.0 * h), -drift[minus, dim] / (2.0 * h)])
-            diag -= div_drift[dim]
+            diag -= dynamics.divergence[dim]
         if dim == ndim - 1:
-            d_here = diffusion[interior] / h**2
+            d_here = dynamics.diffusion(nodes[interior]) / h**2
             rows.extend([local, local])
             cols.extend([plus, minus])
             vals.extend([d_here, d_here])

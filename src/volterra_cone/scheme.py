@@ -4,22 +4,23 @@ The time step is a Strang composition: half an exact linear-drift step, a
 moment-matched three-point jump of the aggregate, and another half drift
 step.  Both pieces map the state-space cone into itself, so the composition
 does as well, which keeps every square-root argument non-negative along the
-whole simulation.
+whole simulation.  One batched step generator serves the simulator in u = Q v
+(:class:`TransformedDynamics`) and the scalar steps.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm
 
 from .admissible import AdmissibleMatrix
-from .model import ModelParams
+from .model import DriftSystem, ModelParams, TransformedDynamics
 
 Array = NDArray[np.float64]
 
@@ -31,50 +32,8 @@ SPREAD = (3.0 + math.sqrt(3.0)) / 4.0
 DEGENERATE_EPS = 1e-14
 #: probabilities are audited against [0, 1] at this slack and logged if outside
 PROB_SLACK = 1e-12
-#: aggregates below -AGGREGATE_TOL abort the simulation as a cone violation
+#: aggregates below -AGGREGATE_TOL abort a step, and audited coordinates below it are violations
 AGGREGATE_TOL = 1e-9
-
-
-@dataclass(eq=False)
-class DriftSystem:
-    """Linear drift d/dt v = A v + b with cached exact propagators.
-
-    A couples the factors through the aggregate, b collects the mean levels.
-    The propagator pair (exp(A h), integral of exp(A s) ds @ b) is computed
-    from the exponential of the augmented (N+1) block matrix [[A, b], [0, 0]],
-    which avoids inverting A and stays valid when A is singular.
-    """
-
-    A: Array
-    b: Array
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "DriftSystem":
-        n = params.n_factors
-        a = -params.lam * np.outer(np.ones(n), params.w) - np.diag(params.x)
-        b = params.theta * np.ones(n) + params.x * params.v0
-        return cls(A=a, b=b)
-
-    def propagators(self, h: float) -> tuple[Array, Array]:
-        """Pair (exp(A h), c(h)) with c(h) the accumulated constant forcing."""
-        h = float(h)
-        if h < 0.0:
-            raise ValueError(f"step size must be >= 0, got {h}")
-        hit = self._cache.get(h)
-        if hit is not None:
-            return hit
-        n = self.A.shape[0]
-        if h == 0.0:
-            pair = (np.eye(n), np.zeros(n))
-        else:
-            aug = np.zeros((n + 1, n + 1))
-            aug[:n, :n] = self.A
-            aug[:n, n] = self.b
-            full = expm(aug * h)
-            pair = (full[:n, :n].copy(), full[:n, n].copy())
-        self._cache[h] = pair
-        return pair
 
 
 def ode_step(system: DriftSystem, z, h: float) -> Array:
@@ -113,14 +72,6 @@ class ThreePointLaw:
         pts = np.array(self.support)
         pr = np.array(self.probabilities)
         return (float(pr @ pts), float(pr @ pts**2), float(pr @ pts**3))
-
-    def sample(self, u: float) -> float:
-        """Inverse-CDF draw in index order on [0, p1), [p1, p1+p2), [p1+p2, 1)."""
-        if u < self.p1:
-            return self.x1
-        if u < self.p1 + self.p2:
-            return self.x2
-        return self.x3
 
 
 def _law_arrays(x: Array, z: float) -> tuple[Array, Array, Array, Array, Array, Array]:
@@ -179,29 +130,60 @@ def three_point_law(x: float, z: float) -> ThreePointLaw:
     return ThreePointLaw(x1=x1, x2=x2, x3=x3, p1=p1, p2=p2, p3=p3, x=x, z=z)
 
 
+def _strang_steps(state: Array, prop: Array, shift: Array, agg_row: Array, jump: Array,
+                  z_budget: float, uniforms) -> Iterator[tuple[Array, float, int, int]]:
+    """Strang steps (half drift, jump, half drift) of every row of ``state``.
+
+    ``(prop, shift)`` is the exact half-step drift, ``agg_row`` maps a state
+    to its aggregate and ``jump`` is the state change per unit of aggregate
+    change.  Each array in ``uniforms`` (one uniform per row) drives one step,
+    which yields the new states, the lowest aggregate before the jump, the
+    clamp count and the probability audit.  A generator keeps a step's arrays
+    alive into the next step: freeing them all at a function return made the
+    allocator trim and refault the heap on every step of a wide batch.
+    """
+    for u in uniforms:
+        state = state @ prop.T + shift
+        agg = state @ agg_row
+        low = float(agg.min())
+        clamps = 0
+        if low < 0.0:
+            clamps = int(np.sum(agg < 0.0))
+            agg = np.maximum(agg, 0.0)
+        x1, x2, x3, p1, p2, p3 = _law_arrays(agg, z_budget)
+        prob_violations = _audit_probabilities(p1, p2, p3)
+        draw = np.where(u < p1, x1, np.where(u < p1 + p2, x2, x3))
+        state = state + (draw - agg)[:, None] * jump
+        state = state @ prop.T + shift
+        yield state, low, clamps, prob_violations
+
+
 def stochastic_step(params: ModelParams, y, h: float, u: float) -> Array:
     """One jump of the noise part: shift all factors by the aggregate increment.
 
     The aggregate is redrawn from the three-point law and the common shift
     (draw - aggregate) / wbar is added to every component, so the new
-    aggregate equals the draw and stays non-negative.
+    aggregate equals the draw and stays non-negative.  This is a Strang step
+    with zero drift.
     """
-    y_arr = np.asarray(y, dtype=float)
-    agg = float(params.w @ y_arr)
-    if agg < -AGGREGATE_TOL:
-        raise ValueError(f"aggregate {agg} is negative beyond tolerance, state left the cone")
-    agg = max(agg, 0.0)
-    z = params.nu**2 * params.wbar**2 * float(h)
-    law = three_point_law(agg, z)
-    draw = law.sample(float(u))
-    return y_arr + (draw - agg) / params.wbar
+    n = params.n_factors
+    return strang_step(params, DriftSystem(A=np.zeros((n, n)), b=np.zeros(n)), y, h, u)
 
 
 def strang_step(params: ModelParams, system: DriftSystem, v, h: float, u: float) -> Array:
-    """Half drift step, aggregate jump over the full step, half drift step."""
-    half = ode_step(system, v, 0.5 * h)
-    jumped = stochastic_step(params, half, h, u)
-    return ode_step(system, jumped, 0.5 * h)
+    """Half drift step, aggregate jump over the full step, half drift step.
+
+    The batched step on one state in original coordinates: aggregate row w,
+    jump direction 1/wbar.
+    """
+    prop, shift = system.propagators(0.5 * h)
+    jump = np.ones_like(params.w) / params.wbar
+    z_budget = params.nu**2 * params.wbar**2 * float(h)
+    state, low, _, _ = next(_strang_steps(np.asarray(v, dtype=float)[None, :], prop, shift,
+                                          params.w, jump, z_budget, [np.array([float(u)])]))
+    if low < -AGGREGATE_TOL:
+        raise ValueError(f"aggregate {low} is negative beyond tolerance, state left the cone")
+    return state[0]
 
 
 @dataclass(frozen=True)
@@ -225,24 +207,40 @@ class PathConfig:
 
 @dataclass(eq=False)
 class SampleCloud:
-    """Recorded states of a simulation together with its cone audit.
+    """Recorded transformed states u = Q v of a simulation and its cone audit.
 
-    ``states`` has shape (n_paths, n_recorded, N); the per-path minima are
-    taken over every grid state of the run, not only the recorded ones.
+    ``transformed`` has shape (n_paths, n_recorded, N); states and aggregates
+    are derived from it.  The per-path minima are taken over every grid
+    state of the run, not only the recorded ones.
     """
 
-    times: Array
-    steps: NDArray[np.int64]
-    states: Array
     transformed: Array
-    aggregates: Array
     min_transformed_per_path: Array
     min_aggregate_per_path: Array
     n_violations: int
     sqrt_clamp_count: int
     prob_violations: int
     config: PathConfig
-    tol: float
+    matrix: AdmissibleMatrix
+
+    @property
+    def steps(self) -> NDArray[np.int64]:
+        first = 0 if self.config.record_full else self.config.M
+        return np.arange(first, self.config.M + 1, dtype=np.int64)
+
+    @property
+    def times(self) -> Array:
+        return self.steps * (self.config.T / self.config.M)
+
+    @property
+    def aggregates(self) -> Array:
+        """View of u_N, which equals the aggregate w @ v."""
+        return self.transformed[..., -1]
+
+    @property
+    def states(self) -> Array:
+        """Factor states v = Q^-1 u, computed on every access."""
+        return self.transformed @ self.matrix.Qinv.T
 
     @property
     def min_transformed(self) -> float:
@@ -257,6 +255,8 @@ class SampleCloud:
             "min_transformed": self.min_transformed,
             "min_aggregate": self.min_aggregate,
             "n_violations": int(self.n_violations),
+            "sqrt_clamp_count": int(self.sqrt_clamp_count),
+            "prob_violations": int(self.prob_violations),
         }
 
 
@@ -272,68 +272,40 @@ def _path_uniforms(seed: int, first: int, count: int, n_steps: int) -> Array:
     return out
 
 
-def _simulate_block(
-    initial: Array,
-    q_mat: Array,
-    w: Array,
-    wbar: float,
-    prop: Array,
-    shift: Array,
-    z_budget: float,
-    uniforms: Array,
-    record_full: bool,
-    tol: float,
-    skip_final_half_step: bool,
-) -> dict:
+def _simulate_block(initial: Array, prop: Array, shift: Array, z_budget: float,
+                    uniforms: Array, record_full: bool) -> tuple:
+    """March paths in u (aggregate and jump are u_N); returns recorded u, minima, counters."""
     n_paths, n_steps = uniforms.shape
     state = np.tile(initial, (n_paths, 1))
-    prop_t = prop.T
-    q_t = q_mat.T
+    last = np.eye(state.shape[1])[-1]
 
-    min_trans = (state @ q_t).min(axis=1)
-    min_agg = state @ w
-    n_violations = int(np.sum(min_trans < -tol))
+    min_trans = state.min(axis=1)
+    min_agg = state[:, -1].copy()
+    n_violations = int(np.sum(min_trans < -AGGREGATE_TOL))
     sqrt_clamps = 0
     prob_violations = 0
     if record_full:
         recorded = np.empty((n_paths, n_steps + 1, state.shape[1]))
         recorded[:, 0] = state
 
-    for j in range(n_steps):
-        state = state @ prop_t + shift
-        agg = state @ w
-        low = float(agg.min())
+    steps = _strang_steps(state, prop, shift, last, last, z_budget, uniforms.T)
+    for j, (state, low, clamps, bad) in enumerate(steps):
         if low < -AGGREGATE_TOL:
             raise RuntimeError(
                 f"aggregate {low} fell below -{AGGREGATE_TOL} at step {j}, state left the cone"
             )
-        if low < 0.0:
-            sqrt_clamps += int(np.sum(agg < 0.0))
-            agg = np.maximum(agg, 0.0)
-        x1, x2, x3, p1, p2, p3 = _law_arrays(agg, z_budget)
-        prob_violations += _audit_probabilities(p1, p2, p3)
-        u = uniforms[:, j]
-        draw = np.where(u < p1, x1, np.where(u < p1 + p2, x2, x3))
-        state = state + ((draw - agg) / wbar)[:, None]
-        if not (skip_final_half_step and j == n_steps - 1):
-            state = state @ prop_t + shift
-        low_now = (state @ q_t).min(axis=1)
+        sqrt_clamps += clamps
+        prob_violations += bad
+        low_now = state.min(axis=1)
         np.minimum(min_trans, low_now, out=min_trans)
-        np.minimum(min_agg, state @ w, out=min_agg)
-        n_violations += int(np.sum(low_now < -tol))
+        np.minimum(min_agg, state[:, -1], out=min_agg)
+        n_violations += int(np.sum(low_now < -AGGREGATE_TOL))
         if record_full:
             recorded[:, j + 1] = state
 
     if not record_full:
         recorded = state[:, None, :]
-    return {
-        "states": recorded,
-        "min_trans": min_trans,
-        "min_agg": min_agg,
-        "n_violations": n_violations,
-        "sqrt_clamps": sqrt_clamps,
-        "prob_violations": prob_violations,
-    }
+    return recorded, min_trans, min_agg, (n_violations, sqrt_clamps, prob_violations)
 
 
 def simulate(
@@ -343,47 +315,35 @@ def simulate(
     initial_state=None,
     threads: int = 1,
     require_initial_in_cone: bool = True,
-    tol: float = AGGREGATE_TOL,
-    _skip_final_half_step: bool = False,
 ) -> SampleCloud:
     """Simulate independent paths on a uniform grid and audit cone membership.
 
+    Paths run in u = Q v (:class:`TransformedDynamics`, so ValueError for a
+    matrix failing the row or column condition), where the audit is min(u).
     Path k draws one uniform per step from the substream seeded by
     (config.seed, k), so the sample cloud is reproducible bit for bit and
-    independent of the number of worker threads.  ``_skip_final_half_step``
-    is a test hook that deliberately corrupts the composition.
+    independent of the number of worker threads.
     """
     initial = np.asarray(params.v0 if initial_state is None else initial_state, dtype=float)
     if initial.shape != (params.n_factors,):
         raise ValueError(f"initial state must have shape ({params.n_factors},)")
-    lowest = float(np.min(matrix.Q @ initial))
-    if require_initial_in_cone and lowest < -tol:
+    dynamics = TransformedDynamics.from_params(params, matrix)
+    u0 = matrix.Q @ initial
+    lowest = float(np.min(u0))
+    if require_initial_in_cone and lowest < -AGGREGATE_TOL:
         raise ValueError(f"initial state is outside the cone, min transformed component {lowest}")
 
-    system = DriftSystem.from_params(params)
     h = config.T / config.M
-    prop, shift = system.propagators(0.5 * h)
-    z_budget = params.nu**2 * params.wbar**2 * h
+    prop, shift = dynamics.system.propagators(0.5 * h)
+    z_budget = dynamics.variance_rate * h
 
     n_workers = max(1, int(threads))
     bounds = np.linspace(0, config.n_paths, min(n_workers, config.n_paths) + 1).astype(int)
     blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
-    def run(lo: int, hi: int) -> dict:
+    def run(lo: int, hi: int) -> tuple:
         uniforms = _path_uniforms(config.seed, lo, hi - lo, config.M)
-        return _simulate_block(
-            initial,
-            matrix.Q,
-            params.w,
-            params.wbar,
-            prop,
-            shift,
-            z_budget,
-            uniforms,
-            config.record_full,
-            tol,
-            _skip_final_half_step,
-        )
+        return _simulate_block(u0, prop, shift, z_budget, uniforms, config.record_full)
 
     if len(blocks) == 1:
         results = [run(*blocks[0])]
@@ -391,27 +351,17 @@ def simulate(
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
             results = list(pool.map(lambda pair: run(*pair), blocks))
 
-    states = np.concatenate([r["states"] for r in results], axis=0)
-    min_trans = np.concatenate([r["min_trans"] for r in results])
-    min_agg = np.concatenate([r["min_agg"] for r in results])
-    if config.record_full:
-        steps = np.arange(config.M + 1, dtype=np.int64)
-    else:
-        steps = np.array([config.M], dtype=np.int64)
-    times = steps * h
+    recorded, min_trans, min_agg, counts = zip(*results)
+    n_violations, sqrt_clamps, prob_violations = np.sum(counts, axis=0).tolist()
     return SampleCloud(
-        times=times,
-        steps=steps,
-        states=states,
-        transformed=states @ matrix.Q.T,
-        aggregates=states @ params.w,
-        min_transformed_per_path=min_trans,
-        min_aggregate_per_path=min_agg,
-        n_violations=int(sum(r["n_violations"] for r in results)),
-        sqrt_clamp_count=int(sum(r["sqrt_clamps"] for r in results)),
-        prob_violations=int(sum(r["prob_violations"] for r in results)),
+        transformed=np.concatenate(recorded),
+        min_transformed_per_path=np.concatenate(min_trans),
+        min_aggregate_per_path=np.concatenate(min_agg),
+        n_violations=n_violations,
+        sqrt_clamp_count=sqrt_clamps,
+        prob_violations=prob_violations,
         config=config,
-        tol=tol,
+        matrix=matrix,
     )
 
 

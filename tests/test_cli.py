@@ -78,8 +78,11 @@ def test_simulate_deterministic_csv(tmp_path):
     header = out1.read_text().splitlines()[0]
     assert header == "path_id,step,t,v_1,v_2,u_1,u_2,agg"
     audit = json.loads((tmp_path / "a.csv.audit.json").read_text())
-    assert set(audit) == {"min_transformed", "min_aggregate", "n_violations"}
+    assert set(audit) == {"min_transformed", "min_aggregate", "n_violations",
+                          "sqrt_clamp_count", "prob_violations"}
     assert audit["n_violations"] == 0
+    assert audit["sqrt_clamp_count"] == 0
+    assert audit["prob_violations"] == 0
 
 
 def test_simulate_nonadmissible_audit(tmp_path):
@@ -93,14 +96,15 @@ def test_simulate_nonadmissible_audit(tmp_path):
     assert main(args) == 4
 
 
-def test_mean_check_pass_and_corrupted_fail(tmp_path):
+def test_mean_check_pass_and_corrupted_fail(tmp_path, skip_final_half_drift):
     # nu = 0 makes the comparison deterministic: exact match required,
     # and a corrupted composition misses it by a full half drift step
     params = write_params(tmp_path, nu=0.0)
     base = ["mean-check", "--params", str(params), "--t", "1.0",
             "--M", "20", "--paths", "3", "--seed", "1"]
     assert main(base) == 0
-    assert main(base + ["--corrupt-scheme"]) == 5
+    skip_final_half_drift()
+    assert main(base) == 5
 
 
 def test_mean_check_statistical_pass(tmp_path):

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from volterra_cone import ModelParams, aggregate, kernel_eval, load_params
+from volterra_cone import (
+    ModelParams,
+    TransformedDynamics,
+    aggregate,
+    build_canonical,
+    kernel_eval,
+    load_params,
+)
+from volterra_cone.presets import preset
 
 
 def make_params(**overrides):
@@ -102,3 +110,31 @@ def test_json_missing_key(tmp_path):
     path.write_text(json.dumps({"w": [1.0], "x": [1.0]}))
     with pytest.raises(ValueError):
         load_params(path)
+
+
+def assert_transformed_closed_form(params, matrix):
+    # K = -G - lam wbar e_N e_N^T and c = G Q v0 + theta wbar e_N
+    dynamics = TransformedDynamics.from_params(params, matrix)
+    e_n = np.eye(params.n_factors)[-1]
+    k = -matrix.G - params.lam * params.wbar * np.outer(e_n, e_n)
+    c = matrix.G @ matrix.Q @ params.v0 + params.theta * params.wbar * e_n
+    assert np.linalg.norm(dynamics.system.A - k) <= 1e-12 * np.linalg.norm(k)
+    assert np.linalg.norm(dynamics.system.b - c) <= 1e-12 * np.linalg.norm(c)
+    assert np.max(np.abs(dynamics.divergence - np.diag(k))) <= 1e-12 * np.linalg.norm(k)
+    assert dynamics.variance_rate == pytest.approx(params.nu**2 * params.wbar**2, rel=1e-15)
+
+
+def test_transformed_dynamics_closed_form_presets():
+    for name in ("table1", "fig2", "fig3a", "fig3c"):
+        assert_transformed_closed_form(*preset(name))
+
+
+def test_transformed_dynamics_closed_form_random_canonical():
+    rng = np.random.default_rng(2412)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        w = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
+        x = np.sort(rng.uniform(0.01, 50.0, size=n))
+        params = ModelParams(w=w, x=x, theta=rng.uniform(0.01, 1.0), lam=rng.uniform(-1.0, 2.0),
+                             nu=rng.uniform(0.0, 1.0), v0=rng.uniform(-1.0, 1.0, size=n))
+        assert_transformed_closed_form(params, build_canonical(w, x))

@@ -42,7 +42,8 @@ def test_source_term_reduces_to_beta():
     z = np.array([1.1, 0.4])
     assert source_term(flat, z) == pytest.approx(flat.beta, abs=1e-14)
     tilted = table1_problem(alpha=(3.0, 0.0))
-    assert source_term(tilted, tilted.z0) == pytest.approx(tilted.beta, abs=1e-12)
+    z0 = tilted.matrix.Q @ tilted.params.v0
+    assert source_term(tilted, z0) == pytest.approx(tilted.beta, abs=1e-12)
 
 
 def test_residual_vanishes_for_consistent_pair():

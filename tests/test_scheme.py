@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -263,13 +264,38 @@ def test_simulate_terminal_recording_shape():
     assert cloud.times[0] == pytest.approx(1.0)
 
 
-def test_simulate_corruption_hook_changes_result():
+def test_simulate_corruption_hook_changes_result(skip_final_half_drift):
     params = fig2_params()
     matrix = build_canonical(params.w, params.x)
     config = PathConfig(T=1.0, M=50, n_paths=8, seed=3)
     clean = simulate(params, matrix, config)
-    corrupt = simulate(params, matrix, config, _skip_final_half_step=True)
+    skip_final_half_drift()
+    corrupt = simulate(params, matrix, config)
     assert np.max(np.abs(clean.states - corrupt.states)) > 0.0
+
+
+def test_simulate_matches_iterated_scalar_strang_step():
+    params = fig2_params()
+    matrix = build_canonical(params.w, params.x)
+    config = PathConfig(T=1.0, M=200, n_paths=1, seed=23, record_full=True)
+    states = simulate(params, matrix, config).states[0]
+    system = DriftSystem.from_params(params)
+    uniforms = np.random.default_rng([config.seed, 0]).random(config.M)
+    state = params.v0.copy()
+    for j, u in enumerate(uniforms):
+        state = strang_step(params, system, state, config.T / config.M, float(u))
+        assert np.max(np.abs(states[j + 1] - state)) <= 1e-12
+
+
+def test_simulate_rejects_matrix_failing_row_or_column_condition():
+    params = fig2_params()
+    good = build_canonical(params.w, params.x)
+    config = PathConfig(T=1.0, M=10, n_paths=2, seed=0)
+    row_q = np.array([[1.0, -1.0], [1.5, 1.5]])  # Q @ 1 = wbar e_N, last row not w
+    col_q = np.array([[1.0, 0.0], [1.0, 2.0]])  # last row w, Q @ 1 != wbar e_N
+    for q in (row_q, col_q):
+        with pytest.raises(ValueError):
+            simulate(params, replace(good, Q=q, Qinv=np.linalg.inv(q)), config)
 
 
 def test_simulate_monte_carlo_mean_matches_oracle():
