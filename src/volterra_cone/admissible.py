@@ -56,13 +56,17 @@ class AdmissibleMatrix:
 
     Q: Array
     Qinv: Array
-    G: Array
     w: Array
     x: Array
 
     @property
     def n(self) -> int:
         return self.Q.shape[0]
+
+    @property
+    def G(self) -> Array:
+        """Rate matrix Q diag(x) Q^-1, computed on every access."""
+        return (self.Q * self.x) @ self.Qinv
 
     def report(self, tol: float = EQUALITY_TOL, sign_tol: float = SIGN_TOL) -> "AdmissibilityReport":
         return check_admissible(self.Q, self.w, self.x, tol=tol, sign_tol=sign_tol, Qinv=self.Qinv)
@@ -130,9 +134,7 @@ def build_canonical(w, x) -> AdmissibleMatrix:
         q[i, : i + 1] = w_arr[: i + 1]
         if i < n - 1:
             q[i, i + 1] = -np.sum(w_arr[: i + 1])
-    qinv = canonical_inverse(w_arr)
-    g = (q * x_arr) @ qinv
-    return AdmissibleMatrix(Q=q, Qinv=qinv, G=g, w=w_arr, x=x_arr)
+    return AdmissibleMatrix(Q=q, Qinv=canonical_inverse(w_arr), w=w_arr, x=x_arr)
 
 
 def check_admissible(
@@ -211,8 +213,7 @@ def build_q2(w, x, q: float) -> AdmissibleMatrix:
     wbar = w_arr[0] + w_arr[1]
     mat = np.array([[q, -q], [w_arr[0], w_arr[1]]])
     inv = np.array([[w_arr[1] / q, 1.0], [-w_arr[0] / q, 1.0]]) / wbar
-    g = (mat * x_arr) @ inv
-    return AdmissibleMatrix(Q=mat, Qinv=inv, G=g, w=w_arr, x=x_arr)
+    return AdmissibleMatrix(Q=mat, Qinv=inv, w=w_arr, x=x_arr)
 
 
 def q3_bounds(w, x) -> tuple[float, float, float, float]:
@@ -264,6 +265,4 @@ def build_q3(w, x, a: float, b: float) -> AdmissibleMatrix:
             [w_arr[0], w_arr[1], w_arr[2]],
         ]
     )
-    inv = np.linalg.inv(mat)
-    g = (mat * x_arr) @ inv
-    return AdmissibleMatrix(Q=mat, Qinv=inv, G=g, w=w_arr, x=x_arr)
+    return AdmissibleMatrix(Q=mat, Qinv=np.linalg.inv(mat), w=w_arr, x=x_arr)

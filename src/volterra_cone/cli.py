@@ -2,7 +2,7 @@
 
 Each command reads model parameters from a JSON file or a named preset,
 writes its outputs to files, and drops a manifest next to the main output so
-the exact run can be repeated bit for bit (single-threaded mode).
+the exact run can be repeated bit for bit.
 
 Exit codes: 0 success, 2 invalid input, 3 non-admissible matrix,
 4 cone-audit failure, 5 statistical failure, 6 blow-up of a stable setup.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -105,13 +104,6 @@ def _resolve_matrix(args, params: ModelParams):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, int(args.threads))
-    env = os.environ.get("VOLTERRA_CONE_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def cmd_build_q(args, argv: list[str]) -> int:
     started = time.perf_counter()
     params = _resolve_params(args)
@@ -170,11 +162,8 @@ def _run_simulation(args, argv: list[str], command: str) -> int:
         T=horizon, M=steps, n_paths=paths, seed=args.seed,
         record_full=(args.record == "full"),
     )
-    cloud = simulate(
-        params, matrix, config,
-        threads=_threads(args),
-        require_initial_in_cone=not args.allow_nonadmissible,
-    )
+    cloud = simulate(params, matrix, config,
+                     require_initial_in_cone=not args.allow_nonadmissible)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -223,7 +212,7 @@ def cmd_mean_check(args, argv: list[str]) -> int:
     params = _resolve_params(args)
     matrix = _resolve_matrix(args, params)
     config = PathConfig(T=args.t, M=args.M, n_paths=args.paths, seed=args.seed)
-    cloud = simulate(params, matrix, config, threads=_threads(args))
+    cloud = simulate(params, matrix, config)
     mc = cloud.aggregates[:, -1]
     mc_mean = float(np.mean(mc))
     se = float(np.std(mc, ddof=1) / np.sqrt(mc.size))
@@ -398,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default="full" if name == "cloud" else "terminal")
         sub.add_argument("--allow-nonadmissible", action="store_true",
                          help="report cone violations instead of failing")
-        sub.add_argument("--threads", type=int, default=None)
+        # accepted and ignored: old command lines and manifests carry it
+        sub.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         sub.add_argument("--out", required=True)
         sub.set_defaults(func=cmd_simulate if name == "simulate" else cmd_cloud)
 
@@ -408,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--M", type=int, default=1000)
     sub.add_argument("--paths", type=int, default=10000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=None)
+    sub.add_argument("--threads", type=int, help=argparse.SUPPRESS)  # ignored, as above
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_mean_check)
 

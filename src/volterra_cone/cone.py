@@ -3,9 +3,8 @@
 The cone is the image of the non-negative orthant under the inverse of an
 admissible matrix, optionally shifted so that an arbitrary anchor with the
 same aggregate becomes reachable.  Membership, the canonical proportional
-anchor, the non-negativity of the inverse rate matrix and the tangency /
-inward-drift conditions on the orthant boundary are all made executable
-here.
+anchor, the non-negativity of the inverse rate matrix and the inward drift
+on the faces of the orthant are all made executable here.
 """
 
 from __future__ import annotations
@@ -113,10 +112,8 @@ def m_matrix_inverse_check(matrix: AdmissibleMatrix, tol: float = 1e-12) -> bool
 
 @dataclass(frozen=True)
 class BoundaryCheckReport:
-    """Worst-case drift and diffusion components over sampled boundary points."""
+    """Lowest inward drift component over each face of the orthant, within a box."""
 
-    n_samples: int
-    max_diffusion_abs: float
     min_drift: float
     worst_face: int
     n_violations: int
@@ -131,40 +128,31 @@ def boundary_condition_check(
     matrix: AdmissibleMatrix,
     params: ModelParams,
     mu: float = 0.0,
-    n_samples: int = 1000,
-    seed: int = 0,
     drift_tol: float = 1e-10,
 ) -> BoundaryCheckReport:
-    """Audit tangency and inward drift on every face of the orthant.
+    """Audit inward drift on every face of the orthant.
 
-    For each face i the transformed dynamics of ``params`` with anchor
-    mu / x must have a vanishing noise component and a drift component
-    >= -drift_tol at points with the i-th coordinate set to zero.  Samples
-    the free coordinates uniformly over a box matched to simulation
-    magnitudes (the condition is linear, so any positive box is conclusive)
-    and always includes the corner.  Raises ValueError for a matrix that
-    fails the row or column condition.
+    On face i (u_i = 0) the i-th component of the transformed drift of
+    ``params`` with anchor mu / x must be >= -drift_tol for every u in the
+    box [0, hi]^N, with hi matched to simulation magnitudes.  The component
+    is linear in u, so its minimum sits at the vertex with u_j = hi where
+    K_ij < 0 and u_j = 0 elsewhere; ``n_violations`` counts the faces below
+    the tolerance.  Tangency needs no audit: only u_N carries noise, and it
+    vanishes on the u_N face.  Raises ValueError for a matrix that fails the
+    row or column condition.
     """
     if mu < 0.0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    n = matrix.n
     dynamics = TransformedDynamics.from_params(replace(params, v0=mu / params.x), matrix)
     hi = 10.0 * max(float(np.max(params.v0)), params.theta / float(np.min(params.x)))
     if hi <= 0.0:
         hi = 1.0
-    faces = np.arange(n)
-    pts = np.random.default_rng(seed).uniform(0.0, hi, size=(n, n_samples, n))  # a block per face
-    pts[faces, :, faces] = 0.0
-    pts[:, 0] = 0.0  # corner belongs to every face
-    face_drift = dynamics.drift(pts)[faces, :, faces]
-    face_min = face_drift.min(axis=1)
-    # only u_N carries noise, with amplitude sqrt(2 * diffusion)
-    noise = np.sqrt(2.0 * dynamics.diffusion(pts[n - 1]))
+    worst = hi * (dynamics.system.A < 0.0)  # row i: the worst vertex of face i
+    np.fill_diagonal(worst, 0.0)
+    face_min = np.diag(dynamics.drift(worst))
     return BoundaryCheckReport(
-        n_samples=n_samples,
-        max_diffusion_abs=float(np.max(noise)),
         min_drift=float(np.min(face_min)),
         worst_face=int(np.argmin(face_min)),
-        n_violations=int(np.sum(face_drift < -drift_tol)),
+        n_violations=int(np.sum(face_min < -drift_tol)),
         drift_tol=drift_tol,
     )

@@ -8,7 +8,7 @@ the dynamics in original and in transformed coordinates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -133,9 +133,9 @@ def aggregate(params: ModelParams, y) -> float:
     return float(params.w @ y_arr)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DriftSystem:
-    """Linear drift d/dt v = A v + b with cached exact propagators.
+    """Linear drift d/dt v = A v + b with exact propagators.
 
     A couples the factors through the aggregate, b collects the mean levels.
     The propagator pair (exp(A h), integral of exp(A s) ds @ b) is computed
@@ -145,7 +145,6 @@ class DriftSystem:
 
     A: Array
     b: Array
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "DriftSystem":
@@ -159,20 +158,14 @@ class DriftSystem:
         h = float(h)
         if h < 0.0:
             raise ValueError(f"step size must be >= 0, got {h}")
-        hit = self._cache.get(h)
-        if hit is not None:
-            return hit
         n = self.A.shape[0]
         if h == 0.0:
-            pair = (np.eye(n), np.zeros(n))
-        else:
-            aug = np.zeros((n + 1, n + 1))
-            aug[:n, :n] = self.A
-            aug[:n, n] = self.b
-            full = expm(aug * h)
-            pair = (full[:n, :n].copy(), full[:n, n].copy())
-        self._cache[h] = pair
-        return pair
+            return np.eye(n), np.zeros(n)
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = self.A
+        aug[:n, n] = self.b
+        full = expm(aug * h)
+        return full[:n, :n].copy(), full[:n, n].copy()
 
 
 @dataclass(frozen=True, eq=False)

@@ -106,14 +106,13 @@ def source_term(problem: PdeProblem, z):
     return float(vals[0]) if np.asarray(z).ndim == 1 else vals
 
 
-def residual_check(problem: PdeProblem, n_samples: int = 100, seed: int = 0, source=None) -> float:
+def residual_check(problem: PdeProblem, n_samples: int = 100, seed: int = 0) -> float:
     """Max PDE residual of the manufactured solution at random box points.
 
     Applies the generator in original coordinates, drift A v + b and
     diffusion nu^2 (w @ v) 1 1^T, to g(Q v) at v = Q^-1 z by the chain rule,
     so a vanishing residual certifies :func:`source_term` independently of
-    the transformed dynamics.  ``source`` may override the built-in source
-    term to probe alternative readings.
+    the transformed dynamics.
     """
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in problem.box])
@@ -131,8 +130,7 @@ def residual_check(problem: PdeProblem, n_samples: int = 100, seed: int = 0, sou
         + np.einsum("ki,ki->k", (v @ original.A.T + original.b) @ q.T, grad)
         + 0.5 * params.nu**2 * (v @ params.w) * (noise**2 @ (2.0 * problem.alpha))
     )
-    phi = source_term(problem, z) if source is None else np.asarray(source(z), dtype=float)
-    return float(np.max(np.abs(operator - phi)))
+    return float(np.max(np.abs(operator - source_term(problem, z))))
 
 
 def _assemble(problem: PdeProblem, upwind: bool):

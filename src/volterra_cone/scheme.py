@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +35,8 @@ DEGENERATE_EPS = 1e-14
 PROB_SLACK = 1e-12
 #: aggregates below -AGGREGATE_TOL abort a step, and audited coordinates below it are violations
 AGGREGATE_TOL = 1e-9
+#: 2 workers vs 1 on fig2 (2 CPUs): 1.06-1.34x the time at 5 000 paths, 0.71x at 20 000
+PATHS_PER_WORKER = 5_000
 
 
 def ode_step(system: DriftSystem, z, h: float) -> Array:
@@ -308,21 +311,30 @@ def _simulate_block(initial: Array, prop: Array, shift: Array, z_budget: float,
     return recorded, min_trans, min_agg, (n_violations, sqrt_clamps, prob_violations)
 
 
+def _n_workers(n_paths: int) -> int:
+    """One worker thread per PATHS_PER_WORKER paths, at least one and at most the usable CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(n_paths // PATHS_PER_WORKER, cpus))
+
+
 def simulate(
     params: ModelParams,
     matrix: AdmissibleMatrix,
     config: PathConfig,
     initial_state=None,
-    threads: int = 1,
     require_initial_in_cone: bool = True,
 ) -> SampleCloud:
     """Simulate independent paths on a uniform grid and audit cone membership.
 
     Paths run in u = Q v (:class:`TransformedDynamics`, so ValueError for a
     matrix failing the row or column condition), where the audit is min(u).
-    Path k draws one uniform per step from the substream seeded by
-    (config.seed, k), so the sample cloud is reproducible bit for bit and
-    independent of the number of worker threads.
+    The paths are split into contiguous blocks, one per worker thread
+    (:func:`_n_workers`).  Path k draws one uniform per step from the
+    substream seeded by (config.seed, k), so the sample cloud is reproducible
+    bit for bit and independent of the number of workers.
     """
     initial = np.asarray(params.v0 if initial_state is None else initial_state, dtype=float)
     if initial.shape != (params.n_factors,):
@@ -337,9 +349,8 @@ def simulate(
     prop, shift = dynamics.system.propagators(0.5 * h)
     z_budget = dynamics.variance_rate * h
 
-    n_workers = max(1, int(threads))
-    bounds = np.linspace(0, config.n_paths, min(n_workers, config.n_paths) + 1).astype(int)
-    blocks = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    bounds = np.linspace(0, config.n_paths, _n_workers(config.n_paths) + 1).astype(int)
+    blocks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
     def run(lo: int, hi: int) -> tuple:
         uniforms = _path_uniforms(config.seed, lo, hi - lo, config.M)

@@ -176,16 +176,25 @@ def test_rerun_reproduces_outputs(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_threads_env_fallback_keeps_results_identical(tmp_path, monkeypatch):
+def test_threads_flag_is_accepted_hidden_and_ignored(tmp_path, capsys):
     params = write_params(tmp_path)
     out1 = tmp_path / "t1.csv"
     out2 = tmp_path / "t2.csv"
     args = ["simulate", "--params", str(params), "--T", "0.5", "--M", "50",
             "--paths", "7", "--seed", "13", "--record", "full"]
-    monkeypatch.delenv("VOLTERRA_CONE_THREADS", raising=False)
     assert main(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("VOLTERRA_CONE_THREADS", "3")
-    assert main(args + ["--out", str(out2)]) == 0
+    assert main(args + ["--threads", "3", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert "--threads" not in capsys.readouterr().out
+
+    # a manifest written when --threads still chose the worker count
+    manifest = tmp_path / "old.manifest.json"
+    manifest.write_text(json.dumps({"argv": args + ["--threads", "2", "--out", str(out2)]}))
+    out2.unlink()
+    assert main(["rerun", str(manifest)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 

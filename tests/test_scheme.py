@@ -18,7 +18,8 @@ from volterra_cone import (
     strang_step,
     three_point_law,
 )
-from volterra_cone.scheme import SPREAD, _audit_probabilities, _law_arrays
+from volterra_cone import scheme
+from volterra_cone.scheme import SPREAD, _audit_probabilities, _law_arrays, _n_workers
 
 
 def fig2_params(nu=0.3):
@@ -61,11 +62,6 @@ def test_zero_step_propagators():
     np.testing.assert_array_equal(shift, np.zeros(2))
     z = np.array([0.3, 0.4])
     np.testing.assert_array_equal(ode_step(system, z, 0.0), z)
-
-
-def test_propagators_are_cached():
-    system = DriftSystem.from_params(fig2_params())
-    assert system.propagators(0.5)[0] is system.propagators(0.5)[0]
 
 
 def test_ode_step_decoupled_closed_form():
@@ -235,12 +231,35 @@ def test_simulate_is_seed_deterministic():
     assert first.audit() == second.audit()
 
 
-def test_simulate_is_worker_count_independent():
+def test_n_workers_follows_batch_width_and_cpus(monkeypatch):
+    os = scheme.os
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert _n_workers(1000) == 1
+    assert _n_workers(20_000) == min(4, cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _n_workers(20_000) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(scheme.os, "cpu_count", lambda: 3)
+    assert _n_workers(20_000) == 3
+
+
+def test_simulate_is_worker_count_independent(monkeypatch):
     params = fig2_params()
     matrix = build_canonical(params.w, params.x)
     config = PathConfig(T=1.0, M=200, n_paths=17, seed=21, record_full=True)
-    serial = simulate(params, matrix, config, threads=1)
-    threaded = simulate(params, matrix, config, threads=4)
+    block = scheme._simulate_block
+    widths = []
+
+    def counted(initial, prop, shift, z_budget, uniforms, record_full):
+        widths.append(uniforms.shape[0])
+        return block(initial, prop, shift, z_budget, uniforms, record_full)
+
+    monkeypatch.setattr(scheme, "_simulate_block", counted)
+    monkeypatch.setattr(scheme, "_n_workers", lambda n_paths: 1)
+    serial = simulate(params, matrix, config)
+    monkeypatch.setattr(scheme, "_n_workers", lambda n_paths: 4)
+    threaded = simulate(params, matrix, config)
+    assert widths[0] == 17 and sorted(widths[1:]) == [4, 4, 4, 5]
     np.testing.assert_array_equal(serial.states, threaded.states)
     np.testing.assert_array_equal(
         serial.min_transformed_per_path, threaded.min_transformed_per_path
