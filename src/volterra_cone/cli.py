@@ -97,6 +97,8 @@ def _resolve_matrix(args, params: ModelParams):
     if family == "q2":
         return build_q2(params.w, params.x, args.q)
     if family == "q3":
+        if params.n_factors != 3:
+            raise ValueError(f"family q3 needs 3 factors, got {params.n_factors}")
         b_default = params.w[1] / params.w[0]
         a = args.a if args.a is not None else 1.0
         b = args.b if args.b is not None else b_default
@@ -243,7 +245,7 @@ def cmd_check_domain(args, argv: list[str]) -> int:
     params = _resolve_params(args)
     matrix = _resolve_matrix(args, params)
     point = np.array([float(v) for v in args.point.split(",")])
-    domain = ConeDomain(matrix=matrix)
+    domain = ConeDomain.for_initial_state(matrix, params.v0)
     coords = transformed(domain, point)
     payload = {
         "contains": contains(domain, point),

@@ -72,6 +72,8 @@ def transformed(domain: ConeDomain, y) -> Array:
     y_arr = np.asarray(y, dtype=float)
     if y_arr.shape != (domain.matrix.n,):
         raise ValueError(f"point must have shape ({domain.matrix.n},), got {y_arr.shape}")
+    if not np.all(np.isfinite(y_arr)):
+        raise ValueError(f"point must be finite, got {y_arr}")
     return domain.matrix.Q @ (y_arr - domain.shift)
 
 

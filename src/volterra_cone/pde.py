@@ -57,8 +57,10 @@ class PdeProblem:
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
         if len(box) != self.params.n_factors:
             raise ValueError(f"box must list {self.params.n_factors} intervals")
-        if any(hi <= lo for lo, hi in box):
-            raise ValueError("box intervals must have positive length")
+        if not all(math.isfinite(lo) and math.isfinite(hi) and hi > lo for lo, hi in box):
+            raise ValueError("box intervals must be finite and have positive length")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"horizon must be finite and > 0, got {self.T}")
         if self.n < 2:
             raise ValueError(f"grid resolution must be >= 2, got {self.n}")
         if self.time_scheme not in ("cn", "ie"):

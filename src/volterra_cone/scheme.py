@@ -4,34 +4,30 @@ The time step is a Strang composition: half an exact linear-drift step, a
 moment-matched three-point jump of the aggregate, and another half drift
 step.  Both pieces map the state-space cone into itself, so the composition
 does as well, which keeps every square-root argument non-negative along the
-whole simulation.  One batched step generator serves the simulator in u = Q v
-(:class:`TransformedDynamics`) and the scalar steps.
+whole simulation.  One batched step generator serves the simulator in
+u = Q (v - shift) (:class:`TransformedDynamics`) and the scalar steps.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .admissible import AdmissibleMatrix
+from .cone import ConeDomain
 from .model import DriftSystem, ModelParams, TransformedDynamics
 
 Array = NDArray[np.float64]
 
-logger = logging.getLogger(__name__)
-
 #: spread constant of the three-point law
 SPREAD = (3.0 + math.sqrt(3.0)) / 4.0
-#: below this, the three-point law collapses to a point mass
-DEGENERATE_EPS = 1e-14
-#: probabilities are audited against [0, 1] at this slack and logged if outside
+#: probabilities outside [0, 1] by more than this are counted as audit violations
 PROB_SLACK = 1e-12
 #: aggregates below -AGGREGATE_TOL abort a step, and audited coordinates below it are violations
 AGGREGATE_TOL = 1e-9
@@ -80,56 +76,41 @@ class ThreePointLaw:
 def _law_arrays(x: Array, z: float) -> tuple[Array, Array, Array, Array, Array, Array]:
     """Vectorized support points and probabilities of the three-point law.
 
-    Degenerate inputs (x or z below DEGENERATE_EPS) collapse to a point mass
-    at x, which is the limit law as the support gaps close.  The lower
-    support point is evaluated in rationalized form so it is non-negative in
-    floating point, not only algebraically.
+    Closed form of the Lagrange weights for the centred moments E[d] = 0 and
+    E[d^2] = x z (the support makes the third moment hold), with
+    c = SPREAD + 3/4 and s = sqrt(z (3x + c^2 z)).  Every factor is a ratio
+    of like magnitudes, so p1 in [1/6, 1], p2 in [0, 2/3] and p3 in [0, 1/6]
+    hold to rounding for any x >= 0 and z > 0, and x = 0 gives the point
+    mass (1, 0, 0) at x1 = 0.  A zero budget z is a point mass at x.
     """
     x = np.asarray(x, dtype=float)
-    top = x + (SPREAD + 0.75) * z
-    s = np.sqrt((3.0 * x + (SPREAD + 0.75) ** 2 * z) * z)
-    degenerate = (x <= DEGENERATE_EPS) | (z <= DEGENERATE_EPS)
-    denom = np.where(degenerate, 1.0, top + s)
-    x1 = (x * x + (2.0 * SPREAD - 1.5) * x * z) / denom
+    if z == 0.0:
+        return x, x, x, np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    c = SPREAD + 0.75
+    s = math.sqrt(z) * np.sqrt(3.0 * x + c * c * z)
     x2 = x + SPREAD * z
-    x3 = top + s
-
-    m1 = x
-    m2 = x * (x + z)
-    m3 = x * (x * x + 3.0 * x * z + 1.5 * z * z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p1 = (m1 * x2 * x3 - m2 * (x2 + x3) + m3) / (x1 * (x3 - x1) * (x2 - x1))
-        p2 = (m1 * x1 * x3 - m2 * (x1 + x3) + m3) / (x2 * (x3 - x2) * (x1 - x2))
-        p3 = (m1 * x1 * x2 - m2 * (x1 + x2) + m3) / (x3 * (x1 - x3) * (x2 - x3))
-
-    x1 = np.where(degenerate, x, x1)
-    x2 = np.where(degenerate, x, x2)
-    x3 = np.where(degenerate, x, x3)
-    p1 = np.where(degenerate, 1.0, p1)
-    p2 = np.where(degenerate, 0.0, p2)
-    p3 = np.where(degenerate, 0.0, p3)
-    return x1, x2, x3, p1, p2, p3
+    x3 = x + c * z + s
+    x1 = x * ((x + (2.0 * SPREAD - 1.5) * z) / x3)  # = x + c z - s, rationalized
+    p2 = 2.0 * x / (3.0 * x + SPREAD * (SPREAD + 1.5) * z)
+    p3 = ((x / (x + SPREAD * (c * z + s))) * (z / (2.0 * s))
+          * ((x + SPREAD * (1.5 - SPREAD) * z) / (s + 0.75 * z)))
+    return x1, x2, x3, 1.0 - p2 - p3, p2, p3
 
 
 def _audit_probabilities(p1: Array, p2: Array, p3: Array) -> int:
-    bad = 0
-    for p in (p1, p2, p3):
-        bad += int(np.sum((p < -PROB_SLACK) | (p > 1.0 + PROB_SLACK)))
-    if bad:
-        logger.warning("three-point law produced %d probabilities outside [0, 1]", bad)
-    return bad
+    """Number of probabilities outside [0, 1] by more than PROB_SLACK."""
+    return sum(int(np.sum((p < -PROB_SLACK) | (p > 1.0 + PROB_SLACK))) for p in (p1, p2, p3))
 
 
 def three_point_law(x: float, z: float) -> ThreePointLaw:
     """Three-point law for a single aggregate x >= 0 and variance budget z >= 0."""
     x = float(x)
     z = float(z)
-    if x < 0.0:
-        raise ValueError(f"aggregate must be >= 0, got {x}")
-    if z < 0.0:
-        raise ValueError(f"variance budget must be >= 0, got {z}")
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError(f"aggregate must be finite and >= 0, got {x}")
+    if not (math.isfinite(z) and z >= 0.0):
+        raise ValueError(f"variance budget must be finite and >= 0, got {z}")
     x1, x2, x3, p1, p2, p3 = (float(v[0]) for v in _law_arrays(np.array([x]), z))
-    _audit_probabilities(np.array([p1]), np.array([p2]), np.array([p3]))
     return ThreePointLaw(x1=x1, x2=x2, x3=x3, p1=p1, p2=p2, p3=p3, x=x, z=z)
 
 
@@ -200,8 +181,8 @@ class PathConfig:
     record_full: bool = False
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError(f"horizon must be > 0, got {self.T}")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"horizon must be finite and > 0, got {self.T}")
         if self.M < 1:
             raise ValueError(f"number of steps must be >= 1, got {self.M}")
         if self.n_paths < 1:
@@ -210,11 +191,12 @@ class PathConfig:
 
 @dataclass(eq=False)
 class SampleCloud:
-    """Recorded transformed states u = Q v of a simulation and its cone audit.
+    """Recorded transformed states u = Q (v - shift) of a simulation and its cone audit.
 
     ``transformed`` has shape (n_paths, n_recorded, N); states and aggregates
-    are derived from it.  The per-path minima are taken over every grid
-    state of the run, not only the recorded ones.
+    are derived from it, and ``shift`` is that of the cone of the model's
+    anchor (:meth:`ConeDomain.for_initial_state`).  The per-path minima are
+    taken over every grid state of the run, not only the recorded ones.
     """
 
     transformed: Array
@@ -225,6 +207,7 @@ class SampleCloud:
     prob_violations: int
     config: PathConfig
     matrix: AdmissibleMatrix
+    shift: Array
 
     @property
     def steps(self) -> NDArray[np.int64]:
@@ -242,8 +225,10 @@ class SampleCloud:
 
     @property
     def states(self) -> Array:
-        """Factor states v = Q^-1 u, computed on every access."""
-        return self.transformed @ self.matrix.Qinv.T
+        """Factor states v = Q^-1 u + shift, computed on every access."""
+        states = self.transformed @ self.matrix.Qinv.T
+        states += self.shift
+        return states
 
     @property
     def min_transformed(self) -> float:
@@ -329,8 +314,12 @@ def simulate(
 ) -> SampleCloud:
     """Simulate independent paths on a uniform grid and audit cone membership.
 
-    Paths run in u = Q v (:class:`TransformedDynamics`, so ValueError for a
-    matrix failing the row or column condition), where the audit is min(u).
+    Paths run in u = Q (v - shift) (:class:`TransformedDynamics`, so
+    ValueError for a matrix failing the row or column condition), where the
+    audit is min(u).  The shift is that of the cone of the anchor
+    (:meth:`ConeDomain.for_initial_state` at ``params.v0``): it has zero
+    aggregate, so A shift = -x shift and v - shift follows the model anchored
+    at ``params.v0 - shift``, which is proportional to 1/x.
     The paths are split into contiguous blocks, one per worker thread
     (:func:`_n_workers`).  Path k draws one uniform per step from the
     substream seeded by (config.seed, k), so the sample cloud is reproducible
@@ -339,14 +328,15 @@ def simulate(
     initial = np.asarray(params.v0 if initial_state is None else initial_state, dtype=float)
     if initial.shape != (params.n_factors,):
         raise ValueError(f"initial state must have shape ({params.n_factors},)")
-    dynamics = TransformedDynamics.from_params(params, matrix)
-    u0 = matrix.Q @ initial
+    shift = ConeDomain.for_initial_state(matrix, params.v0).shift
+    dynamics = TransformedDynamics.from_params(replace(params, v0=params.v0 - shift), matrix)
+    u0 = matrix.Q @ (initial - shift)
     lowest = float(np.min(u0))
     if require_initial_in_cone and lowest < -AGGREGATE_TOL:
         raise ValueError(f"initial state is outside the cone, min transformed component {lowest}")
 
     h = config.T / config.M
-    prop, shift = dynamics.system.propagators(0.5 * h)
+    prop, forcing = dynamics.system.propagators(0.5 * h)
     z_budget = dynamics.variance_rate * h
 
     bounds = np.linspace(0, config.n_paths, _n_workers(config.n_paths) + 1).astype(int)
@@ -354,7 +344,7 @@ def simulate(
 
     def run(lo: int, hi: int) -> tuple:
         uniforms = _path_uniforms(config.seed, lo, hi - lo, config.M)
-        return _simulate_block(u0, prop, shift, z_budget, uniforms, config.record_full)
+        return _simulate_block(u0, prop, forcing, z_budget, uniforms, config.record_full)
 
     if len(blocks) == 1:
         results = [run(*blocks[0])]
@@ -373,6 +363,7 @@ def simulate(
         prob_violations=prob_violations,
         config=config,
         matrix=matrix,
+        shift=shift,
     )
 
 
@@ -382,8 +373,8 @@ def mean_oracle(params: ModelParams, t: float, initial_state=None) -> Array:
     The mean solves the same linear drift ODE that the splitting integrates
     exactly, so it provides an independent check of the Monte Carlo average.
     """
-    if t < 0.0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     initial = np.asarray(params.v0 if initial_state is None else initial_state, dtype=float)
     system = DriftSystem.from_params(params)
     return ode_step(system, initial, float(t))

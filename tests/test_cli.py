@@ -48,6 +48,26 @@ def test_missing_params_file_exits_2(tmp_path):
     assert main(["build-q", "--params", str(tmp_path / "missing.json"), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("argv, overrides", [
+    (["simulate", "--T", "nan", "--M", "10", "--paths", "2"], {}),
+    (["simulate", "--T", "inf", "--M", "10", "--paths", "2"], {}),
+    (["mean-check", "--t", "nan", "--M", "10", "--paths", "20"], {}),
+    (["pde", "--T", "nan", "--n", "8"], {}),
+    (["pde", "--T", "-1", "--n", "8"], {}),
+    (["pde-convergence", "--T", "0", "--n-list", "4,8"], {}),
+    (["pde", "--box", "0,nan;0,4", "--n", "8"], {}),
+    (["check-domain", "--point", "1,nan"], {}),
+    (["build-q", "--family", "q3"], {"w": [1.0], "x": [1.0], "v0": [0.02]}),
+], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
+        "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
+        "build-q-q3-one-factor"])
+def test_bad_input_exits_2(tmp_path, capsys, argv, overrides):
+    params = write_params(tmp_path, **overrides)
+    out = [] if argv[0] in ("mean-check", "check-domain") else ["--out", str(tmp_path / "out")]
+    assert main([*argv, "--params", str(params), *out]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_q3_bounds_values(tmp_path, capsys):
     params = write_params(tmp_path, w=[1.0, 2.0, 3.0], x=[1.0, 5.0, 25.0],
                           v0=[0.01, 0.002, 0.0005])

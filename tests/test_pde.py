@@ -21,11 +21,11 @@ BOX2 = ((-0.5, 3.5), (-0.5, 3.5))
 BOX3 = ((-0.5, 3.5), (0.0, 4.0))
 
 
-def table1_problem(box=BOX1, n=16, alpha=(3.0, 4.0), beta=1.6, scheme="cn"):
+def table1_problem(box=BOX1, n=16, alpha=(3.0, 4.0), beta=1.6, scheme="cn", T=2.0):
     params = ModelParams(w=[0.4, 1.8], x=[0.1, 3.5], theta=0.8, lam=1.2, nu=0.7, v0=[0.2, 0.3])
     matrix = build_canonical(params.w, params.x)
     return PdeProblem(
-        params=params, matrix=matrix, alpha=alpha, beta=beta, T=2.0,
+        params=params, matrix=matrix, alpha=alpha, beta=beta, T=T,
         box=box, n=n, time_scheme=scheme,
     )
 
@@ -134,6 +134,9 @@ def test_problem_validation():
         table1_problem(scheme="explicit")
     with pytest.raises(ValueError):
         table1_problem(alpha=(1.0, 2.0, 3.0))
+    for horizon in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            table1_problem(T=horizon)
 
 
 def test_coarse_grid_fallback_is_recorded():

@@ -1,9 +1,11 @@
-import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from volterra_cone import (
     DriftSystem,
@@ -19,6 +21,7 @@ from volterra_cone import (
     three_point_law,
 )
 from volterra_cone import scheme
+from volterra_cone.presets import preset
 from volterra_cone.scheme import SPREAD, _audit_probabilities, _law_arrays, _n_workers
 
 
@@ -96,7 +99,8 @@ def test_three_point_law_zero_budget_is_point_mass():
 
 def test_three_point_law_absorbed_at_zero():
     law = three_point_law(0.0, 0.5)
-    assert law.support == (0.0, 0.0, 0.0)
+    assert law.probabilities == (1.0, 0.0, 0.0)
+    assert law.x1 == 0.0
     assert law.moments() == (0.0, 0.0, 0.0)
 
 
@@ -114,6 +118,32 @@ def test_three_point_law_rejects_negative_inputs():
         three_point_law(-0.1, 0.1)
     with pytest.raises(ValueError):
         three_point_law(0.1, -0.1)
+    for x, z in ((math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan), (0.1, math.inf)):
+        with pytest.raises(ValueError):
+            three_point_law(x, z)
+
+
+# x = 10^a with a in [-300, 300], or exactly 0
+aggregates = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda a: 10.0**a))
+
+
+@pytest.mark.filterwarnings("error")  # no overflow, division or invalid-value warnings
+@settings(max_examples=300, deadline=None)
+@given(x=aggregates, b=st.floats(-300.0, 300.0))
+def test_three_point_law_valid_over_whole_range(x, b):
+    law = three_point_law(x, 10.0**b)
+    assert all(0.0 <= p <= 1.0 for p in law.probabilities)
+    assert abs(sum(law.probabilities) - 1.0) <= 1e-15
+    assert 0.0 <= law.x1 <= law.x2 <= law.x3
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-15.0, 15.0), b=st.floats(-15.0, 15.0))
+def test_three_point_law_moments_over_thirty_decades(a, b):
+    x, z = 10.0**a, 10.0**b
+    targets = (x, x * x + x * z, x**3 + 3.0 * x * x * z + 1.5 * x * z * z)
+    for got, want in zip(three_point_law(x, z).moments(), targets):
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_three_point_law_random_moment_exactness():
@@ -144,11 +174,8 @@ def test_lower_support_point_nonnegativity_identity():
         assert rhs >= 0.0
 
 
-def test_probability_audit_logs_violations(caplog):
-    with caplog.at_level(logging.WARNING, logger="volterra_cone.scheme"):
-        bad = _audit_probabilities(np.array([1.5]), np.array([-0.5]), np.array([0.0]))
-    assert bad == 2
-    assert any("outside" in rec.message for rec in caplog.records)
+def test_probability_audit_counts_violations():
+    assert _audit_probabilities(np.array([1.5]), np.array([-0.5]), np.array([0.0])) == 2
 
 
 def test_stochastic_step_inverse_cdf_branches():
@@ -335,10 +362,16 @@ def test_path_config_validation():
         PathConfig(T=1.0, M=0, n_paths=1, seed=0)
     with pytest.raises(ValueError):
         PathConfig(T=1.0, M=10, n_paths=0, seed=0)
+    for horizon in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PathConfig(T=horizon, M=10, n_paths=1, seed=0)
 
 
 def test_mean_oracle_values():
     params = fig2_params()
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mean_oracle(params, t)
     np.testing.assert_array_equal(mean_oracle(params, 0.0), params.v0)
     lam0 = ModelParams(w=[1.0, 2.0], x=[1.0, 10.0], theta=0.05, lam=0.0, nu=0.1, v0=[0.3, 0.04])
     t = 0.8
@@ -356,3 +389,45 @@ def test_law_arrays_vectorized_matches_scalar():
         law = three_point_law(float(x), z)
         assert law.x1 == pytest.approx(float(x1[i]), abs=1e-15)
         assert law.p2 == pytest.approx(float(p2[i]), abs=1e-15)
+
+
+def test_simulate_in_cone_of_shifted_anchor():
+    # table1's v0 = (0.2, 0.3) is not proportional to 1/x: outside the unshifted cone
+    params, matrix = preset("table1")
+    assert np.min(matrix.Q @ params.v0) < -0.01
+    cloud = simulate(params, matrix, PathConfig(T=1.0, M=1000, n_paths=1000, seed=0))
+    assert cloud.n_violations == 0 and cloud.sqrt_clamp_count == 0
+    terminal = cloud.states[:, -1]
+    stderr = np.std(terminal, axis=0, ddof=1) / math.sqrt(terminal.shape[0])
+    assert np.all(np.abs(np.mean(terminal, axis=0) - mean_oracle(params, 1.0)) <= 4.0 * stderr)
+
+
+def aggregate_second_moment(params, t):
+    """Exact E[(w @ v_t)^2]: one expm of the linear ODE of m = E[v] and P = E[v v^T].
+
+    dm/dt = A m + b and dP/dt = A P + P A^T + b m^T + m b^T + nu^2 (w @ m) 1 1^T,
+    with P flattened row-major, so vec(A P) = (A x I) vec(P), vec(P A^T) = (I x A) vec(P).
+    """
+    system = DriftSystem.from_params(params)
+    a, b, w = system.A, system.b, params.w
+    n = params.n_factors
+    eye = np.eye(n)
+    size = n + n * n + 1  # m, vec(P), constant 1
+    gen = np.zeros((size, size))
+    gen[:n, :n] = a
+    gen[:n, -1] = b
+    gen[n:-1, :n] = (np.kron(b[:, None], eye) + np.kron(eye, b[:, None])
+                     + params.nu**2 * np.outer(np.ones(n * n), w))
+    gen[n:-1, n:-1] = np.kron(a, eye) + np.kron(eye, a)
+    start = np.concatenate([params.v0, np.outer(params.v0, params.v0).ravel(), [1.0]])
+    second = (expm(gen * t) @ start)[n:-1].reshape(n, n)
+    return float(w @ second @ w)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3a"])
+def test_simulate_second_moment_matches_oracle(name):
+    params, matrix = preset(name)
+    cloud = simulate(params, matrix, PathConfig(T=1.0, M=200, n_paths=10_000, seed=5))
+    squares = cloud.aggregates[:, -1] ** 2
+    stderr = float(np.std(squares, ddof=1) / math.sqrt(squares.size))
+    assert abs(float(np.mean(squares)) - aggregate_second_moment(params, 1.0)) <= 4.0 * stderr
