@@ -68,8 +68,8 @@ class AdmissibleMatrix:
         """Rate matrix Q diag(x) Q^-1, computed on every access."""
         return (self.Q * self.x) @ self.Qinv
 
-    def report(self, tol: float = EQUALITY_TOL, sign_tol: float = SIGN_TOL) -> "AdmissibilityReport":
-        return check_admissible(self.Q, self.w, self.x, tol=tol, sign_tol=sign_tol, Qinv=self.Qinv)
+    def report(self) -> "AdmissibilityReport":
+        return check_admissible(self.Q, self.w, self.x, Qinv=self.Qinv)
 
 
 @dataclass(frozen=True)
@@ -137,15 +137,7 @@ def build_canonical(w, x) -> AdmissibleMatrix:
     return AdmissibleMatrix(Q=q, Qinv=canonical_inverse(w_arr), w=w_arr, x=x_arr)
 
 
-def check_admissible(
-    Q,
-    w,
-    x,
-    tol: float = EQUALITY_TOL,
-    sign_tol: float = SIGN_TOL,
-    cond_limit: float = COND_LIMIT,
-    Qinv: Array | None = None,
-) -> AdmissibilityReport:
+def check_admissible(Q, w, x, Qinv: Array | None = None) -> AdmissibilityReport:
     """Evaluate all four admissibility conditions of a candidate matrix.
 
     Non-admissible and even singular matrices are reported, never raised:
@@ -161,7 +153,7 @@ def check_admissible(
         raise ValueError(f"Q must have shape ({n}, {n}), got {q_arr.shape}")
 
     cond = float(np.linalg.cond(q_arr))
-    invertible = bool(np.isfinite(cond) and cond < cond_limit)
+    invertible = bool(np.isfinite(cond) and cond < COND_LIMIT)
 
     row_dev = float(np.max(np.abs(q_arr[n - 1] - w_arr)))
     col_dev = float(np.max(np.abs(q_arr @ np.ones(n) - np.sum(w_arr) * np.eye(n)[n - 1])))
@@ -184,14 +176,14 @@ def check_admissible(
             np.fill_diagonal(off, -math.inf)
             i, j = np.unravel_index(int(np.argmax(off)), off.shape)
             worst = (int(i), int(j), float(g[i, j]))
-            offdiag_ok = bool(worst[2] <= sign_tol)
+            offdiag_ok = bool(worst[2] <= SIGN_TOL)
 
     return AdmissibilityReport(
         invertible=invertible,
         cond_estimate=cond,
-        row_ok=bool(row_dev <= tol),
+        row_ok=bool(row_dev <= EQUALITY_TOL),
         row_max_dev=row_dev,
-        col_ok=bool(col_dev <= tol),
+        col_ok=bool(col_dev <= EQUALITY_TOL),
         col_max_dev=col_dev,
         offdiag_ok=offdiag_ok,
         worst_offdiag=worst,
@@ -208,8 +200,8 @@ def build_q2(w, x, q: float) -> AdmissibleMatrix:
         raise ValueError("build_q2 requires exactly 2 weights")
     x_arr = _check_nodes(x, 2)
     q = float(q)
-    if q <= 0.0:
-        raise ValueError(f"family parameter q must be > 0, got {q}")
+    if not (0.0 < q < math.inf):
+        raise ValueError(f"family parameter q must be finite and > 0, got {q}")
     wbar = w_arr[0] + w_arr[1]
     mat = np.array([[q, -q], [w_arr[0], w_arr[1]]])
     inv = np.array([[w_arr[1] / q, 1.0], [-w_arr[0] / q, 1.0]]) / wbar
@@ -254,8 +246,8 @@ def build_q3(w, x, a: float, b: float) -> AdmissibleMatrix:
     x_arr = _check_nodes(x, 3)
     a = float(a)
     b = float(b)
-    if a < 0.0 or b < 0.0:
-        raise ValueError(f"family parameters must be >= 0, got a={a}, b={b}")
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+        raise ValueError(f"family parameters must be finite and >= 0, got a={a}, b={b}")
     if a + b == 0.0:
         raise ValueError("a + b must be nonzero, the family is singular at a = b = 0")
     mat = np.array(

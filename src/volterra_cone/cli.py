@@ -213,6 +213,8 @@ def cmd_mean_check(args, argv: list[str]) -> int:
     started = time.perf_counter()
     params = _resolve_params(args)
     matrix = _resolve_matrix(args, params)
+    if args.paths < 2:
+        raise ValueError(f"mean-check needs at least 2 paths for a standard error, got {args.paths}")
     config = PathConfig(T=args.t, M=args.M, n_paths=args.paths, seed=args.seed)
     cloud = simulate(params, matrix, config)
     mc = cloud.aggregates[:, -1]

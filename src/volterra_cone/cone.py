@@ -14,13 +14,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .admissible import AdmissibleMatrix
+from .admissible import SIGN_TOL, AdmissibleMatrix
 from .model import ModelParams, TransformedDynamics
 
 Array = NDArray[np.float64]
 
 #: default absolute membership tolerance on transformed coordinates
 MEMBERSHIP_TOL = 1e-9
+#: inward drift components below -DRIFT_TOL on a face of the orthant are violations
+DRIFT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,14 +45,14 @@ class ConeDomain:
         object.__setattr__(self, "shift", shift)
 
     @classmethod
-    def for_initial_state(cls, matrix: AdmissibleMatrix, y0, tol: float = MEMBERSHIP_TOL) -> "ConeDomain":
+    def for_initial_state(cls, matrix: AdmissibleMatrix, y0) -> "ConeDomain":
         """Cone shifted by y0 minus the proportional anchor with equal aggregate."""
         y0_arr = np.asarray(y0, dtype=float)
         agg = float(matrix.w @ y0_arr)
         if agg < 0.0:
             raise ValueError(f"initial state must have non-negative aggregate, got {agg}")
         anchor = canonical_anchor(matrix.w, matrix.x, agg)
-        return cls(matrix=matrix, shift=y0_arr - anchor, tol=tol)
+        return cls(matrix=matrix, shift=y0_arr - anchor)
 
 
 def canonical_anchor(w, x, Y0: float) -> Array:
@@ -100,8 +102,8 @@ def canonical_halfspaces(w) -> list[tuple[Array, float]]:
     return out
 
 
-def m_matrix_inverse_check(matrix: AdmissibleMatrix, tol: float = 1e-12) -> bool:
-    """True when every entry of Q @ diag(1/x) @ Q^-1 is >= -tol.
+def m_matrix_inverse_check(matrix: AdmissibleMatrix) -> bool:
+    """True when every entry of Q @ diag(1/x) @ Q^-1 is >= -SIGN_TOL.
 
     For an admissible matrix the rate matrix is an M-matrix, so its inverse
     is entrywise non-negative; this implies the canonical anchor lies inside
@@ -109,7 +111,7 @@ def m_matrix_inverse_check(matrix: AdmissibleMatrix, tol: float = 1e-12) -> bool
     simply lost.
     """
     inv_rate = (matrix.Q / matrix.x) @ matrix.Qinv
-    return bool(np.min(inv_rate) >= -tol)
+    return bool(np.min(inv_rate) >= -SIGN_TOL)
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,6 @@ class BoundaryCheckReport:
     min_drift: float
     worst_face: int
     n_violations: int
-    drift_tol: float
 
     @property
     def ok(self) -> bool:
@@ -130,12 +131,11 @@ def boundary_condition_check(
     matrix: AdmissibleMatrix,
     params: ModelParams,
     mu: float = 0.0,
-    drift_tol: float = 1e-10,
 ) -> BoundaryCheckReport:
     """Audit inward drift on every face of the orthant.
 
     On face i (u_i = 0) the i-th component of the transformed drift of
-    ``params`` with anchor mu / x must be >= -drift_tol for every u in the
+    ``params`` with anchor mu / x must be >= -DRIFT_TOL for every u in the
     box [0, hi]^N, with hi matched to simulation magnitudes.  The component
     is linear in u, so its minimum sits at the vertex with u_j = hi where
     K_ij < 0 and u_j = 0 elsewhere; ``n_violations`` counts the faces below
@@ -155,6 +155,5 @@ def boundary_condition_check(
     return BoundaryCheckReport(
         min_drift=float(np.min(face_min)),
         worst_face=int(np.argmin(face_min)),
-        n_violations=int(np.sum(face_min < -drift_tol)),
-        drift_tol=drift_tol,
+        n_violations=int(np.sum(face_min < -DRIFT_TOL)),
     )

@@ -8,6 +8,7 @@ the dynamics in original and in transformed coordinates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,10 +64,15 @@ class ModelParams:
             raise ValueError("all weights w must be strictly positive")
         if self.x[0] <= 0.0 or np.any(np.diff(self.x) < 0.0):
             raise ValueError("nodes x must be strictly positive and non-decreasing")
+        if not all(math.isfinite(v) for v in (self.theta, self.lam, self.nu)):
+            raise ValueError("theta, lambda and nu must be finite")
         if self.theta < 0.0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.nu < 0.0:
             raise ValueError(f"nu must be >= 0, got {self.nu}")
+        scale = self.nu * self.wbar
+        if not math.isfinite(scale * scale):  # float ** would raise OverflowError instead
+            raise ValueError(f"nu = {self.nu} overflows the variance rate nu^2 wbar^2")
 
     @property
     def n_factors(self) -> int:

@@ -138,129 +138,83 @@ def residual_check(problem: PdeProblem, n_samples: int = 100, seed: int = 0) -> 
 def _assemble(problem: PdeProblem, upwind: bool):
     """Spatial operator on interior rows acting on the full node vector.
 
-    The drift is discretized in divergence form, flux differences of the
-    coefficient-times-value product corrected by the exact coefficient
-    divergence; the degenerate last-coordinate diffusion uses the plain
-    central second difference with no regularization.
+    A sum over axes of 1-D stencils lifted to the grid by Kronecker products
+    and scaled by the coefficients of :class:`TransformedDynamics` at the
+    nodes.  The drift along each axis is discretized in divergence form, the
+    central difference of the coefficient-times-value product corrected by
+    the exact coefficient divergence, or with ``upwind`` by the one-sided
+    difference on the side the drift transports from; the degenerate
+    last-coordinate diffusion uses the plain central second difference with
+    no regularization.
     """
     ndim = len(problem.box)
     n = problem.n
     axes = [np.linspace(lo, hi, n + 1) for lo, hi in problem.box]
-    spacing = np.array([(hi - lo) / n for lo, hi in problem.box])
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    total = nodes.shape[0]
-    shape = (n + 1,) * ndim
-
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     dynamics = TransformedDynamics.from_params(problem.params, problem.matrix)
     drift = dynamics.drift(nodes)
 
-    idx = np.arange(total).reshape(shape)
-    interior = idx[(slice(1, -1),) * ndim].ravel()
-    n_int = interior.size
-    local = np.arange(n_int)
-    strides = [int(np.prod(shape[i + 1 :], dtype=int)) for i in range(ndim)]
+    def along(dim, weights):
+        """The 1-D stencil with these weights on v[i-1], v[i], v[i+1], lifted to axis dim."""
+        one_d = sparse.diags(weights, (-1, 0, 1), shape=(n + 1, n + 1))
+        outer = sparse.identity((n + 1) ** dim)
+        inner = sparse.identity((n + 1) ** (ndim - 1 - dim))
+        return sparse.kron(sparse.kron(outer, one_d), inner, format="csr")
 
-    rows: list[Array] = []
-    cols: list[Array] = []
-    vals: list[Array] = []
-    diag = np.zeros(n_int)
-
-    for dim in range(ndim):
-        h = spacing[dim]
-        plus = interior + strides[dim]
-        minus = interior - strides[dim]
-        if upwind:
-            # dv/dtau = c dv/dz transports from the +side when c > 0
-            c_here = drift[interior, dim]
-            pos = c_here > 0.0
-            rows.extend([local[pos], local[pos], local[~pos], local[~pos]])
-            cols.extend([plus[pos], interior[pos], interior[~pos], minus[~pos]])
-            vals.extend(
-                [c_here[pos] / h, -c_here[pos] / h, c_here[~pos] / h, -c_here[~pos] / h]
-            )
+    op = sparse.csr_matrix((len(nodes), len(nodes)))
+    for dim, (lo, hi) in enumerate(problem.box):
+        h = (hi - lo) / n
+        c = drift[:, dim]
+        if upwind:  # dv/dtau = c dv/dz transports from the +side when c > 0
+            op += (sparse.diags(np.maximum(c, 0.0) / h) @ along(dim, (0.0, -1.0, 1.0))
+                   + sparse.diags(np.minimum(c, 0.0) / h) @ along(dim, (-1.0, 1.0, 0.0)))
         else:
-            rows.extend([local, local])
-            cols.extend([plus, minus])
-            vals.extend([drift[plus, dim] / (2.0 * h), -drift[minus, dim] / (2.0 * h)])
-            diag -= dynamics.divergence[dim]
+            op += along(dim, (-1.0, 0.0, 1.0)) @ sparse.diags(c / (2.0 * h))
+            op -= dynamics.divergence[dim] * sparse.identity(len(nodes))
         if dim == ndim - 1:
-            d_here = dynamics.diffusion(nodes[interior]) / h**2
-            rows.extend([local, local])
-            cols.extend([plus, minus])
-            vals.extend([d_here, d_here])
-            diag -= 2.0 * d_here
-
-    rows.append(local)
-    cols.append(interior)
-    vals.append(diag)
-    op = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_int, total),
-    ).tocsr()
-    return op, nodes, interior
+            op += sparse.diags(dynamics.diffusion(nodes) / h**2) @ along(dim, (1.0, -2.0, 1.0))
+    interior = np.arange(len(nodes)).reshape((n + 1,) * ndim)[(slice(1, -1),) * ndim].ravel()
+    return op[interior], nodes, interior
 
 
 def _march(problem: PdeProblem, upwind: bool):
-    """Run the backward time march; returns (error_l2, blow_up, sol_extent)."""
+    """Run the backward time march; returns (error_l2, blow_up, sol_extent).
+
+    One theta-step per time level (theta = 1/2 for ``cn``, 1 for ``ie``):
+    (I - theta dt L_II) v_new = v_old + dt (L x - phi), where x mixes the old
+    state and the new boundary data as (1 - theta) old + theta new.
+    """
     n = problem.n
     op, nodes, interior = _assemble(problem, upwind)
-    total = nodes.shape[0]
-    op_int = op[:, interior].tocsc()
-
-    boundary_mask = np.ones(total, dtype=bool)
-    boundary_mask[interior] = False
+    boundary = np.ones(len(nodes), dtype=bool)
+    boundary[interior] = False
     spatial = 1.0 + (nodes * nodes) @ problem.alpha
     phi_int = source_term(problem, nodes[interior])
 
     dt = problem.T / n
-    gamma = 0.5 * dt if problem.time_scheme == "cn" else dt
-    system = sparse.identity(interior.size, format="csc") - gamma * op_int
+    theta = 0.5 if problem.time_scheme == "cn" else 1.0
     try:
-        lu = splu(system)
+        lu = splu((sparse.identity(interior.size) - theta * dt * op[:, interior]).tocsc())
     except RuntimeError:
         return math.inf, True, math.inf
 
     full = spatial + problem.beta * problem.T  # state at t = T
-    v_int = full[interior].copy()
-    blow_up = False
-    bvec = np.zeros(total)
-
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, n + 1):
-            t_new = problem.T - m * dt
-            bvec[boundary_mask] = spatial[boundary_mask] + problem.beta * t_new
-            if problem.time_scheme == "cn":
-                rhs = v_int + 0.5 * dt * (op @ full) + 0.5 * dt * (op @ bvec) - dt * phi_int
-            else:
-                rhs = v_int + dt * (op @ bvec) - dt * phi_int
-            v_int = lu.solve(rhs)
+            mixed = (1.0 - theta) * full
+            full[boundary] = spatial[boundary] + problem.beta * (problem.T - m * dt)
+            mixed[boundary] += theta * full[boundary]
+            v_int = lu.solve(full[interior] + dt * (op @ mixed - phi_int))
             if not np.all(np.isfinite(v_int)) or np.max(np.abs(v_int)) > EARLY_EXIT_MAGNITUDE:
-                blow_up = True
-                break
+                return math.inf, True, math.inf
             full[interior] = v_int
-            full[boundary_mask] = bvec[boundary_mask]
 
-    if blow_up:
-        return math.inf, True, math.inf
-
-    exact = spatial[interior]  # t = 0
-    err = np.zeros(total)
-    err[interior] = v_int - exact
-    weights_1d = []
-    for lo, hi in problem.box:
-        h = (hi - lo) / n
-        wts = np.full(n + 1, h)
-        wts[0] = wts[-1] = 0.5 * h
-        weights_1d.append(wts)
-    wgrid = weights_1d[0]
-    for wts in weights_1d[1:]:
-        wgrid = np.multiply.outer(wgrid, wts)
-    l2 = float(np.sqrt(np.sum(wgrid.ravel() * err**2)))
+    # the boundary error is zero and every interior node has weight prod(h)
+    cell = math.prod((hi - lo) / n for lo, hi in problem.box)
+    l2 = math.sqrt(cell * float(np.sum((v_int - spatial[interior]) ** 2)))
     if not math.isfinite(l2) or l2 > BLOWUP_THRESHOLD:
         return math.inf, True, math.inf
-    extent = float(np.max(full) - np.min(full))
-    return l2, False, extent
+    return l2, False, float(np.max(full) - np.min(full))
 
 
 def solve(problem: PdeProblem) -> SolveReport:

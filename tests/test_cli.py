@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -48,24 +49,38 @@ def test_missing_params_file_exits_2(tmp_path):
     assert main(["build-q", "--params", str(tmp_path / "missing.json"), "--out", str(out)]) == 2
 
 
-@pytest.mark.parametrize("argv, overrides", [
-    (["simulate", "--T", "nan", "--M", "10", "--paths", "2"], {}),
-    (["simulate", "--T", "inf", "--M", "10", "--paths", "2"], {}),
-    (["mean-check", "--t", "nan", "--M", "10", "--paths", "20"], {}),
-    (["pde", "--T", "nan", "--n", "8"], {}),
-    (["pde", "--T", "-1", "--n", "8"], {}),
-    (["pde-convergence", "--T", "0", "--n-list", "4,8"], {}),
-    (["pde", "--box", "0,nan;0,4", "--n", "8"], {}),
-    (["check-domain", "--point", "1,nan"], {}),
-    (["build-q", "--family", "q3"], {"w": [1.0], "x": [1.0], "v0": [0.02]}),
+THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002, 0.0005]}
+
+
+@pytest.mark.parametrize("argv, overrides, names", [
+    (["simulate", "--T", "nan", "--M", "10", "--paths", "2"], {}, "horizon"),
+    (["simulate", "--T", "inf", "--M", "10", "--paths", "2"], {}, "horizon"),
+    (["mean-check", "--t", "nan", "--M", "10", "--paths", "20"], {}, "horizon"),
+    (["pde", "--T", "nan", "--n", "8"], {}, "horizon"),
+    (["pde", "--T", "-1", "--n", "8"], {}, "horizon"),
+    (["pde-convergence", "--T", "0", "--n-list", "4,8"], {}, "horizon"),
+    (["pde", "--box", "0,nan;0,4", "--n", "8"], {}, "box"),
+    (["check-domain", "--point", "1,nan"], {}, "point"),
+    (["build-q", "--family", "q3"], {"w": [1.0], "x": [1.0], "v0": [0.02]}, "q3"),
+    (["simulate", "--M", "10", "--paths", "2"], {"theta": math.nan}, "theta"),
+    (["pde", "--n", "8"], {"theta": math.nan}, "theta"),
+    (["simulate", "--M", "10", "--paths", "2"], {"lambda": math.inf}, "lambda"),
+    (["simulate", "--M", "10", "--paths", "2"], {"nu": math.nan}, "nu"),
+    (["simulate", "--M", "10", "--paths", "2"], {"nu": 1e200}, "nu"),
+    (["build-q", "--family", "q3", "--b", "inf"], THREE_FACTORS, "family parameter"),
+    (["build-q", "--family", "q2", "--q", "nan"], {}, "family parameter"),
+    (["mean-check", "--M", "10", "--paths", "1"], {}, "paths"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
-        "build-q-q3-one-factor"])
-def test_bad_input_exits_2(tmp_path, capsys, argv, overrides):
+        "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
+        "simulate-nu-nan", "simulate-nu-overflows", "build-q-q3-b-inf", "build-q-q2-q-nan",
+        "mean-check-one-path"])
+def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     params = write_params(tmp_path, **overrides)
     out = [] if argv[0] in ("mean-check", "check-domain") else ["--out", str(tmp_path / "out")]
     assert main([*argv, "--params", str(params), *out]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
 
 
 def test_q3_bounds_values(tmp_path, capsys):
@@ -114,6 +129,14 @@ def test_simulate_nonadmissible_audit(tmp_path):
     assert audit["min_transformed"] < -1e-3
     assert audit["n_violations"] > 0
     assert main(args) == 4
+
+
+def test_simulate_non_finite_state_fails_cone_audit(tmp_path, capsys):
+    # a finite but huge reversion rate makes the propagator NaN: NaN is outside the cone
+    params = write_params(tmp_path, **{"lambda": 1e300})
+    args = ["simulate", "--params", str(params), "--M", "10", "--paths", "2"]
+    assert main([*args, "--out", str(tmp_path / "nan.csv")]) == 4
+    assert "left the cone" in capsys.readouterr().err
 
 
 def test_mean_check_pass_and_corrupted_fail(tmp_path, skip_final_half_drift):

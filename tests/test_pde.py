@@ -7,6 +7,7 @@ from volterra_cone import pde
 from volterra_cone import (
     ModelParams,
     PdeProblem,
+    TransformedDynamics,
     build_canonical,
     convergence_study,
     manufactured_solution,
@@ -15,6 +16,7 @@ from volterra_cone import (
     solve,
     source_term,
 )
+from volterra_cone.presets import preset
 
 BOX1 = ((0.0, 4.0), (0.0, 4.0))
 BOX2 = ((-0.5, 3.5), (-0.5, 3.5))
@@ -28,6 +30,25 @@ def table1_problem(box=BOX1, n=16, alpha=(3.0, 4.0), beta=1.6, scheme="cn", T=2.
         params=params, matrix=matrix, alpha=alpha, beta=beta, T=T,
         box=box, n=n, time_scheme=scheme,
     )
+
+
+def fig3a_problem(n=8):
+    params, matrix = preset("fig3a")
+    return PdeProblem(params=params, matrix=matrix, alpha=(1.0, 2.0, 3.0), beta=0.0, T=1.0,
+                      box=((0.0, 4.0),) * 3, n=n)
+
+
+@pytest.mark.parametrize("upwind", [False, True], ids=["centred", "upwind"])
+@pytest.mark.parametrize("make_problem", [table1_problem, fig3a_problem], ids=["table1", "fig3a"])
+def test_operator_exact_on_affine_functions(make_problem, upwind):
+    # both drift stencils differentiate an affine v exactly, and its second difference is 0
+    problem = make_problem()
+    op, nodes, interior = pde._assemble(problem, upwind)
+    slope = np.linspace(0.5, -1.5, nodes.shape[1])
+    dynamics = TransformedDynamics.from_params(problem.params, problem.matrix)
+    expected = dynamics.drift(nodes[interior]) @ slope
+    got = op @ (1.0 + nodes @ slope)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_manufactured_solution_values():

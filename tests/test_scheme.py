@@ -191,6 +191,12 @@ def test_stochastic_step_inverse_cdf_branches():
     assert params.w @ stepped == pytest.approx(law.x3, rel=1e-12)
 
 
+def test_strang_step_rejects_non_finite_state():
+    params = fig2_params()
+    with pytest.raises(ValueError, match="left the cone"):
+        strang_step(params, DriftSystem.from_params(params), [math.nan, 0.01], 0.01, 0.5)
+
+
 def test_stochastic_step_zero_cases():
     params = fig2_params()
     y = np.array([0.02, 0.005])
