@@ -22,13 +22,26 @@ Array = NDArray[np.float64]
 
 
 def _vector(values, name: str) -> Array:
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of numbers, got {values!r}") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
+
+
+def _scalar(value, name: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,9 +66,9 @@ class ModelParams:
         object.__setattr__(self, "w", _vector(self.w, "w"))
         object.__setattr__(self, "x", _vector(self.x, "x"))
         object.__setattr__(self, "v0", _vector(self.v0, "v0"))
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "nu", float(self.nu))
+        object.__setattr__(self, "theta", _scalar(self.theta, "theta"))
+        object.__setattr__(self, "lam", _scalar(self.lam, "lambda"))
+        object.__setattr__(self, "nu", _scalar(self.nu, "nu"))
         if self.x.size != self.w.size:
             raise ValueError(f"w and x must have equal length, got {self.w.size} and {self.x.size}")
         if self.v0.size != self.w.size:
@@ -64,8 +77,6 @@ class ModelParams:
             raise ValueError("all weights w must be strictly positive")
         if self.x[0] <= 0.0 or np.any(np.diff(self.x) < 0.0):
             raise ValueError("nodes x must be strictly positive and non-decreasing")
-        if not all(math.isfinite(v) for v in (self.theta, self.lam, self.nu)):
-            raise ValueError("theta, lambda and nu must be finite")
         if self.theta < 0.0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.nu < 0.0:
@@ -85,6 +96,8 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelParams":
+        if not isinstance(data, dict):
+            raise ValueError(f"parameter file must hold an object, got {type(data).__name__}")
         try:
             return cls(
                 w=data["w"],

@@ -80,7 +80,6 @@ class SolveReport:
     l2_error: float
     blow_up: bool
     runtime_s: float
-    fallback_upwind: bool = False
     time_scheme: str = "cn"
 
 
@@ -135,17 +134,16 @@ def residual_check(problem: PdeProblem, n_samples: int = 100, seed: int = 0) -> 
     return float(np.max(np.abs(operator - source_term(problem, z))))
 
 
-def _assemble(problem: PdeProblem, upwind: bool):
+def _assemble(problem: PdeProblem):
     """Spatial operator on interior rows acting on the full node vector.
 
     A sum over axes of 1-D stencils lifted to the grid by Kronecker products
     and scaled by the coefficients of :class:`TransformedDynamics` at the
     nodes.  The drift along each axis is discretized in divergence form, the
     central difference of the coefficient-times-value product corrected by
-    the exact coefficient divergence, or with ``upwind`` by the one-sided
-    difference on the side the drift transports from; the degenerate
-    last-coordinate diffusion uses the plain central second difference with
-    no regularization.
+    the exact coefficient divergence; the degenerate last-coordinate
+    diffusion uses the plain central second difference with no
+    regularization.
     """
     ndim = len(problem.box)
     n = problem.n
@@ -164,28 +162,23 @@ def _assemble(problem: PdeProblem, upwind: bool):
     op = sparse.csr_matrix((len(nodes), len(nodes)))
     for dim, (lo, hi) in enumerate(problem.box):
         h = (hi - lo) / n
-        c = drift[:, dim]
-        if upwind:  # dv/dtau = c dv/dz transports from the +side when c > 0
-            op += (sparse.diags(np.maximum(c, 0.0) / h) @ along(dim, (0.0, -1.0, 1.0))
-                   + sparse.diags(np.minimum(c, 0.0) / h) @ along(dim, (-1.0, 1.0, 0.0)))
-        else:
-            op += along(dim, (-1.0, 0.0, 1.0)) @ sparse.diags(c / (2.0 * h))
-            op -= dynamics.divergence[dim] * sparse.identity(len(nodes))
+        op += along(dim, (-1.0, 0.0, 1.0)) @ sparse.diags(drift[:, dim] / (2.0 * h))
+        op -= dynamics.divergence[dim] * sparse.identity(len(nodes))
         if dim == ndim - 1:
             op += sparse.diags(dynamics.diffusion(nodes) / h**2) @ along(dim, (1.0, -2.0, 1.0))
     interior = np.arange(len(nodes)).reshape((n + 1,) * ndim)[(slice(1, -1),) * ndim].ravel()
     return op[interior], nodes, interior
 
 
-def _march(problem: PdeProblem, upwind: bool):
-    """Run the backward time march; returns (error_l2, blow_up, sol_extent).
+def _march(problem: PdeProblem) -> tuple[float, bool]:
+    """Run the backward time march; returns (error_l2, blow_up).
 
     One theta-step per time level (theta = 1/2 for ``cn``, 1 for ``ie``):
     (I - theta dt L_II) v_new = v_old + dt (L x - phi), where x mixes the old
     state and the new boundary data as (1 - theta) old + theta new.
     """
     n = problem.n
-    op, nodes, interior = _assemble(problem, upwind)
+    op, nodes, interior = _assemble(problem)
     boundary = np.ones(len(nodes), dtype=bool)
     boundary[interior] = False
     spatial = 1.0 + (nodes * nodes) @ problem.alpha
@@ -196,7 +189,7 @@ def _march(problem: PdeProblem, upwind: bool):
     try:
         lu = splu((sparse.identity(interior.size) - theta * dt * op[:, interior]).tocsc())
     except RuntimeError:
-        return math.inf, True, math.inf
+        return math.inf, True
 
     full = spatial + problem.beta * problem.T  # state at t = T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -206,56 +199,32 @@ def _march(problem: PdeProblem, upwind: bool):
             mixed[boundary] += theta * full[boundary]
             v_int = lu.solve(full[interior] + dt * (op @ mixed - phi_int))
             if not np.all(np.isfinite(v_int)) or np.max(np.abs(v_int)) > EARLY_EXIT_MAGNITUDE:
-                return math.inf, True, math.inf
+                return math.inf, True
             full[interior] = v_int
 
     # the boundary error is zero and every interior node has weight prod(h)
     cell = math.prod((hi - lo) / n for lo, hi in problem.box)
     l2 = math.sqrt(cell * float(np.sum((v_int - spatial[interior]) ** 2)))
     if not math.isfinite(l2) or l2 > BLOWUP_THRESHOLD:
-        return math.inf, True, math.inf
-    return l2, False, float(np.max(full) - np.min(full))
+        return math.inf, True
+    return l2, False
 
 
 def solve(problem: PdeProblem) -> SolveReport:
     """March the PDE backward from the terminal data and report the error.
 
     Dirichlet data from the exact solution is imposed on the whole box
-    boundary at every time level.  On coarse grids (n <= 8) an oscillation
-    beyond ten times the exact data range triggers a rerun with first-order
-    upwind drift, recorded in the report.
+    boundary at every time level.
     """
     start = time.perf_counter()
-    l2, blew, extent = _march(problem, upwind=False)
-    fallback = False
-    if not blew and problem.n <= 8:
-        exact_extent = _exact_range(problem)
-        if extent > 10.0 * exact_extent:
-            l2, blew, extent = _march(problem, upwind=True)
-            fallback = True
+    l2, blew = _march(problem)
     return SolveReport(
         n=problem.n,
         l2_error=l2,
         blow_up=blew,
         runtime_s=time.perf_counter() - start,
-        fallback_upwind=fallback,
         time_scheme=problem.time_scheme,
     )
-
-
-def _exact_range(problem: PdeProblem) -> float:
-    corners = np.array(
-        np.meshgrid(*[(lo, hi) for lo, hi in problem.box], indexing="ij")
-    ).reshape(len(problem.box), -1).T
-    spatial = 1.0 + (corners * corners) @ problem.alpha
-    lo_spatial = min(1.0, float(np.min(spatial)))  # interior minimum can sit at z = 0
-    vals = [
-        lo_spatial,
-        float(np.max(spatial)),
-        lo_spatial + problem.beta * problem.T,
-        float(np.max(spatial)) + problem.beta * problem.T,
-    ]
-    return max(vals) - min(vals)
 
 
 def convergence_study(problem: PdeProblem, n_list) -> list[SolveReport]:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from volterra_cone import PathConfig, build_canonical, load_params, simulate
 from volterra_cone.cli import main
 
 
@@ -70,17 +71,30 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
     (["build-q", "--family", "q3", "--b", "inf"], THREE_FACTORS, "family parameter"),
     (["build-q", "--family", "q2", "--q", "nan"], {}, "family parameter"),
     (["mean-check", "--M", "10", "--paths", "1"], {}, "paths"),
+    (["simulate", "--M", "10", "--paths", "2"], {"theta": None}, "theta"),
+    (["pde", "--n", "8"], {"nu": None}, "nu"),
+    (["simulate", "--M", "10", "--paths", "2"], {"lambda": "fast"}, "lambda"),
+    (["build-q"], {"w": {"a": 1.0}}, "w must"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
         "simulate-nu-nan", "simulate-nu-overflows", "build-q-q3-b-inf", "build-q-q2-q-nan",
-        "mean-check-one-path"])
+        "mean-check-one-path", "simulate-theta-null", "pde-nu-null", "simulate-lambda-string",
+        "build-q-w-object"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     params = write_params(tmp_path, **overrides)
     out = [] if argv[0] in ("mean-check", "check-domain") else ["--out", str(tmp_path / "out")]
     assert main([*argv, "--params", str(params), *out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and names in err
+
+
+def test_params_file_must_hold_an_object(tmp_path, capsys):
+    params = tmp_path / "list.json"
+    params.write_text("[1, 2]")
+    assert main(["build-q", "--params", str(params), "--out", str(tmp_path / "q.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "object" in err
 
 
 def test_q3_bounds_values(tmp_path, capsys):
@@ -201,7 +215,7 @@ def test_pde_convergence_csv(tmp_path):
     assert main(["pde-convergence", "--preset", "table1", "--box", "box1",
                  "--n-list", "8,16,32", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "n,l2_error,order,blow_up,fallback_upwind,runtime_s"
+    assert lines[0] == "n,l2_error,order,blow_up,runtime_s"
     assert len(lines) == 4
     order_16 = float(lines[2].split(",")[2])
     assert order_16 > 1.0
@@ -217,6 +231,20 @@ def test_rerun_reproduces_outputs(tmp_path):
     out.unlink()
     assert main(["rerun", str(tmp_path / "sim.csv.manifest.json")]) == 0
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("payload", [
+    "self",
+    [1, 2],
+    {"argv": ["check-domain", "--preset", "fig2", "--point", 3]},
+], ids=["reruns-itself", "list", "argv-with-number"])
+def test_rerun_rejects_a_malformed_manifest(tmp_path, capsys, payload):
+    manifest = tmp_path / "bad.manifest.json"
+    if payload == "self":
+        payload = {"argv": ["rerun", str(manifest)]}
+    manifest.write_text(json.dumps(payload))
+    assert main(["rerun", str(manifest)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_threads_flag_is_accepted_hidden_and_ignored(tmp_path, capsys):
@@ -242,10 +270,23 @@ def test_threads_flag_is_accepted_hidden_and_ignored(tmp_path, capsys):
 
 
 def test_csv_floats_round_trip(tmp_path):
-    params = write_params(tmp_path)
+    # every field of a full record parses back to the simulated value bit for bit
+    params_path = write_params(tmp_path, **THREE_FACTORS)
     out = tmp_path / "sim.csv"
-    assert main(["simulate", "--params", str(params), "--T", "0.5", "--M", "50",
-                 "--paths", "2", "--seed", "3", "--out", str(out)]) == 0
+    assert main(["simulate", "--params", str(params_path), "--T", "0.5", "--M", "50",
+                 "--paths", "3", "--seed", "3", "--record", "full", "--out", str(out)]) == 0
+    params = load_params(params_path)
+    cloud = simulate(params, build_canonical(params.w, params.x),
+                     PathConfig(T=0.5, M=50, n_paths=3, seed=3, record_full=True))
     lines = out.read_text().splitlines()
-    values = [float(tok) for tok in lines[1].split(",")]
-    assert np.isfinite(values).all()
+    assert lines[0] == "path_id,step,t,v_1,v_2,v_3,u_1,u_2,u_3,agg"
+    fields = [line.split(",") for line in lines[1:]]
+    assert len(fields) == 3 * 51 and all(len(row) == 10 for row in fields)
+    ids = np.array([[int(row[0]), int(row[1])] for row in fields])
+    values = np.array([[float(tok) for tok in row[2:]] for row in fields]).reshape(3, 51, 8)
+    np.testing.assert_array_equal(ids[:, 0], np.repeat(np.arange(3), 51))
+    np.testing.assert_array_equal(ids[:, 1], np.tile(cloud.steps, 3))
+    np.testing.assert_array_equal(values[..., 0], np.tile(cloud.times, (3, 1)))
+    np.testing.assert_array_equal(values[..., 1:4], cloud.states)
+    np.testing.assert_array_equal(values[..., 4:7], cloud.transformed)
+    np.testing.assert_array_equal(values[..., 7], cloud.aggregates)

@@ -38,12 +38,12 @@ def fig3a_problem(n=8):
                       box=((0.0, 4.0),) * 3, n=n)
 
 
-@pytest.mark.parametrize("upwind", [False, True], ids=["centred", "upwind"])
-@pytest.mark.parametrize("make_problem", [table1_problem, fig3a_problem], ids=["table1", "fig3a"])
-def test_operator_exact_on_affine_functions(make_problem, upwind):
-    # both drift stencils differentiate an affine v exactly, and its second difference is 0
+@pytest.mark.parametrize("make_problem", [table1_problem, fig3a_problem],
+                         ids=["table1-centred", "fig3a-centred"])
+def test_operator_exact_on_affine_functions(make_problem):
+    # the centred drift stencil differentiates an affine v exactly, and its second difference is 0
     problem = make_problem()
-    op, nodes, interior = pde._assemble(problem, upwind)
+    op, nodes, interior = pde._assemble(problem)
     slope = np.linspace(0.5, -1.5, nodes.shape[1])
     dynamics = TransformedDynamics.from_params(problem.params, problem.matrix)
     expected = dynamics.drift(nodes[interior]) @ slope
@@ -109,7 +109,8 @@ def test_errors_decrease_monotonically_past_coarsest_grids():
     reports = convergence_study(table1_problem(n=4), [4, 8, 16, 32, 64, 128])
     errors = [rep.l2_error for rep in reports]
     assert all(not rep.blow_up for rep in reports)
-    assert all(b < a for a, b in zip(errors[1:], errors[2:]))
+    # every row comes from the one centred scheme, so no order is negative, from n = 4 on
+    assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
 def test_blow_up_on_sign_indefinite_box():
@@ -158,9 +159,3 @@ def test_problem_validation():
     for horizon in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             table1_problem(T=horizon)
-
-
-def test_coarse_grid_fallback_is_recorded():
-    report = solve(table1_problem(n=4))
-    assert report.fallback_upwind
-    assert not report.blow_up

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from volterra_cone import (
+    ConeDomain,
     DriftSystem,
     ModelParams,
     PathConfig,
+    TransformedDynamics,
     build_canonical,
     canonical_anchor,
     mean_oracle,
@@ -437,3 +440,41 @@ def test_simulate_second_moment_matches_oracle(name):
     squares = cloud.aggregates[:, -1] ** 2
     stderr = float(np.std(squares, ddof=1) / math.sqrt(squares.size))
     assert abs(float(np.mean(squares)) - aggregate_second_moment(params, 1.0)) <= 4.0 * stderr
+
+
+def laplace_transform(params, matrix, a, t):
+    """Exact E[exp(-a @ u_t)] for the coordinates u = Q (v - shift) that simulate marches.
+
+    u is affine: du = (K u + c) dt + sigma sqrt(u_N) e_N dW with sigma^2 the variance
+    rate, so E[exp(-a @ u_t)] = exp(phi(t) + psi(t) @ u_0), where the Riccati system
+    psi' = K^T psi + sigma^2 psi_N^2 e_N / 2, phi' = c @ psi, psi(0) = -a, phi(0) = 0.
+    """
+    shift = ConeDomain.for_initial_state(matrix, params.v0).shift
+    dynamics = TransformedDynamics.from_params(replace(params, v0=params.v0 - shift), matrix)
+    k, c = dynamics.system.A, dynamics.system.b
+    n = c.size
+
+    def riccati(_, y):
+        psi = y[:n]
+        dpsi = k.T @ psi
+        dpsi[-1] += 0.5 * dynamics.variance_rate * psi[-1] ** 2
+        return np.append(dpsi, c @ psi)
+
+    end = solve_ivp(riccati, (0.0, t), np.append(-np.asarray(a, dtype=float), 0.0),
+                    rtol=1e-12, atol=1e-14).y[:, -1]
+    return math.exp(end[n] + end[:n] @ (matrix.Q @ (params.v0 - shift)))
+
+
+@pytest.mark.parametrize("name, arguments", [
+    ("fig2", [(20.0, 15.0), (80.0, 60.0)]),
+    ("fig3a", [(30.0, 20.0, 15.0), (120.0, 75.0, 60.0)]),
+    ("table1", [(1.0, 1.0), (4.0, 3.0)]),
+], ids=["fig2", "fig3a", "table1"])
+def test_simulate_laplace_transform_matches_riccati(name, arguments):
+    # the whole law of u_T, not only its first two moments, in the shifted cone for table1
+    params, matrix = preset(name)
+    cloud = simulate(params, matrix, PathConfig(T=1.0, M=200, n_paths=20_000, seed=5))
+    for a in arguments:
+        sample = np.exp(-cloud.transformed[:, -1] @ np.array(a))
+        stderr = float(np.std(sample, ddof=1) / math.sqrt(sample.size))
+        assert abs(float(np.mean(sample)) - laplace_transform(params, matrix, a, 1.0)) <= 4.0 * stderr
