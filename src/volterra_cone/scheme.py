@@ -4,15 +4,17 @@ The time step is a Strang composition: half an exact linear-drift step, a
 moment-matched three-point jump of the aggregate, and another half drift
 step.  Both pieces map the state-space cone into itself, so the composition
 does as well, which keeps every square-root argument non-negative along the
-whole simulation.  One batched step generator serves the simulator in
-u = Q (v - shift) (:class:`TransformedDynamics`) and the scalar steps.
+whole simulation.  One in-place batched step kernel serves the simulator
+in u = Q (v - shift) (:class:`TransformedDynamics`), where the state is
+stored as (N, paths) and the jump moves only the u_N row, and the scalar
+steps as a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -31,8 +33,16 @@ SPREAD = (3.0 + math.sqrt(3.0)) / 4.0
 PROB_SLACK = 1e-12
 #: aggregates below -AGGREGATE_TOL abort a step, and audited coordinates below it are violations
 AGGREGATE_TOL = 1e-9
-#: 2 workers vs 1 on fig2 (2 CPUs): 1.06-1.34x the time at 5 000 paths, 0.71x at 20 000
+#: 2 workers vs 1 on fig2, M = 1 000, 2 CPUs (medians of 5): 1.80x the time at 5 000 paths
+#: and 1.29x at 20 000; the threads no longer pay
 PATHS_PER_WORKER = 5_000
+#: widest block of paths marched at once, so memory does not grow with the batch: each
+#: path holds a generator (~1 KB) and its chunk of uniforms; one block per sim-wide worker
+BLOCK_PATHS = 10_000
+#: most uniforms a path draws per generator call, which amortizes the call's ~1.6 us
+CHUNK_STEPS = 512
+#: most uniforms held at once by all blocks in flight (32 MB), which shortens wide chunks
+CHUNK_DRAWS = 1 << 22
 
 
 def ode_step(system: DriftSystem, z, h: float) -> Array:
@@ -73,8 +83,8 @@ class ThreePointLaw:
         return (float(pr @ pts), float(pr @ pts**2), float(pr @ pts**3))
 
 
-def _law_arrays(x: Array, z: float) -> tuple[Array, Array, Array, Array, Array, Array]:
-    """Vectorized support points and probabilities of the three-point law.
+def _law_arrays(x: Array, z: float, out: Array | None = None) -> Array:
+    """Rows x1, x2, x3, p1, p2, p3: support points and probabilities of the three-point law.
 
     Closed form of the Lagrange weights for the centred moments E[d] = 0 and
     E[d^2] = x z (the support makes the third moment hold), with
@@ -82,19 +92,49 @@ def _law_arrays(x: Array, z: float) -> tuple[Array, Array, Array, Array, Array, 
     of like magnitudes, so p1 in [1/6, 1], p2 in [0, 2/3] and p3 in [0, 1/6]
     hold to rounding for any x >= 0 and z > 0, and x = 0 gives the point
     mass (1, 0, 0) at x1 = 0.  A zero budget z is a point mass at x.
+    ``out`` is an (8, len(x)) buffer that receives the six rows and two rows
+    of scratch; a new one is made when it is not given.  The rows are built
+    in place by the operations of the closed-form expressions, on the same
+    operands in the same order, so the values are those of the expressions
+    bit for bit.
     """
     x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty((8,) + x.shape)
+    x1, x2, x3, p1, p2, p3, s, t = out
     if z == 0.0:
-        return x, x, x, np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+        out[:3] = x
+        p1.fill(1.0)
+        out[4:6] = 0.0
+        return out[:6]
     c = SPREAD + 0.75
-    s = math.sqrt(z) * np.sqrt(3.0 * x + c * c * z)
-    x2 = x + SPREAD * z
-    x3 = x + c * z + s
-    x1 = x * ((x + (2.0 * SPREAD - 1.5) * z) / x3)  # = x + c z - s, rationalized
-    p2 = 2.0 * x / (3.0 * x + SPREAD * (SPREAD + 1.5) * z)
-    p3 = ((x / (x + SPREAD * (c * z + s))) * (z / (2.0 * s))
-          * ((x + SPREAD * (1.5 - SPREAD) * z) / (s + 0.75 * z)))
-    return x1, x2, x3, 1.0 - p2 - p3, p2, p3
+    np.multiply(x, 3.0, out=t)
+    np.add(t, c * c * z, out=s)
+    np.sqrt(s, out=s)
+    s *= math.sqrt(z)
+    np.add(x, SPREAD * z, out=x2)
+    np.add(x, c * z, out=x3)
+    x3 += s
+    np.add(x, (2.0 * SPREAD - 1.5) * z, out=x1)
+    x1 /= x3
+    x1 *= x  # = x + c z - s, rationalized
+    t += SPREAD * (SPREAD + 1.5) * z
+    np.multiply(x, 2.0, out=p2)
+    p2 /= t  # 2 x / (3 x + SPREAD (SPREAD + 3/2) z)
+    np.add(s, c * z, out=p3)
+    p3 *= SPREAD
+    p3 += x
+    np.divide(x, p3, out=p3)
+    np.multiply(s, 2.0, out=t)
+    np.divide(z, t, out=t)
+    p3 *= t
+    np.add(x, SPREAD * (1.5 - SPREAD) * z, out=t)
+    s += 0.75 * z
+    t /= s
+    p3 *= t  # x / (x + SPREAD (c z + s)) * z / (2 s) * (x + SPREAD (3/2 - SPREAD) z) / (s + 3/4 z)
+    np.subtract(1.0, p2, out=p1)
+    p1 -= p3
+    return out[:6]
 
 
 def _audit_probabilities(p1: Array, p2: Array, p3: Array) -> int:
@@ -114,32 +154,49 @@ def three_point_law(x: float, z: float) -> ThreePointLaw:
     return ThreePointLaw(x1=x1, x2=x2, x3=x3, p1=p1, p2=p2, p3=p3, x=x, z=z)
 
 
-def _strang_steps(state: Array, prop: Array, shift: Array, agg_row: Array, jump: Array,
-                  z_budget: float, uniforms) -> Iterator[tuple[Array, float, int, int]]:
-    """Strang steps (half drift, jump, half drift) of every row of ``state``.
+def _workspace(n_factors: int, n_paths: int) -> tuple[Array, Array, NDArray[np.bool_]]:
+    """Scratch of :func:`_strang_step`: the mid-step state, the law's rows and a mask."""
+    return np.empty((n_factors, n_paths)), np.empty((8, n_paths)), np.empty(n_paths, dtype=bool)
 
-    ``(prop, shift)`` is the exact half-step drift, ``agg_row`` maps a state
-    to its aggregate and ``jump`` is the state change per unit of aggregate
-    change.  Each array in ``uniforms`` (one uniform per row) drives one step,
-    which yields the new states, the lowest aggregate before the jump, the
-    clamp count and the probability audit.  A generator keeps a step's arrays
-    alive into the next step: freeing them all at a function return made the
-    allocator trim and refault the heap on every step of a wide batch.
+
+def _strang_step(state: Array, prop: Array, shift: Array, z_budget: float, u: Array,
+                 work: tuple) -> tuple[float, int, int]:
+    """One Strang step (half drift, jump, half drift) of every column of ``state``, in place.
+
+    ``state`` is (N, paths) with the aggregate in its last row, ``(prop, shift)``
+    is the exact half-step drift with ``shift`` of the shape of ``state`` (a
+    column broadcasts, but costs more per step), ``u`` holds one
+    uniform per path and ``work`` comes from :func:`_workspace`.  The jump
+    redraws the aggregate from the three-point law and moves only the last
+    row.  Returns the lowest aggregate before the jump, the clamp count and
+    the probability audit; the exact audit runs only when the probabilities
+    leave [0, 1] by more than PROB_SLACK or are NaN.
     """
-    for u in uniforms:
-        state = state @ prop.T + shift
-        agg = state @ agg_row
-        low = float(agg.min())
-        clamps = 0
-        if low < 0.0:
-            clamps = int(np.sum(agg < 0.0))
-            agg = np.maximum(agg, 0.0)
-        x1, x2, x3, p1, p2, p3 = _law_arrays(agg, z_budget)
-        prob_violations = _audit_probabilities(p1, p2, p3)
-        draw = np.where(u < p1, x1, np.where(u < p1 + p2, x2, x3))
-        state = state + (draw - agg)[:, None] * jump
-        state = state @ prop.T + shift
-        yield state, low, clamps, prob_violations
+    mid, law, below = work
+    np.matmul(prop, state, out=mid)
+    mid += shift
+    agg = mid[-1]
+    low = float(agg.min())
+    clamps = 0
+    if low < 0.0:
+        clamps = int(np.count_nonzero(agg < 0.0))
+        agg = np.maximum(agg, 0.0)
+    x1, x2, draw, p1, p2, p3 = _law_arrays(agg, z_budget, out=law)
+    probs = law[3:6]
+    bad = 0
+    if not (probs.min() >= -PROB_SLACK and probs.max() <= 1.0 + PROB_SLACK):
+        bad = _audit_probabilities(p1, p2, p3)
+    # draw starts as x3, takes x2 where u < p1 + p2 and then x1 where u < p1
+    np.add(p1, p2, out=law[6])
+    np.less(u, law[6], out=below)
+    np.putmask(draw, below, x2)
+    np.less(u, p1, out=below)
+    np.putmask(draw, below, x1)
+    draw -= agg
+    mid[-1] += draw
+    np.matmul(prop, mid, out=state)
+    state += shift
+    return low, clamps, bad
 
 
 def stochastic_step(params: ModelParams, y, h: float, u: float) -> Array:
@@ -157,17 +214,26 @@ def stochastic_step(params: ModelParams, y, h: float, u: float) -> Array:
 def strang_step(params: ModelParams, system: DriftSystem, v, h: float, u: float) -> Array:
     """Half drift step, aggregate jump over the full step, half drift step.
 
-    The batched step on one state in original coordinates: aggregate row w,
-    jump direction 1/wbar.
+    The batched step on one state, in the coordinates y = L v whose rows are
+    e_i - e_N (i < N) and w: there y_N is the aggregate and the jump direction
+    1/wbar of v is e_N.  The change of y is mapped back to v, so a step that
+    leaves y unchanged returns v bit for bit.
     """
-    prop, shift = system.propagators(0.5 * h)
-    jump = np.ones_like(params.w) / params.wbar
+    v = np.asarray(v, dtype=float)
+    n = params.n_factors
+    lift = np.eye(n) - np.eye(n)[-1]
+    lift[-1] = params.w
+    inverse = np.linalg.inv(lift)
+    lifted = DriftSystem(A=lift @ system.A @ inverse, b=lift @ system.b)
+    prop, shift = lifted.propagators(0.5 * h)
+    y = lift @ v
+    state = y[:, None].copy()
     z_budget = params.nu**2 * params.wbar**2 * float(h)
-    state, low, _, _ = next(_strang_steps(np.asarray(v, dtype=float)[None, :], prop, shift,
-                                          params.w, jump, z_budget, [np.array([float(u)])]))
+    low, _, _ = _strang_step(state, prop, shift[:, None], z_budget, np.array([float(u)]),
+                             _workspace(n, 1))
     if not low >= -AGGREGATE_TOL:  # NaN is outside the cone too
         raise ValueError(f"aggregate {low} is negative beyond tolerance, state left the cone")
-    return state[0]
+    return v + inverse @ (state[:, 0] - y)
 
 
 @dataclass(frozen=True)
@@ -197,6 +263,8 @@ class SampleCloud:
     are derived from it, and ``shift`` is that of the cone of the model's
     anchor (:meth:`ConeDomain.for_initial_state`).  The per-path minima are
     taken over every grid state of the run, not only the recorded ones.
+    ``timings`` holds the seconds spent drawing uniforms and stepping, summed
+    over the workers.
     """
 
     transformed: Array
@@ -208,6 +276,7 @@ class SampleCloud:
     config: PathConfig
     matrix: AdmissibleMatrix
     shift: Array
+    timings: dict[str, float]
 
     @property
     def steps(self) -> NDArray[np.int64]:
@@ -248,52 +317,62 @@ class SampleCloud:
         }
 
 
-def _path_uniforms(seed: int, first: int, count: int, n_steps: int) -> Array:
-    """One uniform per step for paths first..first+count-1.
-
-    Path k always draws from the substream seeded by (seed, k), so results
-    do not depend on how paths are split across workers.
-    """
-    out = np.empty((count, n_steps))
-    for i in range(count):
-        out[i] = np.random.default_rng([seed, first + i]).random(n_steps)
-    return out
-
-
 def _simulate_block(initial: Array, prop: Array, shift: Array, z_budget: float,
-                    uniforms: Array, record_full: bool) -> tuple:
-    """March paths in u (aggregate and jump are u_N); returns recorded u, minima, counters."""
-    n_paths, n_steps = uniforms.shape
-    state = np.tile(initial, (n_paths, 1))
-    last = np.eye(state.shape[1])[-1]
+                    config: PathConfig, first: int, last: int, chunk_steps: int) -> tuple:
+    """March paths first..last-1 in u (aggregate and jump are u_N).
 
-    min_trans = state.min(axis=1)
-    min_agg = state[:, -1].copy()
-    n_violations = n_paths - np.count_nonzero(min_trans >= -AGGREGATE_TOL)  # NaN counts
+    Path k draws from the generator seeded by (config.seed, k), chunk_steps
+    at a time into a (steps, paths) buffer, so a step's uniforms are a
+    contiguous row and the draws do not depend on how paths are split.
+    Returns the recorded u, the per-path minima, the counters and the time
+    spent drawing uniforms and stepping.
+    """
+    started = time.perf_counter()
+    width = last - first
+    chunk = np.empty((chunk_steps, width))
+    generators = [np.random.default_rng([config.seed, k]) for k in range(first, last)]
+    state = np.repeat(initial[:, None], width, axis=1)
+    shift = np.repeat(shift[:, None], width, axis=1)
+    work = _workspace(*state.shape)
+    low_now = state.min(axis=0)
+    min_trans = low_now.copy()
+    min_agg = state[-1].copy()
+    n_violations = width - np.count_nonzero(low_now >= -AGGREGATE_TOL)  # NaN counts
     sqrt_clamps = 0
     prob_violations = 0
-    if record_full:
-        recorded = np.empty((n_paths, n_steps + 1, state.shape[1]))
-        recorded[:, 0] = state
+    if config.record_full:
+        recorded = np.empty((width, config.M + 1, state.shape[0]))
+        recorded[:, 0] = initial
+    uniforms_s = time.perf_counter() - started
+    steps_s = 0.0
 
-    steps = _strang_steps(state, prop, shift, last, last, z_budget, uniforms.T)
-    for j, (state, low, clamps, bad) in enumerate(steps):
-        if not low >= -AGGREGATE_TOL:  # NaN is outside the cone too
-            raise RuntimeError(
-                f"aggregate {low} is not >= -{AGGREGATE_TOL} at step {j}, state left the cone"
-            )
-        sqrt_clamps += clamps
-        prob_violations += bad
-        low_now = state.min(axis=1)
-        np.minimum(min_trans, low_now, out=min_trans)
-        np.minimum(min_agg, state[:, -1], out=min_agg)
-        n_violations += n_paths - np.count_nonzero(low_now >= -AGGREGATE_TOL)
-        if record_full:
-            recorded[:, j + 1] = state
+    for begin in range(0, config.M, chunk.shape[0]):
+        drawn = time.perf_counter()
+        rows = chunk[:config.M - begin]
+        for i, generator in enumerate(generators):
+            rows[:, i] = generator.random(rows.shape[0])
+        stepped = time.perf_counter()
+        for j, u in enumerate(rows, start=begin):
+            low, clamps, bad = _strang_step(state, prop, shift, z_budget, u, work)
+            if not low >= -AGGREGATE_TOL:  # NaN is outside the cone too
+                raise RuntimeError(
+                    f"aggregate {low} is not >= -{AGGREGATE_TOL} at step {j}, state left the cone"
+                )
+            sqrt_clamps += clamps
+            prob_violations += bad
+            np.minimum.reduce(state, axis=0, out=low_now)
+            np.minimum(min_trans, low_now, out=min_trans)
+            np.minimum(min_agg, state[-1], out=min_agg)
+            n_violations += width - np.count_nonzero(low_now >= -AGGREGATE_TOL)
+            if config.record_full:
+                recorded[:, j + 1] = state.T
+        uniforms_s += stepped - drawn
+        steps_s += time.perf_counter() - stepped
 
-    if not record_full:
-        recorded = state[:, None, :]
-    return recorded, min_trans, min_agg, (n_violations, sqrt_clamps, prob_violations)
+    if not config.record_full:
+        recorded = state.T[:, None, :].copy()
+    return (recorded, min_trans, min_agg, (n_violations, sqrt_clamps, prob_violations),
+            (uniforms_s, steps_s))
 
 
 def _n_workers(n_paths: int) -> int:
@@ -320,10 +399,11 @@ def simulate(
     (:meth:`ConeDomain.for_initial_state` at ``params.v0``): it has zero
     aggregate, so A shift = -x shift and v - shift follows the model anchored
     at ``params.v0 - shift``, which is proportional to 1/x.
-    The paths are split into contiguous blocks, one per worker thread
-    (:func:`_n_workers`).  Path k draws one uniform per step from the
-    substream seeded by (config.seed, k), so the sample cloud is reproducible
-    bit for bit and independent of the number of workers.
+    The paths are split into contiguous blocks of at most BLOCK_PATHS, an
+    equal number per worker thread (:func:`_n_workers`).  Path k draws one
+    uniform per step from the substream seeded by (config.seed, k), so the
+    sample cloud is reproducible bit for bit and independent of the number of
+    workers and blocks.
     """
     initial = np.asarray(params.v0 if initial_state is None else initial_state, dtype=float)
     if initial.shape != (params.n_factors,):
@@ -339,21 +419,25 @@ def simulate(
     prop, forcing = dynamics.system.propagators(0.5 * h)
     z_budget = dynamics.variance_rate * h
 
-    bounds = np.linspace(0, config.n_paths, _n_workers(config.n_paths) + 1).astype(int)
-    blocks = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    workers = _n_workers(config.n_paths)
+    per_worker = -(-config.n_paths // workers)
+    n_blocks = workers * -(-per_worker // BLOCK_PATHS)
+    bounds = np.linspace(0, config.n_paths, n_blocks + 1).astype(int).tolist()
+    in_flight = workers * (bounds[1] - bounds[0] + 1)
+    chunk_steps = max(1, min(config.M, CHUNK_STEPS, CHUNK_DRAWS // in_flight))
 
     def run(lo: int, hi: int) -> tuple:
-        uniforms = _path_uniforms(config.seed, lo, hi - lo, config.M)
-        return _simulate_block(u0, prop, forcing, z_budget, uniforms, config.record_full)
+        return _simulate_block(u0, prop, forcing, z_budget, config, lo, hi, chunk_steps)
 
-    if len(blocks) == 1:
-        results = [run(*blocks[0])]
+    if workers == 1:
+        results = [run(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            results = list(pool.map(lambda pair: run(*pair), blocks))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, bounds[:-1], bounds[1:]))
 
-    recorded, min_trans, min_agg, counts = zip(*results)
+    recorded, min_trans, min_agg, counts, seconds = zip(*results)
     n_violations, sqrt_clamps, prob_violations = np.sum(counts, axis=0).tolist()
+    uniforms_s, steps_s = np.sum(seconds, axis=0).tolist()
     return SampleCloud(
         transformed=np.concatenate(recorded),
         min_transformed_per_path=np.concatenate(min_trans),
@@ -364,6 +448,7 @@ def simulate(
         config=config,
         matrix=matrix,
         shift=shift,
+        timings={"uniforms_s": uniforms_s, "steps_s": steps_s},
     )
 
 

@@ -1,8 +1,12 @@
+import hashlib
 import json
 import math
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from volterra_cone import PathConfig, build_canonical, load_params, simulate
 from volterra_cone.cli import main
@@ -245,6 +249,30 @@ def test_rerun_rejects_a_malformed_manifest(tmp_path, capsys, payload):
     manifest.write_text(json.dumps(payload))
     assert main(["rerun", str(manifest)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, timed", [
+    (["simulate", "--preset", "fig2", "--T", "0.5", "--M", "40", "--paths", "6"], True),
+    (["cloud", "--preset", "fig3a", "--T", "0.5", "--M", "40", "--paths", "3"], True),
+    (["mean-check", "--preset", "fig2", "--t", "0.5", "--M", "40", "--paths", "6"], True),
+    (["pde", "--preset", "table1", "--n", "8"], False),
+], ids=["simulate", "cloud", "mean-check", "pde"])
+def test_manifest_records_versions_digests_and_timings(tmp_path, argv, timed):
+    out = tmp_path / "run.out"
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__, "scipy": scipy.__version__}
+    assert set(manifest["sha256"]) == set(manifest["outputs"])
+    for path in manifest["outputs"]:
+        assert manifest["sha256"][path] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        if path.endswith(".json"):  # audit JSON and mean.json stay free of run telemetry
+            assert not {"timings", "sha256", "versions"} & set(json.loads(Path(path).read_text()))
+    if timed:
+        assert set(manifest["timings"]) == {"uniforms_s", "steps_s"}
+        assert all(value >= 0.0 for value in manifest["timings"].values())
+    else:
+        assert "timings" not in manifest
 
 
 def test_threads_flag_is_accepted_hidden_and_ignored(tmp_path, capsys):

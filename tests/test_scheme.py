@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -286,9 +287,9 @@ def test_simulate_is_worker_count_independent(monkeypatch):
     block = scheme._simulate_block
     widths = []
 
-    def counted(initial, prop, shift, z_budget, uniforms, record_full):
-        widths.append(uniforms.shape[0])
-        return block(initial, prop, shift, z_budget, uniforms, record_full)
+    def counted(initial, prop, shift, z_budget, config, first, last, chunk_steps):
+        widths.append(last - first)
+        return block(initial, prop, shift, z_budget, config, first, last, chunk_steps)
 
     monkeypatch.setattr(scheme, "_simulate_block", counted)
     monkeypatch.setattr(scheme, "_n_workers", lambda n_paths: 1)
@@ -300,6 +301,120 @@ def test_simulate_is_worker_count_independent(monkeypatch):
     np.testing.assert_array_equal(
         serial.min_transformed_per_path, threaded.min_transformed_per_path
     )
+
+
+def reference_law(x, z):
+    """The three-point law as numpy expressions, one new array per operation."""
+    if z == 0.0:
+        return x, x, x, np.ones_like(x), np.zeros_like(x), np.zeros_like(x)
+    c = SPREAD + 0.75
+    s = math.sqrt(z) * np.sqrt(3.0 * x + c * c * z)
+    x2 = x + SPREAD * z
+    x3 = x + c * z + s
+    x1 = x * ((x + (2.0 * SPREAD - 1.5) * z) / x3)
+    p2 = 2.0 * x / (3.0 * x + SPREAD * (SPREAD + 1.5) * z)
+    p3 = ((x / (x + SPREAD * (c * z + s))) * (z / (2.0 * s))
+          * ((x + SPREAD * (1.5 - SPREAD) * z) / (s + 0.75 * z)))
+    return x1, x2, x3, 1.0 - p2 - p3, p2, p3
+
+
+def reference_simulate(params, matrix, config, u0=None):
+    """Row-major march of every path at once, with the whole (paths, M) uniform matrix.
+
+    The state is (paths, N), the aggregate is read through the row e_N and the
+    jump is added along e_N to every coordinate.  Same arithmetic as the
+    in-place kernel, so :func:`simulate` must match it bit for bit.
+    """
+    shift = ConeDomain.for_initial_state(matrix, params.v0).shift
+    dynamics = TransformedDynamics.from_params(replace(params, v0=params.v0 - shift), matrix)
+    if u0 is None:
+        u0 = matrix.Q @ (params.v0 - shift)
+    h = config.T / config.M
+    prop, forcing = dynamics.system.propagators(0.5 * h)
+    z_budget = dynamics.variance_rate * h
+    uniforms = np.empty((config.n_paths, config.M))
+    for k in range(config.n_paths):
+        uniforms[k] = np.random.default_rng([config.seed, k]).random(config.M)
+
+    state = np.tile(u0, (config.n_paths, 1))
+    last = np.eye(u0.size)[-1]
+    min_trans = state.min(axis=1)
+    min_agg = state[:, -1].copy()
+    violations = config.n_paths - np.count_nonzero(min_trans >= -scheme.AGGREGATE_TOL)
+    clamps = bad = 0
+    recorded = [state]
+    for u in uniforms.T:
+        state = state @ prop.T + forcing
+        agg = state @ last
+        if agg.min() < 0.0:
+            clamps += int(np.sum(agg < 0.0))
+            agg = np.maximum(agg, 0.0)
+        x1, x2, x3, p1, p2, p3 = reference_law(agg, z_budget)
+        bad += _audit_probabilities(p1, p2, p3)
+        draw = np.where(u < p1, x1, np.where(u < p1 + p2, x2, x3))
+        state = state + (draw - agg)[:, None] * last
+        state = state @ prop.T + forcing
+        low = state.min(axis=1)
+        min_trans = np.minimum(min_trans, low)
+        min_agg = np.minimum(min_agg, state[:, -1])
+        violations += config.n_paths - np.count_nonzero(low >= -scheme.AGGREGATE_TOL)
+        recorded.append(state)
+    return {
+        "transformed": np.stack(recorded if config.record_full else recorded[-1:], axis=1),
+        "min_transformed_per_path": min_trans,
+        "min_aggregate_per_path": min_agg,
+        "n_violations": violations,
+        "sqrt_clamp_count": clamps,
+        "prob_violations": bad,
+    }
+
+
+@pytest.mark.parametrize("name, escape, workers", [
+    ("fig2", False, 1), ("fig2", False, 2), ("fig3c", True, 1), ("table1", False, 1),
+], ids=["fig2", "fig2-two-workers", "fig3c-escape", "table1-shifted"])
+def test_simulate_matches_row_major_reference_bit_for_bit(monkeypatch, name, escape, workers):
+    # small blocks and chunks, so 43 paths span several blocks and M = 2 chunks + 37 steps
+    monkeypatch.setattr(scheme, "BLOCK_PATHS", 8)
+    monkeypatch.setattr(scheme, "CHUNK_STEPS", 16)
+    monkeypatch.setattr(scheme, "_n_workers", lambda n_paths: workers)
+    params, matrix = preset(name)
+    config = PathConfig(T=10.0 if escape else 1.0, M=2 * 16 + 37, n_paths=43, seed=4,
+                        record_full=True)
+    cloud = simulate(params, matrix, config, require_initial_in_cone=not escape)
+    for key, value in reference_simulate(params, matrix, config).items():
+        np.testing.assert_array_equal(getattr(cloud, key), value, err_msg=key)
+    assert (cloud.n_violations > 0) == escape
+
+
+def test_simulate_matches_row_major_reference_when_aggregates_clamp(monkeypatch):
+    # start at u = (-a, -a, 0), where the first half drift takes u_3 to -5e-10
+    monkeypatch.setattr(scheme, "BLOCK_PATHS", 8)
+    params, matrix = preset("fig3c")
+    config = PathConfig(T=1.0, M=20, n_paths=19, seed=8, record_full=True)
+    shift = ConeDomain.for_initial_state(matrix, params.v0).shift
+    dynamics = TransformedDynamics.from_params(replace(params, v0=params.v0 - shift), matrix)
+    prop, forcing = dynamics.system.propagators(0.5 * config.T / config.M)
+    a = (forcing[-1] + 5e-10) / (prop[-1, 0] + prop[-1, 1])
+    u0 = np.array([-a, -a, 0.0])
+    cloud = simulate(params, matrix, config, initial_state=matrix.Qinv @ u0 + shift,
+                     require_initial_in_cone=False)
+    expected = reference_simulate(params, matrix, config, u0=cloud.transformed[0, 0])
+    for key, value in expected.items():
+        np.testing.assert_array_equal(getattr(cloud, key), value, err_msg=key)
+    assert cloud.sqrt_clamp_count >= config.n_paths
+
+
+def test_simulate_memory_does_not_grow_with_the_batch():
+    # the whole 20 000 x 2 000 uniform matrix alone would be 320 MB
+    params, matrix = preset("fig2")
+    tracemalloc.start()
+    try:
+        cloud = simulate(params, matrix, PathConfig(T=1.0, M=2000, n_paths=20_000, seed=6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cloud.n_violations == 0
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_simulate_rejects_initial_state_outside_cone():
