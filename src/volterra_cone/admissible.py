@@ -190,6 +190,18 @@ def check_admissible(Q, w, x, Qinv: Array | None = None) -> AdmissibilityReport:
     )
 
 
+def _finite(matrix: AdmissibleMatrix, parameters: str) -> AdmissibleMatrix:
+    """``matrix``, or ValueError naming the family ``parameters`` when Q, Qinv or G is not finite.
+
+    The family builders run under ``np.errstate(all="ignore")``, so an
+    overflow is reported here and not as a RuntimeWarning.
+    """
+    if not all(np.isfinite(m).all() for m in (matrix.Q, matrix.Qinv, matrix.G)):
+        raise ValueError(f"Q, Qinv or G is not finite for family {parameters}")
+    return matrix
+
+
+@np.errstate(all="ignore")
 def build_q2(w, x, q: float) -> AdmissibleMatrix:
     """Two-dimensional family [[q, -q], [w1, w2]], admissible for any q > 0.
 
@@ -205,7 +217,7 @@ def build_q2(w, x, q: float) -> AdmissibleMatrix:
     wbar = w_arr[0] + w_arr[1]
     mat = np.array([[q, -q], [w_arr[0], w_arr[1]]])
     inv = np.array([[w_arr[1] / q, 1.0], [-w_arr[0] / q, 1.0]]) / wbar
-    return AdmissibleMatrix(Q=mat, Qinv=inv, w=w_arr, x=x_arr)
+    return _finite(AdmissibleMatrix(Q=mat, Qinv=inv, w=w_arr, x=x_arr), f"parameter q = {q}")
 
 
 def q3_bounds(w, x) -> tuple[float, float, float, float]:
@@ -233,6 +245,7 @@ def q3_bounds(w, x) -> tuple[float, float, float, float]:
     return (a_lo, a_hi, b_lo, b_hi)
 
 
+@np.errstate(all="ignore")
 def build_q3(w, x, a: float, b: float) -> AdmissibleMatrix:
     """Three-dimensional family [[1, -a, a-1], [1, b, -1-b], [w1, w2, w3]].
 
@@ -257,4 +270,5 @@ def build_q3(w, x, a: float, b: float) -> AdmissibleMatrix:
             [w_arr[0], w_arr[1], w_arr[2]],
         ]
     )
-    return AdmissibleMatrix(Q=mat, Qinv=np.linalg.inv(mat), w=w_arr, x=x_arr)
+    return _finite(AdmissibleMatrix(Q=mat, Qinv=np.linalg.inv(mat), w=w_arr, x=x_arr),
+                   f"parameters a = {a}, b = {b}")

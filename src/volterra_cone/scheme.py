@@ -13,9 +13,7 @@ steps as a batch of one.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,15 +31,12 @@ SPREAD = (3.0 + math.sqrt(3.0)) / 4.0
 PROB_SLACK = 1e-12
 #: aggregates below -AGGREGATE_TOL abort a step, and audited coordinates below it are violations
 AGGREGATE_TOL = 1e-9
-#: 2 workers vs 1 on fig2, M = 1 000, 2 CPUs (medians of 5): 1.80x the time at 5 000 paths
-#: and 1.29x at 20 000; the threads no longer pay
-PATHS_PER_WORKER = 5_000
 #: widest block of paths marched at once, so memory does not grow with the batch: each
-#: path holds a generator (~1 KB) and its chunk of uniforms; one block per sim-wide worker
+#: path holds a generator (~1 KB) and its chunk of uniforms
 BLOCK_PATHS = 10_000
 #: most uniforms a path draws per generator call, which amortizes the call's ~1.6 us
 CHUNK_STEPS = 512
-#: most uniforms held at once by all blocks in flight (32 MB), which shortens wide chunks
+#: most uniforms held at once by the block in flight (32 MB), which shortens wide chunks
 CHUNK_DRAWS = 1 << 22
 
 
@@ -263,8 +258,7 @@ class SampleCloud:
     are derived from it, and ``shift`` is that of the cone of the model's
     anchor (:meth:`ConeDomain.for_initial_state`).  The per-path minima are
     taken over every grid state of the run, not only the recorded ones.
-    ``timings`` holds the seconds spent drawing uniforms and stepping, summed
-    over the workers.
+    ``timings`` holds the seconds spent drawing uniforms and stepping.
     """
 
     transformed: Array
@@ -317,34 +311,36 @@ class SampleCloud:
         }
 
 
-def _simulate_block(initial: Array, prop: Array, shift: Array, z_budget: float,
-                    config: PathConfig, first: int, last: int, chunk_steps: int) -> tuple:
-    """March paths first..last-1 in u (aggregate and jump are u_N).
+def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Array,
+                    z_budget: float, first: int, last: int, chunk_steps: int) -> None:
+    """March paths first..last-1 in u (aggregate and jump are u_N) and write them into ``cloud``.
 
     Path k draws from the generator seeded by (config.seed, k), chunk_steps
     at a time into a (steps, paths) buffer, so a step's uniforms are a
     contiguous row and the draws do not depend on how paths are split.
-    Returns the recorded u, the per-path minima, the counters and the time
-    spent drawing uniforms and stepping.
+    The recorded u and the per-path minima fill the block's rows of the
+    cloud's arrays, and the counters and the seconds spent drawing uniforms
+    and stepping are added to the cloud's.
     """
     started = time.perf_counter()
+    config = cloud.config
     width = last - first
     chunk = np.empty((chunk_steps, width))
     generators = [np.random.default_rng([config.seed, k]) for k in range(first, last)]
     state = np.repeat(initial[:, None], width, axis=1)
     shift = np.repeat(shift[:, None], width, axis=1)
     work = _workspace(*state.shape)
+    recorded = cloud.transformed[first:last]
+    min_trans = cloud.min_transformed_per_path[first:last]
+    min_agg = cloud.min_aggregate_per_path[first:last]
     low_now = state.min(axis=0)
-    min_trans = low_now.copy()
-    min_agg = state[-1].copy()
-    n_violations = width - np.count_nonzero(low_now >= -AGGREGATE_TOL)  # NaN counts
-    sqrt_clamps = 0
-    prob_violations = 0
+    min_trans[:] = low_now
+    min_agg[:] = state[-1]
+    cloud.n_violations += width - np.count_nonzero(low_now >= -AGGREGATE_TOL)  # NaN counts
     if config.record_full:
-        recorded = np.empty((width, config.M + 1, state.shape[0]))
         recorded[:, 0] = initial
-    uniforms_s = time.perf_counter() - started
-    steps_s = 0.0
+    timings = cloud.timings
+    timings["uniforms_s"] += time.perf_counter() - started
 
     for begin in range(0, config.M, chunk.shape[0]):
         drawn = time.perf_counter()
@@ -358,30 +354,19 @@ def _simulate_block(initial: Array, prop: Array, shift: Array, z_budget: float,
                 raise RuntimeError(
                     f"aggregate {low} is not >= -{AGGREGATE_TOL} at step {j}, state left the cone"
                 )
-            sqrt_clamps += clamps
-            prob_violations += bad
+            cloud.sqrt_clamp_count += clamps
+            cloud.prob_violations += bad
             np.minimum.reduce(state, axis=0, out=low_now)
             np.minimum(min_trans, low_now, out=min_trans)
             np.minimum(min_agg, state[-1], out=min_agg)
-            n_violations += width - np.count_nonzero(low_now >= -AGGREGATE_TOL)
+            cloud.n_violations += width - np.count_nonzero(low_now >= -AGGREGATE_TOL)
             if config.record_full:
                 recorded[:, j + 1] = state.T
-        uniforms_s += stepped - drawn
-        steps_s += time.perf_counter() - stepped
+        timings["uniforms_s"] += stepped - drawn
+        timings["steps_s"] += time.perf_counter() - stepped
 
     if not config.record_full:
-        recorded = state.T[:, None, :].copy()
-    return (recorded, min_trans, min_agg, (n_violations, sqrt_clamps, prob_violations),
-            (uniforms_s, steps_s))
-
-
-def _n_workers(n_paths: int) -> int:
-    """One worker thread per PATHS_PER_WORKER paths, at least one and at most the usable CPUs."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(n_paths // PATHS_PER_WORKER, cpus))
+        recorded[:, 0] = state.T
 
 
 def simulate(
@@ -399,11 +384,10 @@ def simulate(
     (:meth:`ConeDomain.for_initial_state` at ``params.v0``): it has zero
     aggregate, so A shift = -x shift and v - shift follows the model anchored
     at ``params.v0 - shift``, which is proportional to 1/x.
-    The paths are split into contiguous blocks of at most BLOCK_PATHS, an
-    equal number per worker thread (:func:`_n_workers`).  Path k draws one
-    uniform per step from the substream seeded by (config.seed, k), so the
-    sample cloud is reproducible bit for bit and independent of the number of
-    workers and blocks.
+    The paths are marched one block after another, in contiguous blocks of
+    at most BLOCK_PATHS and nearly equal width.  Path k draws one uniform per
+    step from the substream seeded by (config.seed, k), so the sample cloud
+    is reproducible bit for bit and independent of the block size.
     """
     initial = np.asarray(params.v0 if initial_state is None else initial_state, dtype=float)
     if initial.shape != (params.n_factors,):
@@ -419,37 +403,25 @@ def simulate(
     prop, forcing = dynamics.system.propagators(0.5 * h)
     z_budget = dynamics.variance_rate * h
 
-    workers = _n_workers(config.n_paths)
-    per_worker = -(-config.n_paths // workers)
-    n_blocks = workers * -(-per_worker // BLOCK_PATHS)
-    bounds = np.linspace(0, config.n_paths, n_blocks + 1).astype(int).tolist()
-    in_flight = workers * (bounds[1] - bounds[0] + 1)
-    chunk_steps = max(1, min(config.M, CHUNK_STEPS, CHUNK_DRAWS // in_flight))
-
-    def run(lo: int, hi: int) -> tuple:
-        return _simulate_block(u0, prop, forcing, z_budget, config, lo, hi, chunk_steps)
-
-    if workers == 1:
-        results = [run(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, bounds[:-1], bounds[1:]))
-
-    recorded, min_trans, min_agg, counts, seconds = zip(*results)
-    n_violations, sqrt_clamps, prob_violations = np.sum(counts, axis=0).tolist()
-    uniforms_s, steps_s = np.sum(seconds, axis=0).tolist()
-    return SampleCloud(
-        transformed=np.concatenate(recorded),
-        min_transformed_per_path=np.concatenate(min_trans),
-        min_aggregate_per_path=np.concatenate(min_agg),
-        n_violations=n_violations,
-        sqrt_clamp_count=sqrt_clamps,
-        prob_violations=prob_violations,
+    cloud = SampleCloud(
+        transformed=np.empty((config.n_paths, config.M + 1 if config.record_full else 1, u0.size)),
+        min_transformed_per_path=np.empty(config.n_paths),
+        min_aggregate_per_path=np.empty(config.n_paths),
+        n_violations=0,
+        sqrt_clamp_count=0,
+        prob_violations=0,
         config=config,
         matrix=matrix,
         shift=shift,
-        timings={"uniforms_s": uniforms_s, "steps_s": steps_s},
+        timings={"uniforms_s": 0.0, "steps_s": 0.0},
     )
+    n_blocks = -(-config.n_paths // BLOCK_PATHS)
+    bounds = np.linspace(0, config.n_paths, n_blocks + 1).astype(int).tolist()
+    widest = -(-config.n_paths // n_blocks)
+    chunk_steps = max(1, min(config.M, CHUNK_STEPS, CHUNK_DRAWS // widest))
+    for first, last in zip(bounds[:-1], bounds[1:]):
+        _simulate_block(cloud, u0, prop, forcing, z_budget, first, last, chunk_steps)
+    return cloud
 
 
 def mean_oracle(params: ModelParams, t: float) -> Array:

@@ -79,12 +79,21 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
     (["pde", "--n", "8"], {"nu": None}, "nu"),
     (["simulate", "--M", "10", "--paths", "2"], {"lambda": "fast"}, "lambda"),
     (["build-q"], {"w": {"a": 1.0}}, "w must"),
+    (["build-q", "--family", "q3", "--a", "1e308"], THREE_FACTORS, "family parameter"),
+    (["build-q", "--family", "q3", "--b", "1e308"], THREE_FACTORS, "family parameter"),
+    (["build-q", "--family", "q2", "--q", "1e308"], {}, "family parameter"),
+    (["build-q", "--family", "q2", "--q", "1e-320"], {}, "family parameter"),
+    (["simulate", "--family", "q2", "--q", "1e-320", "--M", "10", "--paths", "2"], {},
+     "family parameter"),
+    (["mean-check", "--t", "0", "--M", "10", "--paths", "20"], {}, "horizon"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
         "simulate-nu-nan", "simulate-nu-overflows", "build-q-q3-b-inf", "build-q-q2-q-nan",
         "mean-check-one-path", "simulate-theta-null", "pde-nu-null", "simulate-lambda-string",
-        "build-q-w-object"])
+        "build-q-w-object", "build-q-q3-a-overflows", "build-q-q3-b-overflows",
+        "build-q-q2-q-overflows", "build-q-q2-q-underflows", "simulate-q2-q-underflows",
+        "mean-check-t-zero"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     params = write_params(tmp_path, **overrides)
     out = [] if argv[0] in ("mean-check", "check-domain") else ["--out", str(tmp_path / "out")]

@@ -26,7 +26,7 @@ from volterra_cone import (
 )
 from volterra_cone import scheme
 from volterra_cone.presets import preset
-from volterra_cone.scheme import SPREAD, _audit_probabilities, _law_arrays, _n_workers
+from volterra_cone.scheme import SPREAD, _audit_probabilities, _law_arrays
 
 
 def fig2_params(nu=0.3):
@@ -268,39 +268,29 @@ def test_simulate_is_seed_deterministic():
     assert first.audit() == second.audit()
 
 
-def test_n_workers_follows_batch_width_and_cpus(monkeypatch):
-    os = scheme.os
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert _n_workers(1000) == 1
-    assert _n_workers(20_000) == min(4, cpus)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _n_workers(20_000) == 1
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(scheme.os, "cpu_count", lambda: 3)
-    assert _n_workers(20_000) == 3
-
-
-def test_simulate_is_worker_count_independent(monkeypatch):
-    params = fig2_params()
-    matrix = build_canonical(params.w, params.x)
-    config = PathConfig(T=1.0, M=200, n_paths=17, seed=21, record_full=True)
+def test_simulate_is_block_size_independent(monkeypatch):
+    # fig3c escapes its cone, so the violation counter is not zero
+    params, matrix = preset("fig3c")
+    config = PathConfig(T=10.0, M=200, n_paths=17, seed=21, record_full=True)
     block = scheme._simulate_block
     widths = []
 
-    def counted(initial, prop, shift, z_budget, config, first, last, chunk_steps):
+    def counted(cloud, initial, prop, shift, z_budget, first, last, chunk_steps):
         widths.append(last - first)
-        return block(initial, prop, shift, z_budget, config, first, last, chunk_steps)
+        block(cloud, initial, prop, shift, z_budget, first, last, chunk_steps)
 
     monkeypatch.setattr(scheme, "_simulate_block", counted)
-    monkeypatch.setattr(scheme, "_n_workers", lambda n_paths: 1)
-    serial = simulate(params, matrix, config)
-    monkeypatch.setattr(scheme, "_n_workers", lambda n_paths: 4)
-    threaded = simulate(params, matrix, config)
-    assert widths[0] == 17 and sorted(widths[1:]) == [4, 4, 4, 5]
-    np.testing.assert_array_equal(serial.states, threaded.states)
-    np.testing.assert_array_equal(
-        serial.min_transformed_per_path, threaded.min_transformed_per_path
-    )
+    monkeypatch.setattr(scheme, "BLOCK_PATHS", 17)
+    whole = simulate(params, matrix, config, require_initial_in_cone=False)
+    monkeypatch.setattr(scheme, "BLOCK_PATHS", 4)
+    split = simulate(params, matrix, config, require_initial_in_cone=False)
+    assert widths == [17, 3, 3, 4, 3, 4]
+    assert whole.n_violations > 0
+    np.testing.assert_array_equal(whole.states, split.states)
+    np.testing.assert_array_equal(whole.min_transformed_per_path, split.min_transformed_per_path)
+    np.testing.assert_array_equal(whole.min_aggregate_per_path, split.min_aggregate_per_path)
+    for counter in ("n_violations", "sqrt_clamp_count", "prob_violations"):
+        assert getattr(whole, counter) == getattr(split, counter), counter
 
 
 def reference_law(x, z):
@@ -369,14 +359,13 @@ def reference_simulate(params, matrix, config, u0=None):
     }
 
 
-@pytest.mark.parametrize("name, escape, workers", [
-    ("fig2", False, 1), ("fig2", False, 2), ("fig3c", True, 1), ("table1", False, 1),
-], ids=["fig2", "fig2-two-workers", "fig3c-escape", "table1-shifted"])
-def test_simulate_matches_row_major_reference_bit_for_bit(monkeypatch, name, escape, workers):
+@pytest.mark.parametrize("name, escape", [
+    ("fig2", False), ("fig3c", True), ("table1", False),
+], ids=["fig2", "fig3c-escape", "table1-shifted"])
+def test_simulate_matches_row_major_reference_bit_for_bit(monkeypatch, name, escape):
     # small blocks and chunks, so 43 paths span several blocks and M = 2 chunks + 37 steps
     monkeypatch.setattr(scheme, "BLOCK_PATHS", 8)
     monkeypatch.setattr(scheme, "CHUNK_STEPS", 16)
-    monkeypatch.setattr(scheme, "_n_workers", lambda n_paths: workers)
     params, matrix = preset(name)
     config = PathConfig(T=10.0 if escape else 1.0, M=2 * 16 + 37, n_paths=43, seed=4,
                         record_full=True)
