@@ -23,11 +23,11 @@ import scipy
 
 from . import __version__
 from .admissible import build_canonical, build_q2, build_q3, check_admissible, q3_bounds
-from .cone import ConeDomain, contains, transformed
+from .cone import MEMBERSHIP_TOL, ConeDomain, contains, transformed
 from .model import ModelParams, load_params
 from .pde import PdeProblem, convergence_study, observed_orders, residual_check, solve
 from .presets import DEFAULT_GRIDS, FIG3_FAMILY, PDE_BOXES, preset
-from .scheme import AGGREGATE_TOL, PathConfig, mean_oracle, simulate
+from .scheme import PathConfig, mean_oracle, simulate
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -196,7 +196,7 @@ def _run_simulation(args, argv: list[str], command: str) -> int:
     print(json.dumps(audit))
     if cloud.n_violations > 0 and not args.allow_nonadmissible:
         print(f"cone audit failed: {cloud.n_violations} grid states below "
-              f"-{AGGREGATE_TOL}", file=sys.stderr)
+              f"-{MEMBERSHIP_TOL}", file=sys.stderr)
         return EXIT_CONE_AUDIT
     return EXIT_OK
 
@@ -351,15 +351,16 @@ def cmd_rerun(args, _argv: list[str]) -> int:
     return main(argv)
 
 
-def _add_params_options(sub) -> None:
+def _add_params_options(sub, family: bool = True) -> None:
     sub.add_argument("--params", help="JSON parameter file")
     sub.add_argument("--preset", choices=["table1", "fig1", "fig2", "fig3a", "fig3b", "fig3c"],
                      help="named parameter set")
-    sub.add_argument("--family", choices=["preset", "canonical", "q2", "q3"],
-                     default=None, help="transform matrix family")
-    sub.add_argument("--q", type=float, default=1.0, help="q2 family parameter")
-    sub.add_argument("--a", type=float, default=None, help="q3 family parameter a")
-    sub.add_argument("--b", type=float, default=None, help="q3 family parameter b")
+    if family:
+        sub.add_argument("--family", choices=["preset", "canonical", "q2", "q3"],
+                         default=None, help="transform matrix family")
+        sub.add_argument("--q", type=float, default=1.0, help="q2 family parameter")
+        sub.add_argument("--a", type=float, default=None, help="q3 family parameter a")
+        sub.add_argument("--b", type=float, default=None, help="q3 family parameter b")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_build_q)
 
     sub = subs.add_parser("q3-bounds", help="feasibility intervals of the N=3 family")
-    _add_params_options(sub)
+    _add_params_options(sub, family=False)
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_q3_bounds)
 

@@ -19,7 +19,7 @@ from .model import ModelParams, TransformedDynamics
 
 Array = NDArray[np.float64]
 
-#: default absolute membership tolerance on transformed coordinates
+#: transformed coordinates below -MEMBERSHIP_TOL are outside the cone, for every check of it
 MEMBERSHIP_TOL = 1e-9
 #: inward drift components below -DRIFT_TOL on a face of the orthant are violations
 DRIFT_TOL = 1e-10
@@ -27,11 +27,14 @@ DRIFT_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class ConeDomain:
-    """State-space cone: all y with Q @ (y - shift) in the non-negative orthant."""
+    """State-space cone: all y with Q @ (y - shift) in the non-negative orthant.
+
+    The one owner of the anchor's cone: ``simulate`` runs in its coordinates,
+    and its initial check, its audit and :func:`contains` all use MEMBERSHIP_TOL.
+    """
 
     matrix: AdmissibleMatrix
     shift: Array = None
-    tol: float = MEMBERSHIP_TOL
 
     def __post_init__(self):
         n = self.matrix.n
@@ -46,12 +49,9 @@ class ConeDomain:
 
     @classmethod
     def for_initial_state(cls, matrix: AdmissibleMatrix, y0) -> "ConeDomain":
-        """Cone shifted by y0 minus the proportional anchor with equal aggregate."""
+        """Cone shifted by y0 minus the proportional anchor of equal aggregate (>= 0)."""
         y0_arr = np.asarray(y0, dtype=float)
-        agg = float(matrix.w @ y0_arr)
-        if agg < 0.0:
-            raise ValueError(f"initial state must have non-negative aggregate, got {agg}")
-        anchor = canonical_anchor(matrix.w, matrix.x, agg)
+        anchor = canonical_anchor(matrix.w, matrix.x, float(matrix.w @ y0_arr))
         return cls(matrix=matrix, shift=y0_arr - anchor)
 
 
@@ -80,8 +80,8 @@ def transformed(domain: ConeDomain, y) -> Array:
 
 
 def contains(domain: ConeDomain, y) -> bool:
-    """Membership test at the domain tolerance."""
-    return bool(np.min(transformed(domain, y)) >= -domain.tol)
+    """True when no transformed coordinate of y is below -MEMBERSHIP_TOL."""
+    return bool(np.min(transformed(domain, y)) >= -MEMBERSHIP_TOL)
 
 
 def canonical_halfspaces(w) -> list[tuple[Array, float]]:

@@ -204,12 +204,15 @@ class TransformedDynamics:
 
     @classmethod
     def from_params(cls, params: ModelParams, matrix: AdmissibleMatrix) -> "TransformedDynamics":
-        """Raises ValueError unless Q passes the row and column conditions."""
+        """Raises ValueError unless Q passes the row and column conditions and K, c are finite."""
         report = matrix.report()
         if not (report.row_ok and report.col_ok):
             raise ValueError("transform matrix fails the row or column condition")
         original = DriftSystem.from_params(params)
-        system = DriftSystem(A=matrix.Q @ original.A @ matrix.Qinv, b=matrix.Q @ original.b)
+        with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning
+            system = DriftSystem(A=matrix.Q @ original.A @ matrix.Qinv, b=matrix.Q @ original.b)
+        if not (np.isfinite(system.A).all() and np.isfinite(system.b).all()):
+            raise ValueError("transformed drift K u + c is not finite for this matrix")
         return cls(system=system, variance_rate=params.nu**2 * params.wbar**2)
 
     def drift(self, u) -> Array:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .admissible import AdmissibleMatrix
-from .cone import ConeDomain
+from .admissible import AdmissibleMatrix, build_canonical
+from .cone import MEMBERSHIP_TOL, ConeDomain, contains, transformed
 from .model import DriftSystem, ModelParams, TransformedDynamics
 
 Array = NDArray[np.float64]
@@ -29,8 +29,6 @@ Array = NDArray[np.float64]
 SPREAD = (3.0 + math.sqrt(3.0)) / 4.0
 #: probabilities outside [0, 1] by more than this are counted as audit violations
 PROB_SLACK = 1e-12
-#: aggregates below -AGGREGATE_TOL abort a step, and audited coordinates below it are violations
-AGGREGATE_TOL = 1e-9
 #: widest block of paths marched at once, so memory does not grow with the batch: each
 #: path holds a generator (~1 KB) and its chunk of uniforms
 BLOCK_PATHS = 10_000
@@ -209,26 +207,24 @@ def stochastic_step(params: ModelParams, y, h: float, u: float) -> Array:
 def strang_step(params: ModelParams, system: DriftSystem, v, h: float, u: float) -> Array:
     """Half drift step, aggregate jump over the full step, half drift step.
 
-    The batched step on one state, in the coordinates y = L v whose rows are
-    e_i - e_N (i < N) and w: there y_N is the aggregate and the jump direction
-    1/wbar of v is e_N.  The change of y is mapped back to v, so a step that
-    leaves y unchanged returns v bit for bit.
+    The batched step on one state, in the coordinates y = Q v of
+    :func:`build_canonical` (last row w and Q 1 = wbar e_N, so y_N is the
+    aggregate and the jump is along e_N), mapped back by the closed-form inverse:
+    a step that leaves y unchanged returns v bit for bit.  ValueError when the
+    aggregate before the jump is below -MEMBERSHIP_TOL or NaN.
     """
     v = np.asarray(v, dtype=float)
-    n = params.n_factors
-    lift = np.eye(n) - np.eye(n)[-1]
-    lift[-1] = params.w
-    inverse = np.linalg.inv(lift)
-    lifted = DriftSystem(A=lift @ system.A @ inverse, b=lift @ system.b)
+    canonical = build_canonical(params.w, params.x)
+    lifted = DriftSystem(A=canonical.Q @ system.A @ canonical.Qinv, b=canonical.Q @ system.b)
     prop, shift = lifted.propagators(0.5 * h)
-    y = lift @ v
+    y = canonical.Q @ v
     state = y[:, None].copy()
     z_budget = params.nu**2 * params.wbar**2 * float(h)
     low, _, _ = _strang_step(state, prop, shift[:, None], z_budget, np.array([float(u)]),
-                             _workspace(n, 1))
-    if not low >= -AGGREGATE_TOL:  # NaN is outside the cone too
+                             _workspace(y.size, 1))
+    if not low >= -MEMBERSHIP_TOL:  # NaN is outside the cone too
         raise ValueError(f"aggregate {low} is negative beyond tolerance, state left the cone")
-    return v + inverse @ (state[:, 0] - y)
+    return v + canonical.Qinv @ (state[:, 0] - y)
 
 
 @dataclass(frozen=True)
@@ -254,11 +250,12 @@ class PathConfig:
 class SampleCloud:
     """Recorded transformed states u = Q (v - shift) of a simulation and its cone audit.
 
-    ``transformed`` has shape (n_paths, n_recorded, N); states and aggregates
-    are derived from it, and ``shift`` is that of the cone of the model's
-    anchor (:meth:`ConeDomain.for_initial_state`).  The per-path minima are
-    taken over every grid state of the run, not only the recorded ones.
-    ``timings`` holds the seconds spent drawing uniforms and stepping.
+    ``transformed`` has shape (n_paths, n_recorded, N) in the coordinates of
+    ``domain``, the cone of the model's anchor; states and aggregates are
+    derived from it.  The per-path minima and ``n_violations`` (states with a
+    coordinate below -MEMBERSHIP_TOL) cover every grid state of the run, not
+    only the recorded ones.  ``timings`` holds the seconds spent drawing
+    uniforms and stepping.
     """
 
     transformed: Array
@@ -268,8 +265,7 @@ class SampleCloud:
     sqrt_clamp_count: int
     prob_violations: int
     config: PathConfig
-    matrix: AdmissibleMatrix
-    shift: Array
+    domain: ConeDomain
     timings: dict[str, float]
 
     @property
@@ -289,8 +285,8 @@ class SampleCloud:
     @property
     def states(self) -> Array:
         """Factor states v = Q^-1 u + shift, computed on every access."""
-        states = self.transformed @ self.matrix.Qinv.T
-        states += self.shift
+        states = self.transformed @ self.domain.matrix.Qinv.T
+        states += self.domain.shift
         return states
 
     @property
@@ -336,7 +332,7 @@ def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Arra
     low_now = state.min(axis=0)
     min_trans[:] = low_now
     min_agg[:] = state[-1]
-    cloud.n_violations += width - np.count_nonzero(low_now >= -AGGREGATE_TOL)  # NaN counts
+    cloud.n_violations += width - np.count_nonzero(low_now >= -MEMBERSHIP_TOL)  # NaN counts
     if config.record_full:
         recorded[:, 0] = initial
     timings = cloud.timings
@@ -350,16 +346,16 @@ def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Arra
         stepped = time.perf_counter()
         for j, u in enumerate(rows, start=begin):
             low, clamps, bad = _strang_step(state, prop, shift, z_budget, u, work)
-            if not low >= -AGGREGATE_TOL:  # NaN is outside the cone too
+            if not low >= -MEMBERSHIP_TOL:  # NaN is outside the cone too
                 raise RuntimeError(
-                    f"aggregate {low} is not >= -{AGGREGATE_TOL} at step {j}, state left the cone"
+                    f"aggregate {low} is not >= -{MEMBERSHIP_TOL} at step {j}, state left the cone"
                 )
             cloud.sqrt_clamp_count += clamps
             cloud.prob_violations += bad
             np.minimum.reduce(state, axis=0, out=low_now)
             np.minimum(min_trans, low_now, out=min_trans)
             np.minimum(min_agg, state[-1], out=min_agg)
-            cloud.n_violations += width - np.count_nonzero(low_now >= -AGGREGATE_TOL)
+            cloud.n_violations += width - np.count_nonzero(low_now >= -MEMBERSHIP_TOL)
             if config.record_full:
                 recorded[:, j + 1] = state.T
         timings["uniforms_s"] += stepped - drawn
@@ -378,26 +374,23 @@ def simulate(
 ) -> SampleCloud:
     """Simulate independent paths on a uniform grid and audit cone membership.
 
-    Paths run in u = Q (v - shift) (:class:`TransformedDynamics`, so
-    ValueError for a matrix failing the row or column condition), where the
-    audit is min(u).  The shift is that of the cone of the anchor
-    (:meth:`ConeDomain.for_initial_state` at ``params.v0``): it has zero
-    aggregate, so A shift = -x shift and v - shift follows the model anchored
-    at ``params.v0 - shift``, which is proportional to 1/x.
+    Paths run in u = Q (v - shift) on ``ConeDomain.for_initial_state(matrix,
+    params.v0)`` (:class:`TransformedDynamics`, so ValueError for a matrix failing
+    the row or column condition).  The shift has zero aggregate, so A shift = -x shift
+    and v - shift follows the model anchored at ``params.v0 - shift`` (proportional to 1/x).
+    A non-finite initial state is a ValueError, and so is one that
+    :func:`contains` rejects unless ``require_initial_in_cone`` is false.
     The paths are marched one block after another, in contiguous blocks of
     at most BLOCK_PATHS and nearly equal width.  Path k draws one uniform per
     step from the substream seeded by (config.seed, k), so the sample cloud
     is reproducible bit for bit and independent of the block size.
     """
-    initial = np.asarray(params.v0 if initial_state is None else initial_state, dtype=float)
-    if initial.shape != (params.n_factors,):
-        raise ValueError(f"initial state must have shape ({params.n_factors},)")
-    shift = ConeDomain.for_initial_state(matrix, params.v0).shift
-    dynamics = TransformedDynamics.from_params(replace(params, v0=params.v0 - shift), matrix)
-    u0 = matrix.Q @ (initial - shift)
-    lowest = float(np.min(u0))
-    if require_initial_in_cone and not lowest >= -AGGREGATE_TOL:
-        raise ValueError(f"initial state is outside the cone, min transformed component {lowest}")
+    initial = params.v0 if initial_state is None else initial_state
+    domain = ConeDomain.for_initial_state(matrix, params.v0)
+    dynamics = TransformedDynamics.from_params(replace(params, v0=params.v0 - domain.shift), matrix)
+    u0 = transformed(domain, initial)
+    if require_initial_in_cone and not contains(domain, initial):
+        raise ValueError(f"initial state is outside the cone, transformed coordinates {u0}")
 
     h = config.T / config.M
     prop, forcing = dynamics.system.propagators(0.5 * h)
@@ -411,8 +404,7 @@ def simulate(
         sqrt_clamp_count=0,
         prob_violations=0,
         config=config,
-        matrix=matrix,
-        shift=shift,
+        domain=domain,
         timings={"uniforms_s": 0.0, "steps_s": 0.0},
     )
     n_blocks = -(-config.n_paths // BLOCK_PATHS)

@@ -86,6 +86,10 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
     (["simulate", "--family", "q2", "--q", "1e-320", "--M", "10", "--paths", "2"], {},
      "family parameter"),
     (["mean-check", "--t", "0", "--M", "10", "--paths", "20"], {}, "horizon"),
+    (["simulate", "--preset", "fig3a", "--family", "q3", "--a", "1e300", "--M", "10",
+      "--paths", "3", "--allow-nonadmissible"], {}, "transformed drift"),
+    (["pde", "--preset", "fig3a", "--family", "q3", "--a", "1e300", "--alpha", "1,1,1",
+      "--box", "0,4;0,4;0,4", "--n", "4"], {}, "transformed drift"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
@@ -93,7 +97,7 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
         "mean-check-one-path", "simulate-theta-null", "pde-nu-null", "simulate-lambda-string",
         "build-q-w-object", "build-q-q3-a-overflows", "build-q-q3-b-overflows",
         "build-q-q2-q-overflows", "build-q-q2-q-underflows", "simulate-q2-q-underflows",
-        "mean-check-t-zero"])
+        "mean-check-t-zero", "simulate-q3-drift-overflows", "pde-q3-drift-overflows"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     params = write_params(tmp_path, **overrides)
     out = [] if argv[0] in ("mean-check", "check-domain") else ["--out", str(tmp_path / "out")]
@@ -120,6 +124,13 @@ def test_q3_bounds_values(tmp_path, capsys):
     assert payload["b"][0] == pytest.approx(1.4, abs=1e-12)
     assert payload["b"][1] == pytest.approx(2.8439088914585775, abs=1e-12)
     assert payload["defaults"]["a_feasible"] and payload["defaults"]["b_feasible"]
+
+
+def test_q3_bounds_has_no_matrix_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["q3-bounds", "--preset", "fig3a", "--family", "q2", "--q", "-5", "--a", "nan"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_q3_bounds_rejects_tied_nodes(tmp_path):

@@ -13,6 +13,7 @@ from volterra_cone import (
     m_matrix_inverse_check,
     transformed,
 )
+from volterra_cone.cone import MEMBERSHIP_TOL
 
 
 def canonical_domain(w=(1.0, 2.0), x=(1.0, 10.0)):
@@ -85,7 +86,7 @@ def test_halfspaces_agree_with_matrix_membership():
     for n in range(2, 7):
         w = rng.uniform(0.1, 5.0, size=n)
         x = np.sort(rng.uniform(0.1, 20.0, size=n))
-        dom = ConeDomain(matrix=build_canonical(w, x), tol=1e-9)
+        dom = ConeDomain(matrix=build_canonical(w, x))
         hs = canonical_halfspaces(w)
         pts = rng.normal(scale=1.5, size=(10_000, n))
         member = np.array([contains(dom, p) for p in pts])
@@ -113,7 +114,7 @@ def test_contains_implies_nonnegative_aggregate():
     pts = rng.normal(scale=2.0, size=(500, 2))
     for p in pts:
         if contains(dom, p):
-            assert w @ (p - dom.shift) >= -dom.tol * np.sum(np.abs(w))
+            assert w @ (p - dom.shift) >= -MEMBERSHIP_TOL * np.sum(np.abs(w))
 
 
 def test_m_matrix_inverse_check_canonical():

@@ -25,6 +25,7 @@ from volterra_cone import (
     three_point_law,
 )
 from volterra_cone import scheme
+from volterra_cone.cone import MEMBERSHIP_TOL, contains, transformed
 from volterra_cone.presets import preset
 from volterra_cone.scheme import SPREAD, _audit_probabilities, _law_arrays
 
@@ -330,7 +331,7 @@ def reference_simulate(params, matrix, config, u0=None):
     last = np.eye(u0.size)[-1]
     min_trans = state.min(axis=1)
     min_agg = state[:, -1].copy()
-    violations = config.n_paths - np.count_nonzero(min_trans >= -scheme.AGGREGATE_TOL)
+    violations = config.n_paths - np.count_nonzero(min_trans >= -MEMBERSHIP_TOL)
     clamps = bad = 0
     recorded = [state]
     for u in uniforms.T:
@@ -347,7 +348,7 @@ def reference_simulate(params, matrix, config, u0=None):
         low = state.min(axis=1)
         min_trans = np.minimum(min_trans, low)
         min_agg = np.minimum(min_agg, state[:, -1])
-        violations += config.n_paths - np.count_nonzero(low >= -scheme.AGGREGATE_TOL)
+        violations += config.n_paths - np.count_nonzero(low >= -MEMBERSHIP_TOL)
         recorded.append(state)
     return {
         "transformed": np.stack(recorded if config.record_full else recorded[-1:], axis=1),
@@ -455,6 +456,34 @@ def test_simulate_rejects_matrix_failing_row_or_column_condition():
     for q in (row_q, col_q):
         with pytest.raises(ValueError):
             simulate(params, replace(good, Q=q, Qinv=np.linalg.inv(q)), config)
+
+
+@pytest.mark.parametrize("u1, inside", [(-0.5e-9, True), (-2e-9, False)])
+def test_membership_and_audit_share_one_tolerance(u1, inside):
+    # contains, simulate's initial check and its audit all judge u_1 against -MEMBERSHIP_TOL
+    params, matrix = preset("table1")  # a shifted cone
+    domain = ConeDomain.for_initial_state(matrix, params.v0)
+    u0 = transformed(domain, params.v0)
+    u0[0] = u1
+    initial = matrix.Qinv @ u0 + domain.shift
+    assert abs(transformed(domain, initial)[0] - u1) < 1e-15
+    assert contains(domain, initial) == inside
+    config = PathConfig(T=1.0, M=10, n_paths=3, seed=0)
+    if not inside:
+        with pytest.raises(ValueError, match="outside the cone"):
+            simulate(params, matrix, config, initial_state=initial)
+    cloud = simulate(params, matrix, config, initial_state=initial,
+                     require_initial_in_cone=inside)
+    assert cloud.min_transformed == pytest.approx(u1, abs=1e-15)
+    assert cloud.n_violations == (0 if inside else config.n_paths)
+
+
+def test_simulate_rejects_non_finite_initial_state():
+    params = fig2_params()
+    config = PathConfig(T=1.0, M=10, n_paths=2, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        simulate(params, build_canonical(params.w, params.x), config,
+                 initial_state=[math.nan, 0.01], require_initial_in_cone=False)
 
 
 def test_simulate_monte_carlo_mean_matches_oracle():
