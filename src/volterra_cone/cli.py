@@ -57,8 +57,11 @@ def _sha256(path: str) -> str:
 
 
 def _write_manifest(out: Path, command: str, argv: list[str], config: dict,
-                    seed, outputs: list[str], started: float, timings: dict | None = None) -> Path:
-    """Write ``<out>.manifest.json``: the run, the library versions and a SHA-256 per output."""
+                    seed, outputs: list[str], started: float, **telemetry) -> Path:
+    """Write ``<out>.manifest.json``: the run, the library versions and a SHA-256 per output.
+
+    ``telemetry`` (timings, blow-up fields) enters the manifest as given.
+    """
     manifest_path = Path(str(out) + ".manifest.json")
     payload = {
         "command": command,
@@ -71,18 +74,20 @@ def _write_manifest(out: Path, command: str, argv: list[str], config: dict,
         "outputs": outputs,
         "sha256": {path: _sha256(path) for path in outputs},
         "wall_clock_s": time.perf_counter() - started,
+        **telemetry,
     }
-    if timings is not None:
-        payload["timings"] = timings
     _write_json(manifest_path, payload)
     return manifest_path
 
 
 def _resolve_params(args) -> ModelParams:
-    if getattr(args, "preset", None):
-        return preset(args.preset)[0]
-    if getattr(args, "params", None):
-        return load_params(args.params)
+    name, path = getattr(args, "preset", None), getattr(args, "params", None)
+    if name and path:
+        raise ValueError("give either --params or --preset, not both")
+    if name:
+        return preset(name)[0]
+    if path:
+        return load_params(path)
     raise ValueError("either --params FILE or --preset NAME is required")
 
 
@@ -192,7 +197,7 @@ def _run_simulation(args, argv: list[str], command: str) -> int:
     _write_manifest(out, command, argv,
                     {"T": horizon, "M": steps, "paths": paths,
                      "record": args.record, "params": params.to_dict()},
-                    args.seed, [str(out), str(audit_path)], started, cloud.timings)
+                    args.seed, [str(out), str(audit_path)], started, timings=cloud.timings)
     print(json.dumps(audit))
     if cloud.n_violations > 0 and not args.allow_nonadmissible:
         print(f"cone audit failed: {cloud.n_violations} grid states below "
@@ -239,7 +244,7 @@ def cmd_mean_check(args, argv: list[str]) -> int:
         _write_manifest(out, "mean-check", argv,
                         {"t": args.t, "M": args.M, "paths": args.paths,
                          "params": params.to_dict()},
-                        args.seed, [str(out)], started, cloud.timings)
+                        args.seed, [str(out)], started, timings=cloud.timings)
     return EXIT_OK if passed else EXIT_STATISTICAL
 
 
@@ -294,6 +299,16 @@ def _pde_rows(reports) -> list[str]:
     return rows
 
 
+def _json_float(value: float | None):
+    """A float for JSON, with inf and nan spelled as strings (JSON has no such numbers)."""
+    return value if value is None or np.isfinite(value) else str(value)
+
+
+def _blowup_text(reports) -> str:
+    return "; ".join(f"n={rep.n} stopped at step {rep.blowup_step} with max|v| "
+                     f"{_fmt(rep.blowup_max_abs)}" for rep in reports if rep.blow_up)
+
+
 def cmd_pde(args, argv: list[str]) -> int:
     started = time.perf_counter()
     problem = _pde_problem(args, args.n)
@@ -308,10 +323,12 @@ def cmd_pde(args, argv: list[str]) -> int:
                      "beta": args.beta, "T": args.T, "scheme": args.scheme,
                      "residual_check": residual,
                      "params": problem.params.to_dict()},
-                    None, [str(out)], started)
+                    None, [str(out)], started, timings=report.timings,
+                    blowup_step=report.blowup_step,
+                    blowup_max_abs=_json_float(report.blowup_max_abs))
     print(f"n={report.n} l2_error={_fmt(report.l2_error)} blow_up={report.blow_up}")
     if report.blow_up and _stable_box(problem.box):
-        print("blow-up on a stable box", file=sys.stderr)
+        print(f"blow-up on a stable box: {_blowup_text([report])}", file=sys.stderr)
         return EXIT_BLOWUP
     return EXIT_OK
 
@@ -331,11 +348,14 @@ def cmd_pde_convergence(args, argv: list[str]) -> int:
                      "alpha": args.alpha, "beta": args.beta, "T": args.T,
                      "scheme": args.scheme,
                      "params": problem.params.to_dict()},
-                    None, [str(out)], started)
+                    None, [str(out)], started,
+                    timings={rep.n: rep.timings for rep in reports},
+                    blowup_step={rep.n: rep.blowup_step for rep in reports},
+                    blowup_max_abs={rep.n: _json_float(rep.blowup_max_abs) for rep in reports})
     print("\n".join(rows))
     stable = _stable_box(problem.box)
     if stable and any(rep.blow_up for rep in reports):
-        print("blow-up on a stable box", file=sys.stderr)
+        print(f"blow-up on a stable box: {_blowup_text(reports)}", file=sys.stderr)
         return EXIT_BLOWUP
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -74,13 +74,23 @@ class PdeProblem:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve: final-time nodal L2 error or a blow-up flag."""
+    """Outcome of one solve: final-time nodal L2 error or a blow-up flag.
+
+    ``timings`` holds the seconds spent in assembly, factorisation and the
+    time loop (``assemble_s``, ``factor_s``, ``steps_s``).  On a blow-up,
+    ``blowup_step`` and ``blowup_max_abs`` are the time level and max|v| at
+    which the march stopped (n and the final max|v| when only the final L2
+    error crossed :data:`BLOWUP_THRESHOLD`); both are ``None`` otherwise.
+    """
 
     n: int
     l2_error: float
     blow_up: bool
     runtime_s: float
     time_scheme: str = "cn"
+    timings: dict = field(default_factory=dict)
+    blowup_step: int | None = None
+    blowup_max_abs: float | None = None
 
 
 def manufactured_solution(problem: PdeProblem, z, t: float):
@@ -171,15 +181,20 @@ def _assemble(problem: PdeProblem):
     return op[interior], nodes, interior
 
 
-def _march(problem: PdeProblem) -> tuple[float, bool]:
-    """Run the backward time march; returns (error_l2, blow_up).
+def _march(problem: PdeProblem) -> tuple[float, tuple[int, float] | None, dict]:
+    """Run the backward time march; returns (error_l2, blow-up, timings).
 
     One theta-step per time level (theta = 1/2 for ``cn``, 1 for ``ie``):
     (I - theta dt L_II) v_new = v_old + dt (L x - phi), where x mixes the old
-    state and the new boundary data as (1 - theta) old + theta new.
+    state and the new boundary data as (1 - theta) old + theta new.  The
+    blow-up is ``None`` or the (time level, max|v|) at which the march
+    stopped; a step matrix that cannot be factored stops it at level 0 with
+    no state, max|v| NaN.
     """
     n = problem.n
+    clock = time.perf_counter()
     op, nodes, interior = _assemble(problem)
+    timings = {"assemble_s": time.perf_counter() - clock, "factor_s": 0.0, "steps_s": 0.0}
     boundary = np.ones(len(nodes), dtype=bool)
     boundary[interior] = False
     edge = nodes[boundary]
@@ -187,29 +202,42 @@ def _march(problem: PdeProblem) -> tuple[float, bool]:
 
     dt = problem.T / n
     theta = 0.5 if problem.time_scheme == "cn" else 1.0
+    step_matrix = (sparse.identity(interior.size) - theta * dt * op[:, interior]).tocsc()
+    # Fill-reducing column order.  The 2-D stencil has a symmetric pattern, so minimum
+    # degree on A^T + A suits it: table1 box1 L+U nnz 1.19 M -> 0.65 M at n = 128 and
+    # 6.29 M -> 3.38 M at n = 256 (one solve 20.8 -> 11.1 ms) against COLAMD's A^T A.
+    # In 3-D it fills more (fig3a on [0,4]^3, n = 16, T = 2: 0.86 M -> 2.14 M), so COLAMD stays.
+    clock = time.perf_counter()
     try:
-        lu = splu((sparse.identity(interior.size) - theta * dt * op[:, interior]).tocsc())
+        lu = splu(step_matrix, permc_spec="MMD_AT_PLUS_A" if len(problem.box) == 2 else "COLAMD")
     except RuntimeError:
-        return math.inf, True
+        return math.inf, (0, math.nan), timings
+    finally:
+        timings["factor_s"] = time.perf_counter() - clock
 
     full = manufactured_solution(problem, nodes, problem.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, n + 1):
-            mixed = (1.0 - theta) * full
-            full[boundary] = manufactured_solution(problem, edge, problem.T - m * dt)
-            mixed[boundary] += theta * full[boundary]
-            v_int = lu.solve(full[interior] + dt * (op @ mixed - phi_int))
-            if not np.all(np.isfinite(v_int)) or np.max(np.abs(v_int)) > EARLY_EXIT_MAGNITUDE:
-                return math.inf, True
-            full[interior] = v_int
+    clock = time.perf_counter()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(1, n + 1):
+                mixed = (1.0 - theta) * full
+                full[boundary] = manufactured_solution(problem, edge, problem.T - m * dt)
+                mixed[boundary] += theta * full[boundary]
+                v_int = lu.solve(full[interior] + dt * (op @ mixed - phi_int))
+                peak = float(np.max(np.abs(v_int)))  # NaN when any entry is NaN
+                if not peak <= EARLY_EXIT_MAGNITUDE:
+                    return math.inf, (m, peak), timings
+                full[interior] = v_int
+    finally:
+        timings["steps_s"] = time.perf_counter() - clock
 
     # the boundary error is zero and every interior node has weight prod(h)
     cell = math.prod((hi - lo) / n for lo, hi in problem.box)
     exact = manufactured_solution(problem, nodes[interior], 0.0)
     l2 = math.sqrt(cell * float(np.sum((v_int - exact) ** 2)))
     if not math.isfinite(l2) or l2 > BLOWUP_THRESHOLD:
-        return math.inf, True
-    return l2, False
+        return math.inf, (n, peak), timings
+    return l2, None, timings
 
 
 def solve(problem: PdeProblem) -> SolveReport:
@@ -219,13 +247,17 @@ def solve(problem: PdeProblem) -> SolveReport:
     boundary at every time level.
     """
     start = time.perf_counter()
-    l2, blew = _march(problem)
+    l2, blowup, timings = _march(problem)
+    step, peak = blowup or (None, None)
     return SolveReport(
         n=problem.n,
         l2_error=l2,
-        blow_up=blew,
+        blow_up=blowup is not None,
         runtime_s=time.perf_counter() - start,
         time_scheme=problem.time_scheme,
+        timings=timings,
+        blowup_step=step,
+        blowup_max_abs=peak,
     )
 
 

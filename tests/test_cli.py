@@ -90,6 +90,8 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
       "--paths", "3", "--allow-nonadmissible"], {}, "transformed drift"),
     (["pde", "--preset", "fig3a", "--family", "q3", "--a", "1e300", "--alpha", "1,1,1",
       "--box", "0,4;0,4;0,4", "--n", "4"], {}, "transformed drift"),
+    (["simulate", "--preset", "fig2", "--params", "missing.json", "--M", "10", "--paths", "2"],
+     {}, "not both"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
@@ -97,11 +99,13 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
         "mean-check-one-path", "simulate-theta-null", "pde-nu-null", "simulate-lambda-string",
         "build-q-w-object", "build-q-q3-a-overflows", "build-q-q3-b-overflows",
         "build-q-q2-q-overflows", "build-q-q2-q-underflows", "simulate-q2-q-underflows",
-        "mean-check-t-zero", "simulate-q3-drift-overflows", "pde-q3-drift-overflows"])
+        "mean-check-t-zero", "simulate-q3-drift-overflows", "pde-q3-drift-overflows",
+        "simulate-preset-and-params"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
-    params = write_params(tmp_path, **overrides)
+    # a case naming a preset takes its parameters from it: adding --params would be an error
+    params = [] if "--preset" in argv else ["--params", str(write_params(tmp_path, **overrides))]
     out = [] if argv[0] in ("mean-check", "check-domain") else ["--out", str(tmp_path / "out")]
-    assert main([*argv, "--params", str(params), *out]) == 2
+    assert main([*argv, *params, *out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and names in err
 
@@ -271,11 +275,14 @@ def test_rerun_rejects_a_malformed_manifest(tmp_path, capsys, payload):
     assert capsys.readouterr().err.startswith("error:")
 
 
+SIM_TIMINGS = {"uniforms_s", "steps_s"}
+
+
 @pytest.mark.parametrize("argv, timed", [
-    (["simulate", "--preset", "fig2", "--T", "0.5", "--M", "40", "--paths", "6"], True),
-    (["cloud", "--preset", "fig3a", "--T", "0.5", "--M", "40", "--paths", "3"], True),
-    (["mean-check", "--preset", "fig2", "--t", "0.5", "--M", "40", "--paths", "6"], True),
-    (["pde", "--preset", "table1", "--n", "8"], False),
+    (["simulate", "--preset", "fig2", "--T", "0.5", "--M", "40", "--paths", "6"], SIM_TIMINGS),
+    (["cloud", "--preset", "fig3a", "--T", "0.5", "--M", "40", "--paths", "3"], SIM_TIMINGS),
+    (["mean-check", "--preset", "fig2", "--t", "0.5", "--M", "40", "--paths", "6"], SIM_TIMINGS),
+    (["pde", "--preset", "table1", "--n", "8"], {"assemble_s", "factor_s", "steps_s"}),
 ], ids=["simulate", "cloud", "mean-check", "pde"])
 def test_manifest_records_versions_digests_and_timings(tmp_path, argv, timed):
     out = tmp_path / "run.out"
@@ -288,11 +295,30 @@ def test_manifest_records_versions_digests_and_timings(tmp_path, argv, timed):
         assert manifest["sha256"][path] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
         if path.endswith(".json"):  # audit JSON and mean.json stay free of run telemetry
             assert not {"timings", "sha256", "versions"} & set(json.loads(Path(path).read_text()))
-    if timed:
-        assert set(manifest["timings"]) == {"uniforms_s", "steps_s"}
-        assert all(value >= 0.0 for value in manifest["timings"].values())
-    else:
-        assert "timings" not in manifest
+    assert set(manifest["timings"]) == timed
+    assert all(value >= 0.0 for value in manifest["timings"].values())
+
+
+def test_pde_manifests_record_timings_and_blow_up(tmp_path, capsys):
+    out = tmp_path / "box2.csv"
+    assert main(["pde", "--preset", "table1", "--box", "box2", "--n", "64",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "box2.csv.manifest.json").read_text())
+    assert 1 <= manifest["blowup_step"] <= 64
+    assert manifest["blowup_max_abs"] in ("inf", "nan") or manifest["blowup_max_abs"] > 1e100
+
+    # the centred 3-D march blows up at n = 8 on a box that keeps u_3 >= 0
+    out = tmp_path / "fig3a.csv"
+    assert main(["pde-convergence", "--preset", "fig3a", "--alpha", "1,1,1",
+                 "--box", "0,4;0,4;0,4", "--n-list", "4,8", "--out", str(out)]) == 6
+    manifest = json.loads((tmp_path / "fig3a.csv.manifest.json").read_text())
+    step = manifest["blowup_step"]
+    assert step["4"] is None and 1 <= step["8"] <= 8
+    assert f"n=8 stopped at step {step['8']} with max|v|" in capsys.readouterr().err
+    assert set(manifest["timings"]) == set(manifest["blowup_max_abs"]) == {"4", "8"}
+    assert manifest["blowup_max_abs"]["4"] is None
+    for timings in manifest["timings"].values():
+        assert set(timings) == {"assemble_s", "factor_s", "steps_s"}
 
 
 def test_threads_flag_is_accepted_hidden_and_ignored(tmp_path, capsys):

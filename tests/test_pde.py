@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +118,47 @@ def test_blow_up_on_sign_indefinite_box():
     report = solve(table1_problem(box=BOX2, n=32))
     assert report.blow_up
     assert math.isinf(report.l2_error)
+
+
+def test_blow_up_reports_its_step_and_magnitude():
+    unstable = solve(table1_problem(box=BOX2, n=64))
+    assert unstable.blow_up
+    assert 1 <= unstable.blowup_step <= 64
+    peak = unstable.blowup_max_abs
+    assert not math.isfinite(peak) or peak > pde.EARLY_EXIT_MAGNITUDE
+    stable = solve(table1_problem(n=64))
+    assert not stable.blow_up
+    assert stable.blowup_step is None and stable.blowup_max_abs is None
+    assert set(stable.timings) == {"assemble_s", "factor_s", "steps_s"}
+    assert all(value >= 0.0 for value in stable.timings.values())
+
+
+def superlu_fill(monkeypatch, problem) -> int:
+    """L+U nonzeros of the one factor a solve makes, read outside the program."""
+    fills = []
+    original = pde.splu
+
+    def spy(*args, **kwargs):
+        factor = original(*args, **kwargs)
+        fills.append(factor.L.nnz + factor.U.nnz)
+        return factor
+
+    monkeypatch.setattr(pde, "splu", spy)
+    solve(problem)
+    (fill,) = fills
+    return fill
+
+
+def test_superlu_ordering_keeps_the_fill_low(monkeypatch):
+    # minimum degree on A^T + A in 2-D (COLAMD: 1.19 M), COLAMD in 3-D (minimum degree: 2.14 M)
+    assert superlu_fill(monkeypatch, table1_problem(n=128)) < 0.8e6
+    assert superlu_fill(monkeypatch, replace(fig3a_problem(n=16), T=2.0)) < 1.0e6
+
+
+def test_ordering_keeps_the_table1_errors():
+    # the values the solver gave with SuperLU's default COLAMD ordering
+    for n, expected in ((64, 0.85835095141041418), (128, 0.21239230423304611)):
+        assert solve(table1_problem(n=n)).l2_error == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_error_dichotomy_same_solver_same_parameters():
