@@ -23,7 +23,7 @@ import scipy
 
 from . import __version__
 from .admissible import build_canonical, build_q2, build_q3, check_admissible, q3_bounds
-from .cone import MEMBERSHIP_TOL, ConeDomain, contains, transformed
+from .cone import MEMBERSHIP_TOL, ConeDomain, contains, original, transformed
 from .model import ModelParams, load_params
 from .pde import PdeProblem, convergence_study, observed_orders, residual_check, solve
 from .presets import DEFAULT_GRIDS, FIG3_FAMILY, PDE_BOXES, preset
@@ -37,8 +37,48 @@ EXIT_STATISTICAL = 5
 EXIT_BLOWUP = 6
 
 
+#: every float the CLI writes as text: 17 significant digits round-trip a float64
+FLOAT_FORMAT = "%.17g"
+#: most rows of a sample cloud formatted and written at once; a row holds about 1.3 KB of
+#: Python strings while its chunk is built (N = 3), so longer chunks only raise peak RSS
+EXPORT_ROWS = 1024
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+    return FLOAT_FORMAT % value
+
+
+def _fmt_column(values) -> list[str]:
+    """:func:`_fmt` of each value of a 1-D array, formatted by one ``%`` call."""
+    return ((FLOAT_FORMAT + ",") * len(values) % tuple(values.tolist())).split(",")[:-1]
+
+
+def _write_cloud(fh, cloud) -> None:
+    """Write the rows of a sample cloud, path-major, at most EXPORT_ROWS at a time.
+
+    A chunk is a block of whole paths when a path has at most EXPORT_ROWS
+    rows, and otherwise a near-equal piece of one path.  Each of the 2N
+    distinct columns (v, then u) is formatted once per chunk, and ``agg``
+    repeats the strings of u_N.  The ``step,t`` strings are built once per run.
+    v is computed per chunk by :func:`original` on a (paths, rows, N) block
+    with more than one row unless the record has one: a one-row product
+    rounds differently (BLAS gemv against gemm), and this keeps every value
+    equal to ``cloud.states``.
+    """
+    u = cloud.transformed
+    n_paths, n_recorded, n = u.shape
+    step_t = [f"{step},{_fmt(t)}" for step, t in zip(cloud.steps.tolist(), cloud.times.tolist())]
+    paths_per_chunk = max(1, EXPORT_ROWS // n_recorded)
+    n_pieces = -(-n_recorded // EXPORT_ROWS)
+    pieces = np.linspace(0, n_recorded, n_pieces + 1).astype(int).tolist()
+    for first in range(0, n_paths, paths_per_chunk):
+        for begin, end in zip(pieces[:-1], pieces[1:]):
+            block = u[first:first + paths_per_chunk, begin:end]
+            values = np.concatenate((original(cloud.domain, block), block), axis=-1)
+            columns = [_fmt_column(column) for column in values.reshape(-1, 2 * n).T]
+            prefix = [f"{path_id},{text}" for path_id in range(first, first + block.shape[0])
+                      for text in step_t[begin:end]]
+            fh.write("\n".join(map(",".join, zip(prefix, *columns, columns[-1]))) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -180,16 +220,11 @@ def _run_simulation(args, argv: list[str], command: str) -> int:
     header += [f"v_{i + 1}" for i in range(n)]
     header += [f"u_{i + 1}" for i in range(n)]
     header += ["agg"]
-    row_format = "%d,%d," + ",".join(["%.17g"] * (2 * n + 2)) + "\n"
-    states, coords, aggregates = cloud.states, cloud.transformed, cloud.aggregates
-    grid_steps, times = cloud.steps, cloud.times
+    exported = time.perf_counter()
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for path_id in range(coords.shape[0]):
-            block = np.column_stack((np.full(grid_steps.size, path_id), grid_steps, times,
-                                     states[path_id], coords[path_id], aggregates[path_id]))
-            for row in block:  # a row at a time: one string per path costs ~9 MB more peak RSS
-                fh.write(row_format % tuple(row))
+        _write_cloud(fh, cloud)
+    timings = {**cloud.timings, "export_s": time.perf_counter() - exported}
 
     audit = cloud.audit()
     audit_path = Path(str(out) + ".audit.json")
@@ -197,7 +232,7 @@ def _run_simulation(args, argv: list[str], command: str) -> int:
     _write_manifest(out, command, argv,
                     {"T": horizon, "M": steps, "paths": paths,
                      "record": args.record, "params": params.to_dict()},
-                    args.seed, [str(out), str(audit_path)], started, timings=cloud.timings)
+                    args.seed, [str(out), str(audit_path)], started, timings=timings)
     print(json.dumps(audit))
     if cloud.n_violations > 0 and not args.allow_nonadmissible:
         print(f"cone audit failed: {cloud.n_violations} grid states below "
@@ -468,7 +503,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except RuntimeError as exc:

@@ -79,6 +79,19 @@ def transformed(domain: ConeDomain, y) -> Array:
     return domain.matrix.Q @ (y_arr - domain.shift)
 
 
+def original(domain: ConeDomain, u) -> Array:
+    """Points v = Q^-1 u + shift, the inverse of :func:`transformed`, on the last axis of u.
+
+    u is one point or a stack of them, multiplied one matrix (last two axes)
+    at a time.  A one-row matrix goes through BLAS gemv and a taller one
+    through gemm, which round differently, so callers that must agree bit for
+    bit pass matrices that are both one row or both taller.
+    """
+    v = np.asarray(u, dtype=float) @ domain.matrix.Qinv.T
+    v += domain.shift
+    return v
+
+
 def contains(domain: ConeDomain, y) -> bool:
     """True when no transformed coordinate of y is below -MEMBERSHIP_TOL."""
     return bool(np.min(transformed(domain, y)) >= -MEMBERSHIP_TOL)

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .admissible import AdmissibleMatrix, build_canonical
-from .cone import MEMBERSHIP_TOL, ConeDomain, contains, transformed
+from .cone import MEMBERSHIP_TOL, ConeDomain, contains, original, transformed
 from .model import DriftSystem, ModelParams, TransformedDynamics
 
 Array = NDArray[np.float64]
@@ -284,10 +284,8 @@ class SampleCloud:
 
     @property
     def states(self) -> Array:
-        """Factor states v = Q^-1 u + shift, computed on every access."""
-        states = self.transformed @ self.domain.matrix.Qinv.T
-        states += self.domain.shift
-        return states
+        """Factor states v = Q^-1 u + shift (:func:`cone.original`), computed on every access."""
+        return original(self.domain, self.transformed)
 
     @property
     def min_transformed(self) -> float:

@@ -9,7 +9,8 @@ import pytest
 import scipy
 
 from volterra_cone import PathConfig, build_canonical, load_params, simulate
-from volterra_cone.cli import main
+from volterra_cone.cli import EXPORT_ROWS, _fmt, _fmt_column, main
+from volterra_cone.presets import preset
 
 
 def write_params(tmp_path, name="params.json", **overrides):
@@ -92,6 +93,9 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
       "--box", "0,4;0,4;0,4", "--n", "4"], {}, "transformed drift"),
     (["simulate", "--preset", "fig2", "--params", "missing.json", "--M", "10", "--paths", "2"],
      {}, "not both"),
+    # 500 x (1e11 + 1) x 2 doubles is 727 TiB, past RAM and a 47-bit address space: it fails
+    # at once even where the kernel overcommits, and nothing is touched before it
+    (["cloud", "--preset", "fig2", "--M", "100000000000", "--paths", "500"], {}, "allocate"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
@@ -100,7 +104,7 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
         "build-q-w-object", "build-q-q3-a-overflows", "build-q-q3-b-overflows",
         "build-q-q2-q-overflows", "build-q-q2-q-underflows", "simulate-q2-q-underflows",
         "mean-check-t-zero", "simulate-q3-drift-overflows", "pde-q3-drift-overflows",
-        "simulate-preset-and-params"])
+        "simulate-preset-and-params", "cloud-unallocatable"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     # a case naming a preset takes its parameters from it: adding --params would be an error
     params = [] if "--preset" in argv else ["--params", str(write_params(tmp_path, **overrides))]
@@ -279,8 +283,10 @@ SIM_TIMINGS = {"uniforms_s", "steps_s"}
 
 
 @pytest.mark.parametrize("argv, timed", [
-    (["simulate", "--preset", "fig2", "--T", "0.5", "--M", "40", "--paths", "6"], SIM_TIMINGS),
-    (["cloud", "--preset", "fig3a", "--T", "0.5", "--M", "40", "--paths", "3"], SIM_TIMINGS),
+    (["simulate", "--preset", "fig2", "--T", "0.5", "--M", "40", "--paths", "6"],
+     SIM_TIMINGS | {"export_s"}),
+    (["cloud", "--preset", "fig3a", "--T", "0.5", "--M", "40", "--paths", "3"],
+     SIM_TIMINGS | {"export_s"}),
     (["mean-check", "--preset", "fig2", "--t", "0.5", "--M", "40", "--paths", "6"], SIM_TIMINGS),
     (["pde", "--preset", "table1", "--n", "8"], {"assemble_s", "factor_s", "steps_s"}),
 ], ids=["simulate", "cloud", "mean-check", "pde"])
@@ -364,3 +370,66 @@ def test_csv_floats_round_trip(tmp_path):
     np.testing.assert_array_equal(values[..., 1:4], cloud.states)
     np.testing.assert_array_equal(values[..., 4:7], cloud.transformed)
     np.testing.assert_array_equal(values[..., 7], cloud.aggregates)
+
+
+def _row_formatted_csv(cloud) -> bytes:
+    """The cloud's CSV as the per-row writer formatted it, one ``%`` call per row."""
+    n = cloud.transformed.shape[-1]
+    header = ["path_id", "step", "t", *(f"v_{i + 1}" for i in range(n)),
+              *(f"u_{i + 1}" for i in range(n)), "agg"]
+    row_format = "%d,%d," + ",".join(["%.17g"] * (2 * n + 2)) + "\n"
+    lines = [",".join(header) + "\n"]
+    states = cloud.states
+    for path_id in range(cloud.transformed.shape[0]):
+        block = np.column_stack((np.full(cloud.steps.size, path_id), cloud.steps, cloud.times,
+                                 states[path_id], cloud.transformed[path_id],
+                                 cloud.aggregates[path_id]))
+        lines += [row_format % tuple(row) for row in block]
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("factors, record, steps, paths", [
+    ({}, "full", 30, 4),
+    (THREE_FACTORS, "full", 30, 4),
+    ({}, "terminal", 30, 5),
+    (THREE_FACTORS, "terminal", 30, 5),
+    (THREE_FACTORS, "full", 50, 1),
+    # whole paths per chunk, and a last chunk of fewer paths
+    ({}, "full", 40, EXPORT_ROWS // 41 + 5),
+    # a path one row longer than a chunk is split; a one-row piece would round v differently
+    (THREE_FACTORS, "full", EXPORT_ROWS, 8),
+    ({}, "terminal", 3, EXPORT_ROWS + 7),
+], ids=["n2-full", "n3-full", "n2-terminal", "n3-terminal", "one-path", "chunks-of-paths",
+        "split-path", "terminal-chunks"])
+def test_csv_export_matches_the_row_formatter(tmp_path, factors, record, steps, paths):
+    params_path = write_params(tmp_path, **factors)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--params", str(params_path), "--T", "0.5", "--M", str(steps),
+                 "--paths", str(paths), "--seed", "4", "--record", record,
+                 "--out", str(out)]) == 0
+    params = load_params(params_path)
+    cloud = simulate(params, build_canonical(params.w, params.x),
+                     PathConfig(T=0.5, M=steps, n_paths=paths, seed=4,
+                                record_full=record == "full"))
+    assert out.read_bytes() == _row_formatted_csv(cloud)
+
+
+SPECIAL_VALUES = {-0.0: "-0", 5e-324: "4.9406564584124654e-324", 1e308: "1e+308",
+                  1e-5: "1.0000000000000001e-05", 0.1: "0.10000000000000001", 2.0: "2",
+                  math.nan: "nan", math.inf: "inf", -math.inf: "-inf"}
+
+
+def test_column_formatter_gives_fmt_of_each_value():
+    values = list(SPECIAL_VALUES)
+    assert [_fmt(value) for value in values] == list(SPECIAL_VALUES.values())
+    assert _fmt_column(np.array(values)) == list(SPECIAL_VALUES.values())
+    assert _fmt_column(np.array([])) == []
+
+    # the fig3c escape, as `cloud --allow-nonadmissible` simulates it
+    params, matrix = preset("fig3c")
+    cloud = simulate(params, matrix, PathConfig(T=10.0, M=1000, n_paths=20, seed=1,
+                                                record_full=True),
+                     require_initial_in_cone=False)
+    assert cloud.n_violations > 0
+    for column in np.concatenate((cloud.states, cloud.transformed), axis=-1).reshape(-1, 6).T:
+        assert _fmt_column(column) == [_fmt(value) for value in column.tolist()]
