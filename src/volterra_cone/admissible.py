@@ -224,7 +224,7 @@ def q3_bounds(w, x) -> tuple[float, float, float, float]:
     """Feasibility intervals (a_lo, a_hi, b_lo, b_hi) of the N = 3 family.
 
     Requires strictly increasing nodes since the bounds divide by the node
-    gaps.  The defaults a = 1 and b = w2/w1 always lie inside the intervals.
+    gaps.  The defaults of :func:`q3_defaults` always lie inside the intervals.
     """
     w_arr = _check_weights(w)
     if w_arr.size != 3:
@@ -243,6 +243,14 @@ def q3_bounds(w, x) -> tuple[float, float, float, float]:
     b_lo = max(0.0, -ratio)
     b_hi = (c + disc) / (2.0 * w1 * y2)
     return (a_lo, a_hi, b_lo, b_hi)
+
+
+def q3_defaults(w) -> tuple[float, float]:
+    """Default family parameters (a, b) = (1, w2/w1) of :func:`build_q3`."""
+    w_arr = _check_weights(w)
+    if w_arr.size != 3:
+        raise ValueError(f"the q3 family requires exactly 3 weights, got {w_arr.size}")
+    return 1.0, float(w_arr[1] / w_arr[0])
 
 
 @np.errstate(all="ignore")

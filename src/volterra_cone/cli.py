@@ -22,11 +22,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .admissible import build_canonical, build_q2, build_q3, check_admissible, q3_bounds
+from .admissible import (AdmissibleMatrix, build_canonical, build_q2, build_q3, check_admissible,
+                         q3_bounds, q3_defaults)
 from .cone import MEMBERSHIP_TOL, ConeDomain, contains, original, transformed
 from .model import ModelParams, load_params
 from .pde import PdeProblem, convergence_study, observed_orders, residual_check, solve
-from .presets import DEFAULT_GRIDS, FIG3_FAMILY, PDE_BOXES, preset
+from .presets import DEFAULT_GRIDS, PDE_BOXES, preset
 from .scheme import PathConfig, mean_oracle, simulate
 
 EXIT_OK = 0
@@ -53,8 +54,8 @@ def _fmt_column(values) -> list[str]:
     return ((FLOAT_FORMAT + ",") * len(values) % tuple(values.tolist())).split(",")[:-1]
 
 
-def _write_cloud(fh, cloud) -> None:
-    """Write the rows of a sample cloud, path-major, at most EXPORT_ROWS at a time.
+def _cloud_csv(cloud):
+    """The sample cloud as CSV text: the header, then path-major rows, at most EXPORT_ROWS at once.
 
     A chunk is a block of whole paths when a path has at most EXPORT_ROWS
     rows, and otherwise a near-equal piece of one path.  Each of the 2N
@@ -67,6 +68,8 @@ def _write_cloud(fh, cloud) -> None:
     """
     u = cloud.transformed
     n_paths, n_recorded, n = u.shape
+    yield ",".join(["path_id", "step", "t", *(f"v_{i + 1}" for i in range(n)),
+                    *(f"u_{i + 1}" for i in range(n)), "agg"]) + "\n"
     step_t = [f"{step},{_fmt(t)}" for step, t in zip(cloud.steps.tolist(), cloud.times.tolist())]
     paths_per_chunk = max(1, EXPORT_ROWS // n_recorded)
     n_pieces = -(-n_recorded // EXPORT_ROWS)
@@ -78,131 +81,113 @@ def _write_cloud(fh, cloud) -> None:
             columns = [_fmt_column(column) for column in values.reshape(-1, 2 * n).T]
             prefix = [f"{path_id},{text}" for path_id in range(first, first + block.shape[0])
                       for text in step_t[begin:end]]
-            fh.write("\n".join(map(",".join, zip(prefix, *columns, columns[-1]))) + "\n")
+            yield "\n".join(map(",".join, zip(prefix, *columns, columns[-1]))) + "\n"
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_output(path: Path, chunks) -> str:
+    """Write the strings ``chunks`` to ``path`` as UTF-8; the SHA-256 hex digest of those bytes.
+
+    The parent directory is created first.  Every output of the CLI is
+    written here, so a manifest's digests are of the bytes as written.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _sha256(path: str) -> str:
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):  # 1 MB reads cost 2 MB peak RSS
-            digest.update(block)
+    with open(path, "wb") as fh:
+        for data in map(str.encode, chunks):
+            digest.update(data)
+            fh.write(data)
+            del data  # so the next chunk is built while only one is held
     return digest.hexdigest()
 
 
-def _write_manifest(out: Path, command: str, argv: list[str], config: dict,
-                    seed, outputs: list[str], started: float, **telemetry) -> Path:
-    """Write ``<out>.manifest.json``: the run, the library versions and a SHA-256 per output.
+def _write_json(path: Path, payload: dict) -> str:
+    return _write_output(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
-    ``telemetry`` (timings, blow-up fields) enters the manifest as given.
+
+def _write_manifest(out: Path, args, argv: list[str], config: dict, digests: dict[str, str],
+                    started: float, **telemetry) -> None:
+    """Write ``<out>.manifest.json``: the run, the library versions and the SHA-256 of each output.
+
+    ``digests`` maps each output path to the digest :func:`_write_output`
+    returned, and ``telemetry`` (timings, blow-up fields) enters the
+    manifest as given.
     """
-    manifest_path = Path(str(out) + ".manifest.json")
-    payload = {
-        "command": command,
+    _write_json(Path(str(out) + ".manifest.json"), {
+        "command": args.command,
         "argv": argv,
         "config": config,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "artifact_version": __version__,
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        "outputs": outputs,
-        "sha256": {path: _sha256(path) for path in outputs},
+        "outputs": list(digests),
+        "sha256": digests,
         "wall_clock_s": time.perf_counter() - started,
         **telemetry,
-    }
-    _write_json(manifest_path, payload)
-    return manifest_path
+    })
 
 
-def _resolve_params(args) -> ModelParams:
-    name, path = getattr(args, "preset", None), getattr(args, "params", None)
-    if name and path:
+def _resolve(args) -> tuple[ModelParams, AdmissibleMatrix]:
+    """The model of ``--params`` or ``--preset`` and the transform matrix of ``--family``.
+
+    Without ``--family`` (or with ``preset``) the matrix is the preset's own,
+    and the canonical one for a parameter file.
+    """
+    if args.preset and args.params:
         raise ValueError("give either --params or --preset, not both")
-    if name:
-        return preset(name)[0]
-    if path:
-        return load_params(path)
-    raise ValueError("either --params FILE or --preset NAME is required")
-
-
-def _resolve_matrix(args, params: ModelParams):
-    name = getattr(args, "preset", None)
+    if not (args.preset or args.params):
+        raise ValueError("either --params FILE or --preset NAME is required")
+    params, matrix = preset(args.preset) if args.preset else (load_params(args.params), None)
     family = getattr(args, "family", None)
-    if family is None or family == "preset":
-        if name in FIG3_FAMILY:
-            return preset(name)[1]
-        return build_canonical(params.w, params.x)
-    if family == "canonical":
-        return build_canonical(params.w, params.x)
     if family == "q2":
-        return build_q2(params.w, params.x, args.q)
+        return params, build_q2(params.w, params.x, args.q)
     if family == "q3":
-        if params.n_factors != 3:
-            raise ValueError(f"family q3 needs 3 factors, got {params.n_factors}")
-        b_default = params.w[1] / params.w[0]
-        a = args.a if args.a is not None else 1.0
-        b = args.b if args.b is not None else b_default
-        return build_q3(params.w, params.x, a, b)
-    raise ValueError(f"unknown family {family!r}")
+        a, b = q3_defaults(params.w)
+        return params, build_q3(params.w, params.x, a if args.a is None else args.a,
+                                b if args.b is None else args.b)
+    if family == "canonical" or matrix is None:
+        return params, build_canonical(params.w, params.x)
+    return params, matrix
 
 
 def cmd_build_q(args, argv: list[str]) -> int:
     started = time.perf_counter()
-    params = _resolve_params(args)
-    matrix = _resolve_matrix(args, params)
+    params, matrix = _resolve(args)
     report = check_admissible(matrix.Q, matrix.w, matrix.x, Qinv=matrix.Qinv)
     out = Path(args.out)
-    _write_json(
-        out,
-        {
-            "Q": matrix.Q.tolist(),
-            "Qinv": matrix.Qinv.tolist(),
-            "G": matrix.G.tolist(),
-            "report": report.to_dict(),
-        },
-    )
-    _write_manifest(out, "build-q", argv, {"family": args.family, "q": args.q,
-                    "a": args.a, "b": args.b, "params": params.to_dict()},
-                    None, [str(out)], started)
+    digest = _write_json(out, {"Q": matrix.Q.tolist(), "Qinv": matrix.Qinv.tolist(),
+                               "G": matrix.G.tolist(), "report": report.to_dict()})
+    _write_manifest(out, args, argv, {"family": args.family, "q": args.q, "a": args.a,
+                                      "b": args.b, "params": params.to_dict()},
+                    {str(out): digest}, started)
     print(f"admissible={report.admissible} -> {out}")
     return EXIT_OK if report.admissible else EXIT_NONADMISSIBLE
 
 
 def cmd_q3_bounds(args, argv: list[str]) -> int:
     started = time.perf_counter()
-    params = _resolve_params(args)
+    params, _ = _resolve(args)
     a_lo, a_hi, b_lo, b_hi = q3_bounds(params.w, params.x)
-    b_default = float(params.w[1] / params.w[0])
+    a, b = q3_defaults(params.w)
     payload = {
         "a": [a_lo, a_hi],
         "b": [b_lo, b_hi],
-        "defaults": {
-            "a": 1.0,
-            "b": b_default,
-            "a_feasible": bool(a_lo <= 1.0 <= a_hi),
-            "b_feasible": bool(b_lo <= b_default <= b_hi),
-        },
+        "defaults": {"a": a, "b": b, "a_feasible": bool(a_lo <= a <= a_hi),
+                     "b_feasible": bool(b_lo <= b <= b_hi)},
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         out = Path(args.out)
-        _write_json(out, payload)
-        _write_manifest(out, "q3-bounds", argv, {"params": params.to_dict()},
-                        None, [str(out)], started)
+        _write_manifest(out, args, argv, {"params": params.to_dict()},
+                        {str(out): _write_json(out, payload)}, started)
     return EXIT_OK
 
 
-def _run_simulation(args, argv: list[str], command: str) -> int:
+def cmd_simulation(args, argv: list[str]) -> int:
+    """``simulate`` and ``cloud``, which differ only in the default of ``--record``."""
     started = time.perf_counter()
-    params = _resolve_params(args)
-    matrix = _resolve_matrix(args, params)
-    grid = DEFAULT_GRIDS.get(getattr(args, "preset", None) or "", (1.0, 1000, 1000))
+    params, matrix = _resolve(args)
+    grid = DEFAULT_GRIDS.get(args.preset or "", (1.0, 1000, 1000))
     horizon = args.T if args.T is not None else grid[0]
     steps = args.M if args.M is not None else grid[1]
     paths = args.paths if args.paths is not None else grid[2]
@@ -214,25 +199,16 @@ def _run_simulation(args, argv: list[str], command: str) -> int:
                      require_initial_in_cone=not args.allow_nonadmissible)
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    n = params.n_factors
-    header = ["path_id", "step", "t"]
-    header += [f"v_{i + 1}" for i in range(n)]
-    header += [f"u_{i + 1}" for i in range(n)]
-    header += ["agg"]
     exported = time.perf_counter()
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        _write_cloud(fh, cloud)
+    digests = {str(out): _write_output(out, _cloud_csv(cloud))}
     timings = {**cloud.timings, "export_s": time.perf_counter() - exported}
-
     audit = cloud.audit()
     audit_path = Path(str(out) + ".audit.json")
-    _write_json(audit_path, audit)
-    _write_manifest(out, command, argv,
+    digests[str(audit_path)] = _write_json(audit_path, audit)
+    _write_manifest(out, args, argv,
                     {"T": horizon, "M": steps, "paths": paths,
                      "record": args.record, "params": params.to_dict()},
-                    args.seed, [str(out), str(audit_path)], started, timings=timings)
+                    digests, started, timings=timings)
     print(json.dumps(audit))
     if cloud.n_violations > 0 and not args.allow_nonadmissible:
         print(f"cone audit failed: {cloud.n_violations} grid states below "
@@ -241,18 +217,9 @@ def _run_simulation(args, argv: list[str], command: str) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args, argv: list[str]) -> int:
-    return _run_simulation(args, argv, "simulate")
-
-
-def cmd_cloud(args, argv: list[str]) -> int:
-    return _run_simulation(args, argv, "cloud")
-
-
 def cmd_mean_check(args, argv: list[str]) -> int:
     started = time.perf_counter()
-    params = _resolve_params(args)
-    matrix = _resolve_matrix(args, params)
+    params, matrix = _resolve(args)
     if args.paths < 2:
         raise ValueError(f"mean-check needs at least 2 paths for a standard error, got {args.paths}")
     config = PathConfig(T=args.t, M=args.M, n_paths=args.paths, seed=args.seed)
@@ -275,17 +242,15 @@ def cmd_mean_check(args, argv: list[str]) -> int:
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         out = Path(args.out)
-        _write_json(out, payload)
-        _write_manifest(out, "mean-check", argv,
+        _write_manifest(out, args, argv,
                         {"t": args.t, "M": args.M, "paths": args.paths,
                          "params": params.to_dict()},
-                        args.seed, [str(out)], started, timings=cloud.timings)
+                        {str(out): _write_json(out, payload)}, started, timings=cloud.timings)
     return EXIT_OK if passed else EXIT_STATISTICAL
 
 
 def cmd_check_domain(args, argv: list[str]) -> int:
-    params = _resolve_params(args)
-    matrix = _resolve_matrix(args, params)
+    params, matrix = _resolve(args)
     point = np.array([float(v) for v in args.point.split(",")])
     domain = ConeDomain.for_initial_state(matrix, params.v0)
     coords = transformed(domain, point)
@@ -309,17 +274,12 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def _pde_problem(args, n: int) -> PdeProblem:
-    params = _resolve_params(args)
-    matrix = _resolve_matrix(args, params)
+    params, matrix = _resolve(args)
     alpha = [float(v) for v in args.alpha.split(",")]
     return PdeProblem(
         params=params, matrix=matrix, alpha=alpha, beta=args.beta, T=args.T,
         box=_parse_box(args.box), n=n, time_scheme=args.scheme,
     )
-
-
-def _stable_box(box) -> bool:
-    return box[-1][0] >= 0.0
 
 
 def _pde_rows(reports) -> list[str]:
@@ -344,28 +304,38 @@ def _blowup_text(reports) -> str:
                      f"{_fmt(rep.blowup_max_abs)}" for rep in reports if rep.blow_up)
 
 
+def _pde_table(args, argv: list[str], problem: PdeProblem, reports, config: dict,
+               started: float, summary: str | None = None, **telemetry) -> int:
+    """Write the PDE table and its manifest, and print ``summary`` (the table when it is None).
+
+    Exit 6 when a report blew up on a stable box, one whose last interval
+    keeps u_N >= 0.  ``config`` holds the keys of the command's own options,
+    and ``telemetry`` enters the manifest as given.
+    """
+    out = Path(args.out)
+    rows = _pde_rows(reports)
+    digest = _write_output(out, ["\n".join(rows) + "\n"])
+    _write_manifest(out, args, argv,
+                    {"box": list(problem.box), "alpha": args.alpha, "beta": args.beta,
+                     "T": args.T, "scheme": args.scheme, "params": problem.params.to_dict(),
+                     **config},
+                    {str(out): digest}, started, **telemetry)
+    print("\n".join(rows) if summary is None else summary)
+    if problem.box[-1][0] >= 0.0 and any(rep.blow_up for rep in reports):
+        print(f"blow-up on a stable box: {_blowup_text(reports)}", file=sys.stderr)
+        return EXIT_BLOWUP
+    return EXIT_OK
+
+
 def cmd_pde(args, argv: list[str]) -> int:
     started = time.perf_counter()
     problem = _pde_problem(args, args.n)
     residual = residual_check(problem)
     report = solve(problem)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(_pde_rows([report])) + "\n")
-    _write_manifest(out, "pde", argv,
-                    {"box": list(problem.box), "n": args.n, "alpha": args.alpha,
-                     "beta": args.beta, "T": args.T, "scheme": args.scheme,
-                     "residual_check": residual,
-                     "params": problem.params.to_dict()},
-                    None, [str(out)], started, timings=report.timings,
-                    blowup_step=report.blowup_step,
-                    blowup_max_abs=_json_float(report.blowup_max_abs))
-    print(f"n={report.n} l2_error={_fmt(report.l2_error)} blow_up={report.blow_up}")
-    if report.blow_up and _stable_box(problem.box):
-        print(f"blow-up on a stable box: {_blowup_text([report])}", file=sys.stderr)
-        return EXIT_BLOWUP
-    return EXIT_OK
+    summary = f"n={report.n} l2_error={_fmt(report.l2_error)} blow_up={report.blow_up}"
+    return _pde_table(args, argv, problem, [report], {"n": args.n, "residual_check": residual},
+                      started, summary, timings=report.timings, blowup_step=report.blowup_step,
+                      blowup_max_abs=_json_float(report.blowup_max_abs))
 
 
 def cmd_pde_convergence(args, argv: list[str]) -> int:
@@ -373,26 +343,10 @@ def cmd_pde_convergence(args, argv: list[str]) -> int:
     n_list = [int(v) for v in args.n_list.split(",")]
     problem = _pde_problem(args, n_list[0])
     reports = convergence_study(problem, n_list)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    rows = _pde_rows(reports)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
-    _write_manifest(out, "pde-convergence", argv,
-                    {"box": list(problem.box), "n_list": n_list,
-                     "alpha": args.alpha, "beta": args.beta, "T": args.T,
-                     "scheme": args.scheme,
-                     "params": problem.params.to_dict()},
-                    None, [str(out)], started,
-                    timings={rep.n: rep.timings for rep in reports},
-                    blowup_step={rep.n: rep.blowup_step for rep in reports},
-                    blowup_max_abs={rep.n: _json_float(rep.blowup_max_abs) for rep in reports})
-    print("\n".join(rows))
-    stable = _stable_box(problem.box)
-    if stable and any(rep.blow_up for rep in reports):
-        print(f"blow-up on a stable box: {_blowup_text(reports)}", file=sys.stderr)
-        return EXIT_BLOWUP
-    return EXIT_OK
+    return _pde_table(args, argv, problem, reports, {"n_list": n_list}, started,
+                      timings={rep.n: rep.timings for rep in reports},
+                      blowup_step={rep.n: rep.blowup_step for rep in reports},
+                      blowup_max_abs={rep.n: _json_float(rep.blowup_max_abs) for rep in reports})
 
 
 def cmd_rerun(args, _argv: list[str]) -> int:
@@ -454,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         # accepted and ignored: old command lines and manifests carry it
         sub.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         sub.add_argument("--out", required=True)
-        sub.set_defaults(func=cmd_simulate if name == "simulate" else cmd_cloud)
+        sub.set_defaults(func=cmd_simulation)
 
     sub = subs.add_parser("mean-check", help="Monte Carlo mean against the exact expectation")
     _add_params_options(sub)

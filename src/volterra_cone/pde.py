@@ -70,6 +70,17 @@ class PdeProblem:
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "n", int(self.n))
+        # bounds on |manufactured_solution| and |source_term| over the box and [0, T]
+        dynamics = TransformedDynamics.from_params(self.params, self.matrix)
+        reach = np.array([max(-lo, hi) for lo, hi in box])
+        with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning
+            solution = 1.0 + np.abs(alpha) @ reach**2 + abs(self.beta) * self.T
+            drift = np.abs(dynamics.system.A) @ reach + np.abs(dynamics.system.b)
+            source = (abs(self.beta) + 2.0 * (np.abs(alpha) * reach) @ drift
+                      + abs(alpha[-1]) * dynamics.variance_rate * reach[-1])
+        if not (math.isfinite(solution) and math.isfinite(source)):
+            raise ValueError("the manufactured solution or its source term overflows on this "
+                             "box; reduce alpha, beta, T or the box")
 
 
 @dataclass(frozen=True)
@@ -273,13 +284,8 @@ def observed_orders(reports: list[SolveReport]) -> list[float]:
     """log2 error ratios between consecutive resolutions; nan where undefined."""
     orders = [math.nan]
     for prev, cur in zip(reports, reports[1:]):
-        if (
-            prev.blow_up
-            or cur.blow_up
-            or not math.isfinite(prev.l2_error)
-            or not math.isfinite(cur.l2_error)
-            or cur.l2_error == 0.0
-        ):
+        if prev.blow_up or cur.blow_up or not all(0.0 < rep.l2_error < math.inf
+                                                  for rep in (prev, cur)):
             orders.append(math.nan)
         else:
             ratio = prev.l2_error / cur.l2_error

@@ -7,7 +7,7 @@ does as well, which keeps every square-root argument non-negative along the
 whole simulation.  One in-place batched step kernel serves the simulator
 in u = Q (v - shift) (:class:`TransformedDynamics`), where the state is
 stored as (N, paths) and the jump moves only the u_N row, and the scalar
-steps as a batch of one.
+step as a batch of one.
 """
 
 from __future__ import annotations
@@ -192,36 +192,24 @@ def _strang_step(state: Array, prop: Array, shift: Array, z_budget: float, u: Ar
     return low, clamps, bad
 
 
-def stochastic_step(params: ModelParams, y, h: float, u: float) -> Array:
-    """One jump of the noise part: shift all factors by the aggregate increment.
-
-    The aggregate is redrawn from the three-point law and the common shift
-    (draw - aggregate) / wbar is added to every component, so the new
-    aggregate equals the draw and stays non-negative.  This is a Strang step
-    with zero drift.
-    """
-    n = params.n_factors
-    return strang_step(params, DriftSystem(A=np.zeros((n, n)), b=np.zeros(n)), y, h, u)
-
-
-def strang_step(params: ModelParams, system: DriftSystem, v, h: float, u: float) -> Array:
+def strang_step(params: ModelParams, v, h: float, u: float) -> Array:
     """Half drift step, aggregate jump over the full step, half drift step.
 
     The batched step on one state, in the coordinates y = Q v of
     :func:`build_canonical` (last row w and Q 1 = wbar e_N, so y_N is the
-    aggregate and the jump is along e_N), mapped back by the closed-form inverse:
+    aggregate and the jump is along e_N) with the drift and variance rate of
+    :class:`TransformedDynamics`, mapped back by the closed-form inverse:
     a step that leaves y unchanged returns v bit for bit.  ValueError when the
     aggregate before the jump is below -MEMBERSHIP_TOL or NaN.
     """
     v = np.asarray(v, dtype=float)
     canonical = build_canonical(params.w, params.x)
-    lifted = DriftSystem(A=canonical.Q @ system.A @ canonical.Qinv, b=canonical.Q @ system.b)
-    prop, shift = lifted.propagators(0.5 * h)
+    dynamics = TransformedDynamics.from_params(params, canonical)
+    prop, shift = dynamics.system.propagators(0.5 * h)
     y = canonical.Q @ v
     state = y[:, None].copy()
-    z_budget = params.nu**2 * params.wbar**2 * float(h)
-    low, _, _ = _strang_step(state, prop, shift[:, None], z_budget, np.array([float(u)]),
-                             _workspace(y.size, 1))
+    low, _, _ = _strang_step(state, prop, shift[:, None], dynamics.variance_rate * float(h),
+                             np.array([float(u)]), _workspace(y.size, 1))
     if not low >= -MEMBERSHIP_TOL:  # NaN is outside the cone too
         raise ValueError(f"aggregate {low} is negative beyond tolerance, state left the cone")
     return v + canonical.Qinv @ (state[:, 0] - y)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
-from volterra_cone import PathConfig, build_canonical, load_params, simulate
+from volterra_cone import PathConfig, build_canonical, build_q3, load_params, q3_defaults, simulate
 from volterra_cone.cli import EXPORT_ROWS, _fmt, _fmt_column, main
 from volterra_cone.presets import preset
 
@@ -36,6 +36,7 @@ def test_build_q_canonical(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["report"]["admissible"] is True
     assert payload["Q"] == [[1.0, -1.0], [1.0, 2.0]]
+    np.testing.assert_array_equal(payload["Qinv"], build_canonical([1.0, 2.0], [1.0, 10.0]).Qinv)
     assert (tmp_path / "q.json.manifest.json").exists()
 
 
@@ -96,6 +97,8 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
     # 500 x (1e11 + 1) x 2 doubles is 727 TiB, past RAM and a 47-bit address space: it fails
     # at once even where the kernel overcommits, and nothing is touched before it
     (["cloud", "--preset", "fig2", "--M", "100000000000", "--paths", "500"], {}, "allocate"),
+    (["pde", "--preset", "table1", "--alpha", "1e308,1e308", "--n", "8"], {}, "overflows"),
+    (["pde", "--preset", "table1", "--beta", "1e308", "--n", "8"], {}, "overflows"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
@@ -104,7 +107,8 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
         "build-q-w-object", "build-q-q3-a-overflows", "build-q-q3-b-overflows",
         "build-q-q2-q-overflows", "build-q-q2-q-underflows", "simulate-q2-q-underflows",
         "mean-check-t-zero", "simulate-q3-drift-overflows", "pde-q3-drift-overflows",
-        "simulate-preset-and-params", "cloud-unallocatable"])
+        "simulate-preset-and-params", "cloud-unallocatable", "pde-alpha-overflows",
+        "pde-beta-overflows"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     # a case naming a preset takes its parameters from it: adding --params would be an error
     params = [] if "--preset" in argv else ["--params", str(write_params(tmp_path, **overrides))]
@@ -120,6 +124,32 @@ def test_params_file_must_hold_an_object(tmp_path, capsys):
     assert main(["build-q", "--params", str(params), "--out", str(tmp_path / "q.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "object" in err
+
+
+@pytest.mark.parametrize("name", ["table1", "fig1", "fig2", "fig3a", "fig3b", "fig3c"])
+def test_build_q_writes_the_preset_matrix(tmp_path, name):
+    matrix = preset(name)[1]
+    for family in ([], ["--family", "preset"]):
+        out = tmp_path / "q.json"
+        expected = 0 if matrix.report().admissible else 3  # fig3c's matrix is not admissible
+        assert main(["build-q", "--preset", name, *family, "--out", str(out)]) == expected
+        payload = json.loads(out.read_text())
+        np.testing.assert_array_equal(payload["Q"], matrix.Q)
+        np.testing.assert_array_equal(payload["Qinv"], matrix.Qinv)
+
+
+def test_q3_family_defaults_are_those_q3_bounds_reports(tmp_path, capsys):
+    params, _ = preset("fig3b")  # its own matrix has (a, b) = (1.1, 1.5)
+    a, b = q3_defaults(params.w)
+    assert (a, b) == (1.0, 2.0)
+    out = tmp_path / "q.json"
+    assert main(["build-q", "--preset", "fig3b", "--family", "q3", "--out", str(out)]) == 0
+    np.testing.assert_array_equal(json.loads(out.read_text())["Q"],
+                                  build_q3(params.w, params.x, a, b).Q)
+    capsys.readouterr()
+    assert main(["q3-bounds", "--preset", "fig3b"]) == 0
+    defaults = json.loads(capsys.readouterr().out)["defaults"]
+    assert (defaults["a"], defaults["b"]) == (a, b)
 
 
 def test_q3_bounds_values(tmp_path, capsys):
@@ -289,8 +319,12 @@ SIM_TIMINGS = {"uniforms_s", "steps_s"}
      SIM_TIMINGS | {"export_s"}),
     (["mean-check", "--preset", "fig2", "--t", "0.5", "--M", "40", "--paths", "6"], SIM_TIMINGS),
     (["pde", "--preset", "table1", "--n", "8"], {"assemble_s", "factor_s", "steps_s"}),
-], ids=["simulate", "cloud", "mean-check", "pde"])
+    (["build-q", "--preset", "fig3b"], None),
+    (["q3-bounds", "--preset", "fig3a"], None),
+    (["pde-convergence", "--preset", "table1", "--n-list", "4,8"], None),
+], ids=["simulate", "cloud", "mean-check", "pde", "build-q", "q3-bounds", "pde-convergence"])
 def test_manifest_records_versions_digests_and_timings(tmp_path, argv, timed):
+    # timed: the stage timings the manifest records, None where it records none or a map per n
     out = tmp_path / "run.out"
     assert main([*argv, "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
@@ -301,8 +335,10 @@ def test_manifest_records_versions_digests_and_timings(tmp_path, argv, timed):
         assert manifest["sha256"][path] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
         if path.endswith(".json"):  # audit JSON and mean.json stay free of run telemetry
             assert not {"timings", "sha256", "versions"} & set(json.loads(Path(path).read_text()))
-    assert set(manifest["timings"]) == timed
-    assert all(value >= 0.0 for value in manifest["timings"].values())
+    assert manifest["command"] == argv[0]
+    if timed is not None:
+        assert set(manifest["timings"]) == timed
+        assert all(value >= 0.0 for value in manifest["timings"].values())
 
 
 def test_pde_manifests_record_timings_and_blow_up(tmp_path, capsys):

@@ -180,6 +180,9 @@ def test_convergence_study_single_entry():
     assert len(reports) == 1
     orders = observed_orders(reports)
     assert math.isnan(orders[0])
+    # no order between a zero error and a positive one
+    exact_then_inexact = [replace(reports[0], l2_error=0.0), replace(reports[0], n=8)]
+    assert all(math.isnan(order) for order in observed_orders(exact_then_inexact))
 
 
 def test_convergence_study_requires_increasing_resolutions():

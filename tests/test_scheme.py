@@ -20,7 +20,6 @@ from volterra_cone import (
     mean_oracle,
     ode_step,
     simulate,
-    stochastic_step,
     strang_step,
     three_point_law,
 )
@@ -183,44 +182,22 @@ def test_probability_audit_counts_violations():
     assert _audit_probabilities(np.array([1.5]), np.array([-0.5]), np.array([0.0])) == 2
 
 
-def test_stochastic_step_inverse_cdf_branches():
-    params = fig2_params()
-    y = canonical_anchor(params.w, params.x, 0.05)
-    h = 0.01
-    law = three_point_law(float(params.w @ y), params.nu**2 * params.wbar**2 * h)
-    stepped = stochastic_step(params, y, h, 0.5 * law.p1)
-    assert params.w @ stepped == pytest.approx(law.x1, rel=1e-12)
-    stepped = stochastic_step(params, y, h, law.p1 + 0.5 * law.p2)
-    assert params.w @ stepped == pytest.approx(law.x2, rel=1e-12)
-    stepped = stochastic_step(params, y, h, 1.0 - 1e-12)
-    assert params.w @ stepped == pytest.approx(law.x3, rel=1e-12)
-
-
 def test_strang_step_rejects_non_finite_state():
     params = fig2_params()
     with pytest.raises(ValueError, match="left the cone"):
-        strang_step(params, DriftSystem.from_params(params), [math.nan, 0.01], 0.01, 0.5)
+        strang_step(params, [math.nan, 0.01], 0.01, 0.5)
 
 
-def test_stochastic_step_zero_cases():
+def test_strang_step_rejects_negative_aggregate():
     params = fig2_params()
-    y = np.array([0.02, 0.005])
-    np.testing.assert_array_equal(stochastic_step(params, y, 0.0, 0.3), y)
-    boundary = np.array([0.02, -0.01])  # aggregate exactly zero
-    np.testing.assert_array_equal(stochastic_step(params, boundary, 0.01, 0.9), boundary)
-
-
-def test_stochastic_step_rejects_negative_aggregate():
-    params = fig2_params()
-    with pytest.raises(ValueError):
-        stochastic_step(params, np.array([-1.0, -1.0]), 0.01, 0.5)
+    with pytest.raises(ValueError, match="left the cone"):
+        strang_step(params, np.array([-1.0, -1.0]), 0.01, 0.5)
 
 
 def test_strang_zero_step_is_identity():
     params = fig2_params()
-    system = DriftSystem.from_params(params)
     v = params.v0.copy()
-    np.testing.assert_array_equal(strang_step(params, system, v, 0.0, 0.7), v)
+    np.testing.assert_array_equal(strang_step(params, v, 0.0, 0.7), v)
 
 
 def test_strang_deterministic_limit_matches_ode():
@@ -228,14 +205,13 @@ def test_strang_deterministic_limit_matches_ode():
     system = DriftSystem.from_params(params)
     v = np.array([0.05, 0.001])
     for h in (0.01, 0.1, 1.0):
-        split = strang_step(params, system, v, h, 0.42)
+        split = strang_step(params, v, h, 0.42)
         direct = ode_step(system, v, h)
         assert np.max(np.abs(split - direct)) <= 1e-12
 
 
 def test_strang_step_preserves_cone():
     params = fig2_params()
-    system = DriftSystem.from_params(params)
     matrix = build_canonical(params.w, params.x)
     rng = np.random.default_rng(13)
     coords = rng.uniform(0.0, 0.2, size=(10_000, 2))
@@ -243,7 +219,7 @@ def test_strang_step_preserves_cone():
     hs = rng.uniform(0.0, 0.1, size=10_000)
     us = rng.random(10_000)
     for v, h, u in zip(points, hs, us):
-        out = strang_step(params, system, v, float(h), float(u))
+        out = strang_step(params, v, float(h), float(u))
         assert np.min(matrix.Q @ out) >= -1e-9
 
 
@@ -439,11 +415,10 @@ def test_simulate_matches_iterated_scalar_strang_step():
     matrix = build_canonical(params.w, params.x)
     config = PathConfig(T=1.0, M=200, n_paths=1, seed=23, record_full=True)
     states = simulate(params, matrix, config).states[0]
-    system = DriftSystem.from_params(params)
     uniforms = np.random.default_rng([config.seed, 0]).random(config.M)
     state = params.v0.copy()
     for j, u in enumerate(uniforms):
-        state = strang_step(params, system, state, config.T / config.M, float(u))
+        state = strang_step(params, state, config.T / config.M, float(u))
         assert np.max(np.abs(states[j + 1] - state)) <= 1e-12
 
 
