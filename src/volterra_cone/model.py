@@ -14,11 +14,18 @@ from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm
 
 from .admissible import AdmissibleMatrix
 
 Array = NDArray[np.float64]
+
+#: the Taylor polynomial of the scaled exponential stops at the first degree m with
+#: theta^(m+1) / (m+1)! <= TAYLOR_TOL, where theta <= 1 bounds the 1-norm of its argument
+#: (so m <= 18); the omitted terms then stay below eps / 2 of the exponential (norm >= e^-theta)
+TAYLOR_TOL = 2.0**-56
+#: most squarings of the scaled exponential: each may double the relative rounding
+#: error, and 2^32 eps ~ 1e-6
+MAX_SQUARINGS = 32
 
 
 def _vector(values, name: str) -> Array:
@@ -152,14 +159,65 @@ def aggregate(params: ModelParams, y) -> float:
     return float(params.w @ y_arr)
 
 
+def _augmented_exp(a: Array, b: Array, h: float) -> tuple[Array, Array]:
+    """Top rows (exp(a h), forcing) of exp([[a, b], [0, 0]] h), as :class:`DriftSystem` says.
+
+    Squaring [[E, F], [0, 1]] gives (E E, E F + F), which keeps the last row
+    exact: F is not scaled by 2^s roundings of that 1.
+    """
+    n = b.size
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = a
+    aug[:n, n] = b
+    with np.errstate(over="ignore"):
+        norm = float(np.abs(aug).sum(axis=0).max()) * h
+    if not norm <= 2.0 ** (MAX_SQUARINGS - 1):  # NaN and inf too
+        raise ValueError(f"drift step h = {h:.6g} is out of double-precision reach: "
+                         f"||A h||_1 = {norm:.6g} needs more than {MAX_SQUARINGS} squarings")
+    squarings = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
+    step = h / 2.0**squarings
+    mu = float(aug.diagonal().min())
+    eye = np.eye(n + 1)
+    scaled = (aug - mu * eye) * step
+    theta = 2.0 * norm / 2.0**squarings  # |mu| <= ||aug||_1, so ||scaled||_1 <= theta
+    terms, tail = 0, theta
+    while tail > TAYLOR_TOL:
+        terms += 1
+        tail *= theta / (terms + 1)
+    result = eye
+    for k in range(terms, 0, -1):
+        result = eye + scaled @ result / k
+    result *= math.exp(mu * step)
+    prop, forcing = result[:n, :n], result[:n, n]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not as a warning
+        for _ in range(squarings):
+            forcing = prop @ forcing + forcing
+            prop = prop @ prop
+    if not (np.isfinite(prop).all() and np.isfinite(forcing).all()):
+        raise ValueError(f"drift step h = {h:.6g} overflows: exp(A h) is not finite, "
+                         f"||A h||_1 = {norm:.6g}")
+    return prop.copy(), forcing.copy()
+
+
 @dataclass(frozen=True, eq=False)
 class DriftSystem:
     """Linear drift d/dt v = A v + b with exact propagators.
 
     A couples the factors through the aggregate, b collects the mean levels.
-    The propagator pair (exp(A h), integral of exp(A s) ds @ b) is computed
-    from the exponential of the augmented (N+1) block matrix [[A, b], [0, 0]],
-    which avoids inverting A and stays valid when A is singular.
+    The propagator pair (exp(A h), integral of exp(A s) ds @ b) is read off
+    the exponential of the augmented (N+1) block matrix [[A, b], [0, 0]] h,
+    which avoids inverting A and stays valid when A is singular.  That
+    exponential is computed with numpy alone by scaling and squaring
+    (Moler & Van Loan 2003; Higham 2005): a Taylor polynomial of the matrix,
+    shifted by its least diagonal entry and halved s times until its 1-norm
+    is at most 1/2, is squared s times with its last row (0, ..., 0, 1) kept
+    exact.  For a Metzler A and b >= 0 (the transformed drift of an
+    admissible matrix) every term is entrywise >= 0, so the propagators are
+    too.  A step is refused with a ValueError that names h and ||A h||_1,
+    the 1-norm of the augmented matrix, when that norm exceeds 2^31 (each
+    squaring may double the relative rounding error, and MAX_SQUARINGS
+    bounds the growth by 2^32 eps ~ 1e-6) or when the exponential is not
+    finite.
     """
 
     A: Array
@@ -177,14 +235,9 @@ class DriftSystem:
         h = float(h)
         if h < 0.0:
             raise ValueError(f"step size must be >= 0, got {h}")
-        n = self.A.shape[0]
         if h == 0.0:
-            return np.eye(n), np.zeros(n)
-        aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = self.A
-        aug[:n, n] = self.b
-        full = expm(aug * h)
-        return full[:n, :n].copy(), full[:n, n].copy()
+            return np.eye(self.b.size), np.zeros(self.b.size)
+        return _augmented_exp(self.A, self.b, h)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .admissible import AdmissibleMatrix
 from .model import DriftSystem, ModelParams, TransformedDynamics
@@ -29,6 +28,13 @@ Array = NDArray[np.float64]
 BLOWUP_THRESHOLD = 1e6
 #: state magnitudes above this abort the march early
 EARLY_EXIT_MAGNITUDE = 1e100
+
+
+def splu(matrix, **options):
+    """SuperLU factor of a sparse matrix: SciPy's sparse solvers load only when the PDE runs."""
+    from scipy.sparse.linalg import splu as factor
+
+    return factor(matrix, **options)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +77,7 @@ class PdeProblem:
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "n", int(self.n))
         # bounds on |manufactured_solution| and |source_term| over the box and [0, T]
-        dynamics = TransformedDynamics.from_params(self.params, self.matrix)
+        dynamics = self.dynamics
         reach = np.array([max(-lo, hi) for lo, hi in box])
         with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning
             solution = 1.0 + np.abs(alpha) @ reach**2 + abs(self.beta) * self.T
@@ -81,6 +87,11 @@ class PdeProblem:
         if not (math.isfinite(solution) and math.isfinite(source)):
             raise ValueError("the manufactured solution or its source term overflows on this "
                              "box; reduce alpha, beta, T or the box")
+
+    @cached_property
+    def dynamics(self) -> TransformedDynamics:
+        """The transformed dynamics of ``params`` under ``matrix``, built once per problem."""
+        return TransformedDynamics.from_params(self.params, self.matrix)
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,7 @@ def source_term(problem: PdeProblem, z):
     solution; :func:`residual_check` validates it in original coordinates.
     """
     z_arr = np.atleast_2d(np.asarray(z, dtype=float))
-    dynamics = TransformedDynamics.from_params(problem.params, problem.matrix)
+    dynamics = problem.dynamics
     grad = 2.0 * problem.alpha * z_arr
     vals = (
         problem.beta
@@ -167,11 +178,13 @@ def _assemble(problem: PdeProblem):
     diffusion uses the plain central second difference with no
     regularization.
     """
+    from scipy import sparse
+
     ndim = len(problem.box)
     n = problem.n
     axes = [np.linspace(lo, hi, n + 1) for lo, hi in problem.box]
     nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    dynamics = TransformedDynamics.from_params(problem.params, problem.matrix)
+    dynamics = problem.dynamics
     drift = dynamics.drift(nodes)
 
     def along(dim, weights):
@@ -202,6 +215,10 @@ def _march(problem: PdeProblem) -> tuple[float, tuple[int, float] | None, dict]:
     stopped; a step matrix that cannot be factored stops it at level 0 with
     no state, max|v| NaN.
     """
+    # loaded before any clock starts, so no timing (nor a span around splu) holds the import
+    import scipy.sparse.linalg
+    from scipy import sparse
+
     n = problem.n
     clock = time.perf_counter()
     op, nodes, interior = _assemble(problem)

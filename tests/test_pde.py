@@ -149,6 +149,23 @@ def superlu_fill(monkeypatch, problem) -> int:
     return fill
 
 
+def test_a_problem_builds_its_transformed_dynamics_once(monkeypatch):
+    # each build audits the matrix (a condition-number SVD): the bounds, the residual check,
+    # the assembly and the source term of one pde run share one
+    builds = []
+    build = TransformedDynamics.from_params
+
+    def counted(params, matrix):
+        builds.append(matrix)
+        return build(params, matrix)
+
+    monkeypatch.setattr(TransformedDynamics, "from_params", counted)
+    problem = table1_problem(n=8)
+    residual_check(problem)
+    assert not solve(problem).blow_up
+    assert len(builds) == 1
+
+
 def test_superlu_ordering_keeps_the_fill_low(monkeypatch):
     # minimum degree on A^T + A in 2-D (COLAMD: 1.19 M), COLAMD in 3-D (minimum degree: 2.14 M)
     assert superlu_fill(monkeypatch, table1_problem(n=128)) < 0.8e6

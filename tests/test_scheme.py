@@ -453,6 +453,35 @@ def test_membership_and_audit_share_one_tolerance(u1, inside):
     assert cloud.n_violations == (0 if inside else config.n_paths)
 
 
+@pytest.mark.parametrize("start", ["negative-aggregate", "nan"])
+def test_simulate_aborts_when_the_state_leaves_the_cone(monkeypatch, start):
+    params = fig2_params()
+    config = PathConfig(T=1.0, M=10, n_paths=2, seed=0)
+    initial = np.array([-1.0, -1.0]) if start == "negative-aggregate" else params.v0
+    if start == "nan":  # a NaN aggregate is outside the cone too
+        propagators = DriftSystem.propagators
+
+        def poisoned(system, h):
+            prop, forcing = propagators(system, h)
+            prop[-1, 0] = math.nan
+            return prop, forcing
+
+        monkeypatch.setattr(DriftSystem, "propagators", poisoned)
+    with pytest.raises(RuntimeError, match="at step 0, state left the cone"):
+        simulate(params, build_canonical(params.w, params.x), config, initial_state=initial,
+                 require_initial_in_cone=False)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3a"])
+def test_mean_oracle_reaches_the_stationary_mean(name):
+    # t = 1e4 takes 18 (fig2) and 20 (fig3a) squarings; squaring the whole augmented matrix,
+    # whose corner 1 then picks up 2^20 roundings, was 2.3e-10 off on fig3a
+    params, _ = preset(name)
+    system = DriftSystem.from_params(params)
+    np.testing.assert_allclose(mean_oracle(params, 1e4), -np.linalg.solve(system.A, system.b),
+                               rtol=1e-12)
+
+
 def test_simulate_rejects_non_finite_initial_state():
     params = fig2_params()
     config = PathConfig(T=1.0, M=10, n_paths=2, seed=0)
