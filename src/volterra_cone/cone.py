@@ -9,6 +9,7 @@ on the faces of the orthant are all made executable here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,9 +42,12 @@ class ConeDomain:
         shift = np.zeros(n) if self.shift is None else np.asarray(self.shift, dtype=float)
         if shift.shape != (n,):
             raise ValueError(f"shift must have shape ({n},), got {shift.shape}")
-        agg = float(self.matrix.w @ shift)
-        scale = max(1.0, float(np.linalg.norm(self.matrix.w) * np.linalg.norm(shift)))
-        if abs(agg) > 1e-12 * scale:
+        with np.errstate(over="ignore", invalid="ignore"):
+            agg = float(self.matrix.w @ shift)
+            scale = float(np.linalg.norm(self.matrix.w) * np.linalg.norm(shift))
+        if not math.isfinite(scale):
+            raise ValueError(f"shift {shift} is too large: |w| |shift| = {scale} is not finite")
+        if abs(agg) > 1e-12 * max(1.0, scale):
             raise ValueError(f"shift must have zero aggregate, got w @ shift = {agg}")
         object.__setattr__(self, "shift", shift)
 

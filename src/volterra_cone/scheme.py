@@ -36,6 +36,11 @@ BLOCK_PATHS = 10_000
 CHUNK_STEPS = 512
 #: most uniforms held at once by the block in flight (32 MB), which shortens wide chunks
 CHUNK_DRAWS = 1 << 22
+#: constants of NumPy's SeedSequence hash (numpy/random/bit_generator.pyx, stream-stable)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
 
 
 def ode_step(system: DriftSystem, z, h: float) -> Array:
@@ -131,8 +136,9 @@ def _law_arrays(x: Array, z: float, out: Array | None = None) -> Array:
 
 
 def _audit_probabilities(p1: Array, p2: Array, p3: Array) -> int:
-    """Number of probabilities outside [0, 1] by more than PROB_SLACK."""
-    return sum(int(np.sum((p < -PROB_SLACK) | (p > 1.0 + PROB_SLACK))) for p in (p1, p2, p3))
+    """Number of probabilities outside [0, 1] by more than PROB_SLACK, NaN included."""
+    return sum(p.size - int(np.count_nonzero((p >= -PROB_SLACK) & (p <= 1.0 + PROB_SLACK)))
+               for p in (p1, p2, p3))
 
 
 def three_point_law(x: float, z: float) -> ThreePointLaw:
@@ -230,8 +236,10 @@ class PathConfig:
             raise ValueError(f"horizon must be finite and > 0, got {self.T}")
         if self.M < 1:
             raise ValueError(f"number of steps must be >= 1, got {self.M}")
-        if self.n_paths < 1:
-            raise ValueError(f"number of paths must be >= 1, got {self.n_paths}")
+        if not 1 <= self.n_paths <= 1 << 32:  # a path index is one 32-bit seed word
+            raise ValueError(f"number of paths must be in [1, 2**32], got {self.n_paths}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(eq=False)
@@ -242,8 +250,9 @@ class SampleCloud:
     ``domain``, the cone of the model's anchor; states and aggregates are
     derived from it.  The per-path minima and ``n_violations`` (states with a
     coordinate below -MEMBERSHIP_TOL) cover every grid state of the run, not
-    only the recorded ones.  ``timings`` holds the seconds spent drawing
-    uniforms and stepping.
+    only the recorded ones.  ``timings`` holds the seconds spent seeding the
+    paths' generators (``seed_s``), drawing uniforms (``uniforms_s``) and
+    stepping (``steps_s``).
     """
 
     transformed: Array
@@ -293,22 +302,105 @@ class SampleCloud:
         }
 
 
+def _seed_states(seed: int, first: int, last: int) -> NDArray[np.uint64]:
+    """Rows ``SeedSequence([seed, k]).generate_state(4, np.uint64)`` for k in first..last-1.
+
+    NumPy's hash run over all k at once: the entropy words (those of seed,
+    least significant first, then k, one word for k < 2**32) are hashed into
+    a pool of four words, every pool word is mixed into every other, words
+    past the pool are mixed into each, and the pool is hashed out into eight
+    words.  Only the values depend on k, the sequence of hash constants does
+    not, and uint32 arrays wrap as the C arithmetic does.
+    """
+    words = []
+    rest = int(seed)
+    while True:
+        words.append(np.full(last - first, rest & _MASK32, dtype=np.uint32))
+        rest >>= 32
+        if not rest:
+            break
+    words.append(np.arange(first, last, dtype=np.uint64).astype(np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        result ^= result >> np.uint32(16)
+        return result
+
+    zero = np.zeros(last - first, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    states = np.empty((last - first, 4), dtype=np.uint64)
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> np.uint32(16)
+        if i % 2:  # words 2j and 2j + 1 are the low and high halves of state j
+            states[:, i // 2] |= value.astype(np.uint64) << np.uint64(32)
+        else:
+            states[:, i // 2] = value
+    return states
+
+
+def _path_generators(seed: int, first: int, last: int) -> list:
+    """Generators equal bit for bit to ``np.random.default_rng([seed, k])`` for k in first..last-1.
+
+    Each PCG64 takes its row of :func:`_seed_states` through a minimal
+    ``ISeedSequence``, so NumPy's own ``pcg64_set_seed`` sets it up.
+    ``numpy.random`` is imported here, so that importing the package does not
+    load it.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedState(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {dtype}")
+            return self.state
+
+    return [Generator(PCG64(HashedState(state))) for state in _seed_states(seed, first, last)]
+
+
 def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Array,
                     z_budget: float, first: int, last: int, chunk_steps: int) -> None:
     """March paths first..last-1 in u (aggregate and jump are u_N) and write them into ``cloud``.
 
-    Path k draws from the generator seeded by (config.seed, k), chunk_steps
-    at a time into a (steps, paths) buffer, so a step's uniforms are a
-    contiguous row and the draws do not depend on how paths are split.
-    The recorded u and the per-path minima fill the block's rows of the
-    cloud's arrays, and the counters and the seconds spent drawing uniforms
-    and stepping are added to the cloud's.
+    Path k draws from the generator seeded by (config.seed, k)
+    (:func:`_path_generators`), chunk_steps at a time into a (steps, paths)
+    buffer, so a step's uniforms are a contiguous row and the draws do not
+    depend on how paths are split.  The recorded u and the per-path minima
+    fill the block's rows of the cloud's arrays, and the counters and the
+    seconds spent seeding, drawing uniforms and stepping are added to the
+    cloud's.
     """
     started = time.perf_counter()
     config = cloud.config
+    generators = _path_generators(config.seed, first, last)
+    seeded = time.perf_counter()
     width = last - first
     chunk = np.empty((chunk_steps, width))
-    generators = [np.random.default_rng([config.seed, k]) for k in range(first, last)]
     state = np.repeat(initial[:, None], width, axis=1)
     shift = np.repeat(shift[:, None], width, axis=1)
     work = _workspace(*state.shape)
@@ -322,7 +414,8 @@ def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Arra
     if config.record_full:
         recorded[:, 0] = initial
     timings = cloud.timings
-    timings["uniforms_s"] += time.perf_counter() - started
+    timings["seed_s"] += seeded - started
+    timings["uniforms_s"] += time.perf_counter() - seeded
 
     for begin in range(0, config.M, chunk.shape[0]):
         drawn = time.perf_counter()
@@ -391,7 +484,7 @@ def simulate(
         prob_violations=0,
         config=config,
         domain=domain,
-        timings={"uniforms_s": 0.0, "steps_s": 0.0},
+        timings={"seed_s": 0.0, "uniforms_s": 0.0, "steps_s": 0.0},
     )
     n_blocks = -(-config.n_paths // BLOCK_PATHS)
     bounds = np.linspace(0, config.n_paths, n_blocks + 1).astype(int).tolist()

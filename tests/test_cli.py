@@ -105,6 +105,8 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
     (["simulate", "--preset", "fig2", "--M", "10", "--paths", "2", "--T", "1e308"], {},
      "||A h||_1"),
     (["simulate", "--M", "10", "--paths", "2"], {"lambda": 1e300}, "||A h||_1"),
+    (["simulate", "--M", "10", "--paths", "2", "--seed", "-1"], {}, "seed"),
+    (["simulate", "--M", "10", "--paths", "2"], {"v0": [1e308, 3e307]}, "shift"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
@@ -114,7 +116,8 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
         "build-q-q2-q-overflows", "build-q-q2-q-underflows", "simulate-q2-q-underflows",
         "mean-check-t-zero", "simulate-q3-drift-overflows", "pde-q3-drift-overflows",
         "simulate-preset-and-params", "cloud-unallocatable", "pde-alpha-overflows",
-        "pde-beta-overflows", "simulate-T-overflows", "simulate-lambda-overflows"])
+        "pde-beta-overflows", "simulate-T-overflows", "simulate-lambda-overflows",
+        "simulate-seed-negative", "simulate-anchor-overflows"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     # a case naming a preset takes its parameters from it: adding --params would be an error
     params = [] if "--preset" in argv else ["--params", str(write_params(tmp_path, **overrides))]
@@ -293,6 +296,18 @@ def test_rerun_reproduces_outputs(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_simulate_takes_a_seed_of_several_words(tmp_path):
+    out = tmp_path / "sim.csv"
+    seed = 2**64 + 5  # three 32-bit words
+    assert main(["simulate", "--params", str(write_params(tmp_path)), "--T", "0.5", "--M", "20",
+                 "--paths", "3", "--seed", str(seed), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "sim.csv.manifest.json").read_text())
+    assert manifest["seed"] == seed
+    first = out.read_bytes()
+    assert main(["rerun", str(tmp_path / "sim.csv.manifest.json")]) == 0
+    assert out.read_bytes() == first
+
+
 @pytest.mark.parametrize("payload", [
     "self",
     [1, 2],
@@ -307,7 +322,7 @@ def test_rerun_rejects_a_malformed_manifest(tmp_path, capsys, payload):
     assert capsys.readouterr().err.startswith("error:")
 
 
-SIM_TIMINGS = {"uniforms_s", "steps_s"}
+SIM_TIMINGS = {"seed_s", "uniforms_s", "steps_s"}
 
 
 @pytest.mark.parametrize("argv, timed", [
@@ -474,10 +489,17 @@ import json, sys
 import volterra_cone
 from volterra_cone.cli import main
 
-def heavy():
-    return sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse")))
+SOLVERS = ("scipy.linalg", "scipy.sparse")
 
-loaded = {"import": heavy()}
+def heavy(prefixes=SOLVERS):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
+
+loaded = {"import": heavy(SOLVERS + ("numpy.random",))}
+try:
+    main(["--version"])
+except SystemExit:
+    pass
+loaded["--version"] = heavy(SOLVERS + ("numpy.random",))
 for argv in json.loads(sys.argv[1]):
     loaded[argv[0]] = [main(argv), heavy()]
 print(json.dumps(loaded))
@@ -499,7 +521,8 @@ def test_only_the_pde_commands_load_scipy_linalg_or_sparse(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded.pop("import") == []
+    assert loaded.pop("import") == []  # nor numpy.random, which seeding loads
+    assert loaded.pop("--version") == []
     code, modules = loaded.pop("pde")
     assert code == 0 and "scipy.sparse.linalg" in modules
     for command, (code, modules) in loaded.items():

@@ -182,6 +182,29 @@ def test_probability_audit_counts_violations():
     assert _audit_probabilities(np.array([1.5]), np.array([-0.5]), np.array([0.0])) == 2
 
 
+def test_probability_audit_counts_nan():
+    with np.errstate(over="ignore", invalid="ignore"):
+        law = _law_arrays(np.array([1.6e308]), 1e-3)
+    assert np.isnan(law[3:5]).all()  # p1 and p2
+    assert _audit_probabilities(*law[3:6]) == 2
+
+
+# 0, 1 and 2**32 - 1 are one word, 2**32 two, 2**64 + 5 three; with the path index, a
+# four-word seed overflows the four-word pool and a six-word one does so by three words
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 2**40 + 3, 2**192 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_path_generators_match_numpy_streams(seed):
+    edge = scheme.BLOCK_PATHS
+    for first, last in [(0, 3), (edge - 2, edge + 2), (2**32 - 2, 2**32)]:
+        generators = scheme._path_generators(seed, first, last)
+        assert len(generators) == last - first
+        for k, generator in enumerate(generators, start=first):
+            np.testing.assert_array_equal(generator.random(100),
+                                          np.random.default_rng([seed, k]).random(100))
+
+
 def test_strang_step_rejects_non_finite_state():
     params = fig2_params()
     with pytest.raises(ValueError, match="left the cone"):
@@ -511,6 +534,12 @@ def test_path_config_validation():
     for horizon in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             PathConfig(T=horizon, M=10, n_paths=1, seed=0)
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            PathConfig(T=1.0, M=10, n_paths=1, seed=seed)
+    PathConfig(T=1.0, M=10, n_paths=2**32, seed=np.uint64(2**64 - 1))
+    with pytest.raises(ValueError, match="paths"):
+        PathConfig(T=1.0, M=10, n_paths=2**32 + 1, seed=0)
 
 
 def test_mean_oracle_values():
