@@ -71,6 +71,11 @@ class AdmissibleMatrix:
     def report(self) -> "AdmissibilityReport":
         return check_admissible(self.Q, self.w, self.x, Qinv=self.Qinv)
 
+    def passes_row_and_column(self) -> bool:
+        """Conditions 2 and 3 alone, without the SVD and the product G of :meth:`report`."""
+        row_ok, _, col_ok, _ = _row_column(*_checked(self.Q, self.w, self.x)[:2])
+        return row_ok and col_ok
+
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -137,6 +142,26 @@ def build_canonical(w, x) -> AdmissibleMatrix:
     return AdmissibleMatrix(Q=q, Qinv=canonical_inverse(w_arr), w=w_arr, x=x_arr)
 
 
+def _checked(Q, w, x) -> tuple[Array, Array, Array]:
+    """Q, w and x as float arrays; ValueError unless w > 0, x fits w and Q is N x N."""
+    q_arr = np.asarray(Q, dtype=float)
+    w_arr = _check_weights(w)
+    n = w_arr.size
+    x_arr = _check_nodes(x, n)
+    if q_arr.shape != (n, n):
+        raise ValueError(f"Q must have shape ({n}, {n}), got {q_arr.shape}")
+    return q_arr, w_arr, x_arr
+
+
+def _row_column(q_arr: Array, w_arr: Array) -> tuple[bool, float, bool, float]:
+    """(row_ok, row_max_dev, col_ok, col_max_dev) of conditions 2 (the last row of Q is w)
+    and 3 (Q 1 = wbar e_N)."""
+    n = w_arr.size
+    row_dev = float(np.max(np.abs(q_arr[n - 1] - w_arr)))
+    col_dev = float(np.max(np.abs(q_arr @ np.ones(n) - np.sum(w_arr) * np.eye(n)[n - 1])))
+    return bool(row_dev <= EQUALITY_TOL), row_dev, bool(col_dev <= EQUALITY_TOL), col_dev
+
+
 def check_admissible(Q, w, x, Qinv: Array | None = None) -> AdmissibilityReport:
     """Evaluate all four admissibility conditions of a candidate matrix.
 
@@ -145,18 +170,11 @@ def check_admissible(Q, w, x, Qinv: Array | None = None) -> AdmissibilityReport:
     ``Qinv`` is not supplied the rate matrix is obtained through a linear
     solve against Q rather than explicit inversion.
     """
-    q_arr = np.asarray(Q, dtype=float)
-    w_arr = _check_weights(w)
+    q_arr, w_arr, x_arr = _checked(Q, w, x)
     n = w_arr.size
-    x_arr = _check_nodes(x, n)
-    if q_arr.shape != (n, n):
-        raise ValueError(f"Q must have shape ({n}, {n}), got {q_arr.shape}")
-
     cond = float(np.linalg.cond(q_arr))
     invertible = bool(np.isfinite(cond) and cond < COND_LIMIT)
-
-    row_dev = float(np.max(np.abs(q_arr[n - 1] - w_arr)))
-    col_dev = float(np.max(np.abs(q_arr @ np.ones(n) - np.sum(w_arr) * np.eye(n)[n - 1])))
+    row_ok, row_dev, col_ok, col_dev = _row_column(q_arr, w_arr)
 
     offdiag_ok = False
     worst = (0, 0, math.inf)
@@ -181,9 +199,9 @@ def check_admissible(Q, w, x, Qinv: Array | None = None) -> AdmissibilityReport:
     return AdmissibilityReport(
         invertible=invertible,
         cond_estimate=cond,
-        row_ok=bool(row_dev <= EQUALITY_TOL),
+        row_ok=row_ok,
         row_max_dev=row_dev,
-        col_ok=bool(col_dev <= EQUALITY_TOL),
+        col_ok=col_ok,
         col_max_dev=col_dev,
         offdiag_ok=offdiag_ok,
         worst_offdiag=worst,

@@ -4,8 +4,12 @@ Each command reads model parameters from a JSON file or a named preset,
 writes its outputs to files, and drops a manifest next to the main output so
 the exact run can be repeated bit for bit.
 
+``rerun --verify MANIFEST`` repeats a run and checks each output against
+the SHA-256 its manifest records.
+
 Exit codes: 0 success, 2 invalid input, 3 non-admissible matrix,
-4 cone-audit failure, 5 statistical failure, 6 blow-up of a stable setup.
+4 cone-audit failure, 5 statistical failure, 6 blow-up of a stable setup,
+7 a verified rerun whose output differs from its manifest.
 """
 
 from __future__ import annotations
@@ -36,81 +40,120 @@ EXIT_NONADMISSIBLE = 3
 EXIT_CONE_AUDIT = 4
 EXIT_STATISTICAL = 5
 EXIT_BLOWUP = 6
+EXIT_NOT_REPRODUCED = 7
+#: commands whose outputs hold a wall clock (the PDE tables' runtime_s), so no rerun matches them
+UNVERIFIABLE = ("pde", "pde-convergence")
 
 
-#: every float the CLI writes as text: 17 significant digits round-trip a float64
+#: every float the CLI writes as text: 17 significant digits round-trip a float64.
+#: ``floatfmt.format_g17`` writes the sample cloud's floats with exactly these bytes
 FLOAT_FORMAT = "%.17g"
-#: most rows of a sample cloud formatted and written at once; a row holds about 1.3 KB of
-#: Python strings while its chunk is built (N = 3), so longer chunks only raise peak RSS
-EXPORT_ROWS = 1024
+#: most rows of a sample cloud formatted and written at once.  A row's byte table and the
+#: formatter's working arrays take about 2.2 KB while its chunk is built (N = 3): 1 024
+#: rows cut cloud fig3c's export time by about 9 % but raised its peak RSS by 0.9 MB
+EXPORT_ROWS = 512
 
 
 def _fmt(value: float) -> str:
     return FLOAT_FORMAT % value
 
 
-def _fmt_column(values) -> list[str]:
-    """:func:`_fmt` of each value of a 1-D array, formatted by one ``%`` call."""
-    return ((FLOAT_FORMAT + ",") * len(values) % tuple(values.tolist())).split(",")[:-1]
+def _csv_rows(table, lengths) -> bytes:
+    """CSV bytes of rows of padded text fields, separated by "," and ended by a newline.
+
+    ``table`` (rows, k, width) uint8 holds the k fields of each row as
+    left-aligned text with at least one byte to spare, and ``lengths``
+    (rows, k) their lengths.  The byte after each text becomes its
+    separator, and a mask of the texts and separators, looked up by length,
+    compresses the table row by row into the CSV bytes.
+    """
+    rows, k, width = table.shape
+    ends = np.arange(0, rows * k * width, width).reshape(rows, k) + lengths
+    flat = table.reshape(-1)
+    flat[ends] = ord(",")
+    flat[ends[:, -1]] = ord("\n")
+    keep = np.arange(width) <= np.arange(width)[:, None]
+    return table[np.take(keep, lengths, axis=0)].tobytes()
 
 
 def _cloud_csv(cloud):
-    """The sample cloud as CSV text: the header, then path-major rows, at most EXPORT_ROWS at once.
+    """The sample cloud as CSV bytes: the header, then path-major rows, at most EXPORT_ROWS at once.
 
     A chunk is a block of whole paths when a path has at most EXPORT_ROWS
-    rows, and otherwise a near-equal piece of one path.  Each of the 2N
-    distinct columns (v, then u) is formatted once per chunk, and ``agg``
-    repeats the strings of u_N.  The ``step,t`` strings are built once per run.
-    v is computed per chunk by :func:`original` on a (paths, rows, N) block
-    with more than one row unless the record has one: a one-row product
-    rounds differently (BLAS gemv against gemm), and this keeps every value
-    equal to ``cloud.states``.
+    rows, and otherwise a near-equal piece of one path.  Its 2N distinct
+    floats per row (v, then u) are formatted by one ``floatfmt.format_g17``
+    call into a table of padded fields, ``agg`` copies the text of u_N, and
+    the ``step`` and ``t`` texts are built once per run.  v is computed per
+    chunk by :func:`original` on a (paths, rows, N) block with more than one
+    row unless the record has one: a one-row product rounds differently
+    (BLAS gemv against gemm), and this keeps every value equal to
+    ``cloud.states``.
     """
+    from .floatfmt import WIDTH, format_g17, pad  # its tables are built on the first export only
+
     u = cloud.transformed
     n_paths, n_recorded, n = u.shape
-    yield ",".join(["path_id", "step", "t", *(f"v_{i + 1}" for i in range(n)),
-                    *(f"u_{i + 1}" for i in range(n)), "agg"]) + "\n"
-    step_t = [f"{step},{_fmt(t)}" for step, t in zip(cloud.steps.tolist(), cloud.times.tolist())]
+    yield (",".join(["path_id", "step", "t", *(f"v_{i + 1}" for i in range(n)),
+                     *(f"u_{i + 1}" for i in range(n)), "agg"]) + "\n").encode()
+    steps, step_lengths = pad(list(map(str, cloud.steps.tolist())))
+    times, time_lengths = pad(list(map(_fmt, cloud.times.tolist())))
     paths_per_chunk = max(1, EXPORT_ROWS // n_recorded)
     n_pieces = -(-n_recorded // EXPORT_ROWS)
     pieces = np.linspace(0, n_recorded, n_pieces + 1).astype(int).tolist()
     for first in range(0, n_paths, paths_per_chunk):
         for begin, end in zip(pieces[:-1], pieces[1:]):
             block = u[first:first + paths_per_chunk, begin:end]
-            values = np.concatenate((original(cloud.domain, block), block), axis=-1)
-            columns = [_fmt_column(column) for column in values.reshape(-1, 2 * n).T]
-            prefix = [f"{path_id},{text}" for path_id in range(first, first + block.shape[0])
-                      for text in step_t[begin:end]]
-            yield "\n".join(map(",".join, zip(prefix, *columns, columns[-1]))) + "\n"
+            paths, rows = block.shape[:2]
+            chars, value_lengths = format_g17(np.concatenate((original(cloud.domain, block), block),
+                                                             axis=-1))
+            # fields: path_id, step, t, v_1..v_N, u_1..u_N, agg
+            table = np.empty((paths, rows, 2 * n + 4, WIDTH + 1), np.uint8)
+            lengths = np.empty(table.shape[:3], np.intp)
+            ids, id_lengths = pad(list(map(str, range(first, first + paths))))
+            table[:, :, 0, :ids.shape[1]] = ids[:, None]
+            lengths[..., 0] = id_lengths[:, None]
+            table[:, :, 1, :steps.shape[1]] = steps[begin:end]
+            lengths[..., 1] = step_lengths[begin:end]
+            table[:, :, 2, :times.shape[1]] = times[begin:end]
+            lengths[..., 2] = time_lengths[begin:end]
+            table[:, :, 3:-1, :WIDTH] = chars.reshape(paths, rows, 2 * n, WIDTH)
+            lengths[..., 3:-1] = value_lengths.reshape(paths, rows, 2 * n)
+            table[:, :, -1], lengths[..., -1] = table[:, :, -2], lengths[..., -2]
+            del chars, value_lengths  # the table holds the only copy of the texts while compressed
+            yield _csv_rows(table.reshape(paths * rows, *table.shape[2:]),
+                            lengths.reshape(paths * rows, -1))
 
 
-def _write_output(path: Path, chunks) -> str:
-    """Write the strings ``chunks`` to ``path`` as UTF-8; the SHA-256 hex digest of those bytes.
+def _write_output(path: Path, chunks) -> tuple[str, int]:
+    """Write the bytes ``chunks`` to ``path``; the SHA-256 hex digest of those bytes and their size.
 
     The parent directory is created first.  Every output of the CLI is
-    written here, so a manifest's digests are of the bytes as written.
+    written here, so a manifest's digests and sizes are of the bytes as
+    written.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
+    size = 0
     with open(path, "wb") as fh:
-        for data in map(str.encode, chunks):
+        for data in chunks:
             digest.update(data)
             fh.write(data)
+            size += len(data)
             del data  # so the next chunk is built while only one is held
-    return digest.hexdigest()
+    return digest.hexdigest(), size
 
 
-def _write_json(path: Path, payload: dict) -> str:
-    return _write_output(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+def _write_json(path: Path, payload: dict) -> tuple[str, int]:
+    return _write_output(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
-def _write_manifest(out: Path, args, argv: list[str], config: dict, digests: dict[str, str],
-                    started: float, **telemetry) -> None:
-    """Write ``<out>.manifest.json``: the run, the library versions and the SHA-256 of each output.
+def _write_manifest(out: Path, args, argv: list[str], config: dict,
+                    written: dict[str, tuple[str, int]], started: float, **telemetry) -> None:
+    """Write ``<out>.manifest.json``: the run, the library versions, each output's SHA-256 and size.
 
-    ``digests`` maps each output path to the digest :func:`_write_output`
-    returned, and ``telemetry`` (timings, blow-up fields) enters the
-    manifest as given.
+    ``written`` maps each output path to the digest and size
+    :func:`_write_output` returned, and ``telemetry`` (timings, blow-up
+    fields) enters the manifest as given.
     """
     _write_json(Path(str(out) + ".manifest.json"), {
         "command": args.command,
@@ -120,8 +163,9 @@ def _write_manifest(out: Path, args, argv: list[str], config: dict, digests: dic
         "artifact_version": __version__,
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        "outputs": list(digests),
-        "sha256": digests,
+        "outputs": list(written),
+        "sha256": {path: digest for path, (digest, _) in written.items()},
+        "bytes": {path: size for path, (_, size) in written.items()},
         "wall_clock_s": time.perf_counter() - started,
         **telemetry,
     })
@@ -155,11 +199,11 @@ def cmd_build_q(args, argv: list[str]) -> int:
     params, matrix = _resolve(args)
     report = check_admissible(matrix.Q, matrix.w, matrix.x, Qinv=matrix.Qinv)
     out = Path(args.out)
-    digest = _write_json(out, {"Q": matrix.Q.tolist(), "Qinv": matrix.Qinv.tolist(),
-                               "G": matrix.G.tolist(), "report": report.to_dict()})
+    written = _write_json(out, {"Q": matrix.Q.tolist(), "Qinv": matrix.Qinv.tolist(),
+                                "G": matrix.G.tolist(), "report": report.to_dict()})
     _write_manifest(out, args, argv, {"family": args.family, "q": args.q, "a": args.a,
                                       "b": args.b, "params": params.to_dict()},
-                    {str(out): digest}, started)
+                    {str(out): written}, started)
     print(f"admissible={report.admissible} -> {out}")
     return EXIT_OK if report.admissible else EXIT_NONADMISSIBLE
 
@@ -200,15 +244,15 @@ def cmd_simulation(args, argv: list[str]) -> int:
 
     out = Path(args.out)
     exported = time.perf_counter()
-    digests = {str(out): _write_output(out, _cloud_csv(cloud))}
+    written = {str(out): _write_output(out, _cloud_csv(cloud))}
     timings = {**cloud.timings, "export_s": time.perf_counter() - exported}
     audit = cloud.audit()
     audit_path = Path(str(out) + ".audit.json")
-    digests[str(audit_path)] = _write_json(audit_path, audit)
+    written[str(audit_path)] = _write_json(audit_path, audit)
     _write_manifest(out, args, argv,
                     {"T": horizon, "M": steps, "paths": paths,
                      "record": args.record, "params": params.to_dict()},
-                    digests, started, timings=timings)
+                    written, started, timings=timings)
     print(json.dumps(audit))
     if cloud.n_violations > 0 and not args.allow_nonadmissible:
         print(f"cone audit failed: {cloud.n_violations} grid states below "
@@ -314,12 +358,12 @@ def _pde_table(args, argv: list[str], problem: PdeProblem, reports, config: dict
     """
     out = Path(args.out)
     rows = _pde_rows(reports)
-    digest = _write_output(out, ["\n".join(rows) + "\n"])
+    written = _write_output(out, [("\n".join(rows) + "\n").encode()])
     _write_manifest(out, args, argv,
                     {"box": list(problem.box), "alpha": args.alpha, "beta": args.beta,
                      "T": args.T, "scheme": args.scheme, "params": problem.params.to_dict(),
                      **config},
-                    {str(out): digest}, started, **telemetry)
+                    {str(out): written}, started, **telemetry)
     print("\n".join(rows) if summary is None else summary)
     if problem.box[-1][0] >= 0.0 and any(rep.blow_up for rep in reports):
         print(f"blow-up on a stable box: {_blowup_text(reports)}", file=sys.stderr)
@@ -350,6 +394,12 @@ def cmd_pde_convergence(args, argv: list[str]) -> int:
 
 
 def cmd_rerun(args, _argv: list[str]) -> int:
+    """Repeat the run of a manifest; with ``--verify``, exit 7 unless each output has its digest.
+
+    A verified run is executed here rather than through :func:`main`, so an
+    error stops it before any output is compared, and the digests compared
+    are those of the manifest the run writes over the old one.
+    """
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     argv = manifest.get("argv") if isinstance(manifest, dict) else None
@@ -357,7 +407,23 @@ def cmd_rerun(args, _argv: list[str]) -> int:
         raise ValueError(f"manifest {args.manifest} has no argv list of strings")
     if argv[:1] == ["rerun"]:
         raise ValueError(f"manifest {args.manifest} reruns a manifest itself")
-    return main(argv)
+    if not args.verify:
+        return main(argv)
+    if argv[0] in UNVERIFIABLE:
+        raise ValueError(f"a {argv[0]} table records its runtime_s, so no rerun reproduces it")
+    expected = manifest.get("sha256")
+    if not isinstance(expected, dict):
+        raise ValueError(f"manifest {args.manifest} has no sha256 map to verify against")
+    run = build_parser().parse_args(argv)
+    if getattr(run, "out", None) is None:
+        raise ValueError(f"manifest {args.manifest} runs {argv[0]} without --out")
+    code = run.func(run, argv)
+    with open(str(run.out) + ".manifest.json", "r", encoding="utf-8") as fh:
+        digests = json.load(fh)["sha256"]
+    differ = [path for path, digest in expected.items() if digests.get(path) != digest]
+    for path in differ:
+        print(f"rerun differs from {args.manifest}: {path}", file=sys.stderr)
+    return EXIT_NOT_REPRODUCED if differ else code
 
 
 def _add_params_options(sub, family: bool = True) -> None:
@@ -447,6 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("rerun", help="re-execute a run from its manifest")
     sub.add_argument("manifest")
+    sub.add_argument("--verify", action="store_true",
+                     help="exit 7 unless every output has the SHA-256 the manifest records")
     sub.set_defaults(func=cmd_rerun)
     return parser
 

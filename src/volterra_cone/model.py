@@ -258,8 +258,7 @@ class TransformedDynamics:
     @classmethod
     def from_params(cls, params: ModelParams, matrix: AdmissibleMatrix) -> "TransformedDynamics":
         """Raises ValueError unless Q passes the row and column conditions and K, c are finite."""
-        report = matrix.report()
-        if not (report.row_ok and report.col_ok):
+        if not matrix.passes_row_and_column():
             raise ValueError("transform matrix fails the row or column condition")
         original = DriftSystem.from_params(params)
         with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning

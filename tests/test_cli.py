@@ -12,7 +12,8 @@ import pytest
 import scipy
 
 from volterra_cone import PathConfig, build_canonical, build_q3, load_params, q3_defaults, simulate
-from volterra_cone.cli import EXPORT_ROWS, _fmt, _fmt_column, main
+from volterra_cone.cli import EXPORT_ROWS, _fmt, main
+from volterra_cone.floatfmt import format_g17
 from volterra_cone.presets import preset
 
 
@@ -308,6 +309,34 @@ def test_simulate_takes_a_seed_of_several_words(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_rerun_verify_checks_every_output_digest(tmp_path, capsys):
+    for argv in (["simulate", "--preset", "fig2", "--T", "0.5", "--M", "30", "--paths", "4"],
+                 ["mean-check", "--preset", "fig2", "--t", "0.5", "--M", "30", "--paths", "8"]):
+        out = tmp_path / f"{argv[0]}.out"
+        assert main([*argv, "--seed", "2", "--out", str(out)]) == 0
+        assert main(["rerun", "--verify", str(out) + ".manifest.json"]) == 0
+    out = tmp_path / "cloud.csv"
+    assert main(["cloud", "--preset", "fig3a", "--T", "0.5", "--M", "30", "--paths", "3",
+                 "--seed", "2", "--out", str(out)]) == 0
+    manifest_path = tmp_path / "cloud.csv.manifest.json"
+    assert main(["rerun", "--verify", str(manifest_path)]) == 0
+
+    manifest = json.loads(manifest_path.read_text())
+    audit = str(tmp_path / "cloud.csv.audit.json")
+    manifest["sha256"][audit] = "0" * 64
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", "--verify", str(manifest_path)]) == 7
+    err = capsys.readouterr().err
+    assert audit in err and str(out) + "\n" not in err  # only the edited output is named
+
+    # a PDE table records its own runtime, so its manifest cannot be verified
+    out = tmp_path / "pde.csv"
+    assert main(["pde", "--preset", "table1", "--n", "8", "--out", str(out)]) == 0
+    assert main(["rerun", "--verify", str(tmp_path / "pde.csv.manifest.json")]) == 2
+    assert "runtime_s" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("payload", [
     "self",
     [1, 2],
@@ -343,9 +372,10 @@ def test_manifest_records_versions_digests_and_timings(tmp_path, argv, timed):
     manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
     assert manifest["versions"] == {"python": platform.python_version(),
                                     "numpy": np.__version__, "scipy": scipy.__version__}
-    assert set(manifest["sha256"]) == set(manifest["outputs"])
+    assert set(manifest["sha256"]) == set(manifest["bytes"]) == set(manifest["outputs"])
     for path in manifest["outputs"]:
         assert manifest["sha256"][path] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert manifest["bytes"][path] == Path(path).stat().st_size
         if path.endswith(".json"):  # audit JSON and mean.json stay free of run telemetry
             assert not {"timings", "sha256", "versions"} & set(json.loads(Path(path).read_text()))
     assert manifest["command"] == argv[0]
@@ -468,11 +498,16 @@ SPECIAL_VALUES = {-0.0: "-0", 5e-324: "4.9406564584124654e-324", 1e308: "1e+308"
                   math.nan: "nan", math.inf: "inf", -math.inf: "-inf"}
 
 
+def _g17_texts(values) -> list[str]:
+    chars, lengths = format_g17(values)
+    return [row[:length].tobytes().decode() for row, length in zip(chars, lengths)]
+
+
 def test_column_formatter_gives_fmt_of_each_value():
     values = list(SPECIAL_VALUES)
     assert [_fmt(value) for value in values] == list(SPECIAL_VALUES.values())
-    assert _fmt_column(np.array(values)) == list(SPECIAL_VALUES.values())
-    assert _fmt_column(np.array([])) == []
+    assert _g17_texts(np.array(values)) == list(SPECIAL_VALUES.values())
+    assert _g17_texts(np.array([])) == []
 
     # the fig3c escape, as `cloud --allow-nonadmissible` simulates it
     params, matrix = preset("fig3c")
@@ -481,29 +516,43 @@ def test_column_formatter_gives_fmt_of_each_value():
                      require_initial_in_cone=False)
     assert cloud.n_violations > 0
     for column in np.concatenate((cloud.states, cloud.transformed), axis=-1).reshape(-1, 6).T:
-        assert _fmt_column(column) == [_fmt(value) for value in column.tolist()]
+        assert _g17_texts(column) == [_fmt(value) for value in column.tolist()]
 
 
-LOADED_SCIPY = """
+LOADED_MODULES = """
 import json, sys
 import volterra_cone
 from volterra_cone.cli import main
 
 SOLVERS = ("scipy.linalg", "scipy.sparse")
+# the CSV formatter and its tables load on the first export only; no command needs these
+FORMATTER = ("volterra_cone.floatfmt", "fractions", "decimal")
 
-def heavy(prefixes=SOLVERS):
+def loaded(prefixes):
     return sorted(m for m in sys.modules if m.startswith(prefixes))
 
-loaded = {"import": heavy(SOLVERS + ("numpy.random",))}
+report = {"import": loaded(SOLVERS + FORMATTER + ("numpy.random",))}
 try:
     main(["--version"])
 except SystemExit:
     pass
-loaded["--version"] = heavy(SOLVERS + ("numpy.random",))
+report["--version"] = loaded(SOLVERS + FORMATTER + ("numpy.random",))
 for argv in json.loads(sys.argv[1]):
-    loaded[argv[0]] = [main(argv), heavy()]
-print(json.dumps(loaded))
+    report[argv[0]] = [main(argv), loaded(SOLVERS), loaded(FORMATTER)]
+print(json.dumps(report))
 """
+
+
+def _loaded_modules(tmp_path, commands) -> dict:
+    """What a fresh interpreter has loaded after import, after --version and after each command."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded.pop("import") == []  # nor numpy.random, which seeding loads
+    assert loaded.pop("--version") == []
+    return loaded
 
 
 def test_only_the_pde_commands_load_scipy_linalg_or_sparse(tmp_path):
@@ -514,16 +563,13 @@ def test_only_the_pde_commands_load_scipy_linalg_or_sparse(tmp_path):
         ["build-q", "--preset", "fig3b", "--out", "q.json"],
         ["q3-bounds", "--preset", "fig3a", "--out", "bounds.json"],
         ["check-domain", "--preset", "table1", "--point", "0.2,0.3"],
-        ["pde", "--preset", "table1", "--n", "8", "--out", "pde.csv"],
     ]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, json.dumps(commands)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded.pop("import") == []  # nor numpy.random, which seeding loads
-    assert loaded.pop("--version") == []
-    code, modules = loaded.pop("pde")
-    assert code == 0 and "scipy.sparse.linalg" in modules
-    for command, (code, modules) in loaded.items():
-        assert code == 0 and modules == [], command
+    loaded = _loaded_modules(tmp_path, commands)
+    for command, (code, solvers, formatter) in loaded.items():
+        assert code == 0 and solvers == [], command
+        assert formatter == ["volterra_cone.floatfmt"], command  # the first export loaded it
+
+    # in a fresh interpreter, where neither the formatter nor scipy's solvers are loaded yet
+    (code, solvers, formatter), = _loaded_modules(
+        tmp_path, [["pde", "--preset", "table1", "--n", "8", "--out", "pde.csv"]]).values()
+    assert code == 0 and "scipy.sparse.linalg" in solvers and formatter == []
