@@ -124,12 +124,14 @@ def canonical_inverse(w) -> Array:
     return r
 
 
+@np.errstate(all="ignore")
 def build_canonical(w, x) -> AdmissibleMatrix:
     """Canonical admissible matrix for any dimension.
 
     Row i carries the leading weights w_1..w_i followed by -(w_1+...+w_i)
     on the superdiagonal; the last row is w itself.  The inverse is the
     closed form of :func:`canonical_inverse`, not a numerical inversion.
+    ValueError when Q, the inverse or G is not finite.
     """
     w_arr = _check_weights(w)
     n = w_arr.size
@@ -139,7 +141,8 @@ def build_canonical(w, x) -> AdmissibleMatrix:
         q[i, : i + 1] = w_arr[: i + 1]
         if i < n - 1:
             q[i, i + 1] = -np.sum(w_arr[: i + 1])
-    return AdmissibleMatrix(Q=q, Qinv=canonical_inverse(w_arr), w=w_arr, x=x_arr)
+    return _finite(AdmissibleMatrix(Q=q, Qinv=canonical_inverse(w_arr), w=w_arr, x=x_arr),
+                   "canonical")
 
 
 def _checked(Q, w, x) -> tuple[Array, Array, Array]:

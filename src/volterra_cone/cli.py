@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .admissible import (AdmissibleMatrix, build_canonical, build_q2, build_q3, check_admissible,
@@ -41,8 +40,6 @@ EXIT_CONE_AUDIT = 4
 EXIT_STATISTICAL = 5
 EXIT_BLOWUP = 6
 EXIT_NOT_REPRODUCED = 7
-#: commands whose outputs hold a wall clock (the PDE tables' runtime_s), so no rerun matches them
-UNVERIFIABLE = ("pde", "pde-convergence")
 
 
 #: every float the CLI writes as text: 17 significant digits round-trip a float64.
@@ -155,6 +152,8 @@ def _write_manifest(out: Path, args, argv: list[str], config: dict,
     :func:`_write_output` returned, and ``telemetry`` (timings, blow-up
     fields) enters the manifest as given.
     """
+    import scipy  # here, for its version only: start-up and --version load no scipy module
+
     _write_json(Path(str(out) + ".manifest.json"), {
         "command": args.command,
         "argv": argv,
@@ -327,14 +326,11 @@ def _pde_problem(args, n: int) -> PdeProblem:
 
 
 def _pde_rows(reports) -> list[str]:
-    rows = ["n,l2_error,order,blow_up,runtime_s"]
+    rows = ["n,l2_error,order,blow_up"]
     orders = observed_orders(reports)
     for rep, order in zip(reports, orders):
         order_txt = "" if not np.isfinite(order) else _fmt(order)
-        rows.append(
-            f"{rep.n},{_fmt(rep.l2_error)},{order_txt},"
-            f"{'true' if rep.blow_up else 'false'},{_fmt(rep.runtime_s)}"
-        )
+        rows.append(f"{rep.n},{_fmt(rep.l2_error)},{order_txt},{str(rep.blow_up).lower()}")
     return rows
 
 
@@ -349,12 +345,14 @@ def _blowup_text(reports) -> str:
 
 
 def _pde_table(args, argv: list[str], problem: PdeProblem, reports, config: dict,
-               started: float, summary: str | None = None, **telemetry) -> int:
+               started: float, summary: str | None = None) -> int:
     """Write the PDE table and its manifest, and print ``summary`` (the table when it is None).
 
     Exit 6 when a report blew up on a stable box, one whose last interval
-    keeps u_N >= 0.  ``config`` holds the keys of the command's own options,
-    and ``telemetry`` enters the manifest as given.
+    keeps u_N >= 0.  ``config`` holds the keys of the command's own options.
+    The manifest maps each n to its report's ``timings``, ``blowup_step``
+    and ``blowup_max_abs``, so ``pde`` writes the one-row case of
+    ``pde-convergence``.
     """
     out = Path(args.out)
     rows = _pde_rows(reports)
@@ -363,7 +361,10 @@ def _pde_table(args, argv: list[str], problem: PdeProblem, reports, config: dict
                     {"box": list(problem.box), "alpha": args.alpha, "beta": args.beta,
                      "T": args.T, "scheme": args.scheme, "params": problem.params.to_dict(),
                      **config},
-                    {str(out): written}, started, **telemetry)
+                    {str(out): written}, started,
+                    timings={rep.n: rep.timings for rep in reports},
+                    blowup_step={rep.n: rep.blowup_step for rep in reports},
+                    blowup_max_abs={rep.n: _json_float(rep.blowup_max_abs) for rep in reports})
     print("\n".join(rows) if summary is None else summary)
     if problem.box[-1][0] >= 0.0 and any(rep.blow_up for rep in reports):
         print(f"blow-up on a stable box: {_blowup_text(reports)}", file=sys.stderr)
@@ -378,8 +379,7 @@ def cmd_pde(args, argv: list[str]) -> int:
     report = solve(problem)
     summary = f"n={report.n} l2_error={_fmt(report.l2_error)} blow_up={report.blow_up}"
     return _pde_table(args, argv, problem, [report], {"n": args.n, "residual_check": residual},
-                      started, summary, timings=report.timings, blowup_step=report.blowup_step,
-                      blowup_max_abs=_json_float(report.blowup_max_abs))
+                      started, summary)
 
 
 def cmd_pde_convergence(args, argv: list[str]) -> int:
@@ -387,10 +387,7 @@ def cmd_pde_convergence(args, argv: list[str]) -> int:
     n_list = [int(v) for v in args.n_list.split(",")]
     problem = _pde_problem(args, n_list[0])
     reports = convergence_study(problem, n_list)
-    return _pde_table(args, argv, problem, reports, {"n_list": n_list}, started,
-                      timings={rep.n: rep.timings for rep in reports},
-                      blowup_step={rep.n: rep.blowup_step for rep in reports},
-                      blowup_max_abs={rep.n: _json_float(rep.blowup_max_abs) for rep in reports})
+    return _pde_table(args, argv, problem, reports, {"n_list": n_list}, started)
 
 
 def cmd_rerun(args, _argv: list[str]) -> int:
@@ -409,8 +406,6 @@ def cmd_rerun(args, _argv: list[str]) -> int:
         raise ValueError(f"manifest {args.manifest} reruns a manifest itself")
     if not args.verify:
         return main(argv)
-    if argv[0] in UNVERIFIABLE:
-        raise ValueError(f"a {argv[0]} table records its runtime_s, so no rerun reproduces it")
     expected = manifest.get("sha256")
     if not isinstance(expected, dict):
         raise ValueError(f"manifest {args.manifest} has no sha256 map to verify against")

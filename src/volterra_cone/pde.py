@@ -99,7 +99,8 @@ class SolveReport:
     """Outcome of one solve: final-time nodal L2 error or a blow-up flag.
 
     ``timings`` holds the seconds spent in assembly, factorisation and the
-    time loop (``assemble_s``, ``factor_s``, ``steps_s``).  On a blow-up,
+    time loop (``assemble_s``, ``factor_s``, ``steps_s``) and in the whole
+    solve (``runtime_s``).  On a blow-up,
     ``blowup_step`` and ``blowup_max_abs`` are the time level and max|v| at
     which the march stopped (n and the final max|v| when only the final L2
     error crossed :data:`BLOWUP_THRESHOLD`); both are ``None`` otherwise.
@@ -108,8 +109,6 @@ class SolveReport:
     n: int
     l2_error: float
     blow_up: bool
-    runtime_s: float
-    time_scheme: str = "cn"
     timings: dict = field(default_factory=dict)
     blowup_step: int | None = None
     blowup_max_abs: float | None = None
@@ -215,8 +214,6 @@ def _march(problem: PdeProblem) -> tuple[float, tuple[int, float] | None, dict]:
     stopped; a step matrix that cannot be factored stops it at level 0 with
     no state, max|v| NaN.
     """
-    # loaded before any clock starts, so no timing (nor a span around splu) holds the import
-    import scipy.sparse.linalg
     from scipy import sparse
 
     n = problem.n
@@ -274,15 +271,17 @@ def solve(problem: PdeProblem) -> SolveReport:
     Dirichlet data from the exact solution is imposed on the whole box
     boundary at every time level.
     """
+    # loaded before any clock starts, so no timing (nor a span around splu) holds the import
+    import scipy.sparse.linalg
+
     start = time.perf_counter()
     l2, blowup, timings = _march(problem)
+    timings["runtime_s"] = time.perf_counter() - start
     step, peak = blowup or (None, None)
     return SolveReport(
         n=problem.n,
         l2_error=l2,
         blow_up=blowup is not None,
-        runtime_s=time.perf_counter() - start,
-        time_scheme=problem.time_scheme,
         timings=timings,
         blowup_step=step,
         blowup_max_abs=peak,

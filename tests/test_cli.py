@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 import scipy
 
 from volterra_cone import PathConfig, build_canonical, build_q3, load_params, q3_defaults, simulate
-from volterra_cone.cli import EXPORT_ROWS, _fmt, main
+from volterra_cone.cli import EXPORT_ROWS, _fmt, build_parser, main
 from volterra_cone.floatfmt import format_g17
 from volterra_cone.presets import preset
 
@@ -108,6 +109,8 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
     (["simulate", "--M", "10", "--paths", "2"], {"lambda": 1e300}, "||A h||_1"),
     (["simulate", "--M", "10", "--paths", "2", "--seed", "-1"], {}, "seed"),
     (["simulate", "--M", "10", "--paths", "2"], {"v0": [1e308, 3e307]}, "shift"),
+    (["build-q"], {"w": [3.0, 1.0], "x": [1e200, 1e308]}, "not finite"),
+    (["build-q"], {"w": [1e-320, 1e-320]}, "not finite"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
@@ -118,7 +121,8 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
         "mean-check-t-zero", "simulate-q3-drift-overflows", "pde-q3-drift-overflows",
         "simulate-preset-and-params", "cloud-unallocatable", "pde-alpha-overflows",
         "pde-beta-overflows", "simulate-T-overflows", "simulate-lambda-overflows",
-        "simulate-seed-negative", "simulate-anchor-overflows"])
+        "simulate-seed-negative", "simulate-anchor-overflows", "build-q-canonical-G-overflows",
+        "build-q-canonical-w-underflows"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     # a case naming a preset takes its parameters from it: adding --params would be an error
     params = [] if "--preset" in argv else ["--params", str(write_params(tmp_path, **overrides))]
@@ -279,7 +283,7 @@ def test_pde_convergence_csv(tmp_path):
     assert main(["pde-convergence", "--preset", "table1", "--box", "box1",
                  "--n-list", "8,16,32", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "n,l2_error,order,blow_up,runtime_s"
+    assert lines[0] == "n,l2_error,order,blow_up"
     assert len(lines) == 4
     order_16 = float(lines[2].split(",")[2])
     assert order_16 > 1.0
@@ -309,12 +313,41 @@ def test_simulate_takes_a_seed_of_several_words(tmp_path):
     assert out.read_bytes() == first
 
 
+#: a short run of every command that takes --out, without the --out
+RERUN_CASES = {
+    "build-q": ["--preset", "fig3b"],
+    "q3-bounds": ["--preset", "fig3a"],
+    "simulate": ["--preset", "fig2", "--T", "0.5", "--M", "30", "--paths", "4", "--seed", "2"],
+    "cloud": ["--preset", "fig3a", "--T", "0.5", "--M", "30", "--paths", "3", "--seed", "2"],
+    "mean-check": ["--preset", "fig2", "--t", "0.5", "--M", "30", "--paths", "8", "--seed", "2"],
+    "pde": ["--preset", "table1", "--n", "8"],
+    "pde-convergence": ["--preset", "table1", "--n-list", "4,8"],
+}
+
+
+def test_rerun_cases_cover_every_command_that_writes_out():
+    # every command that writes --out has a rerun case, so one whose output holds a clock fails
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(RERUN_CASES) == {name for name, sub in subs.choices.items()
+                                if any("--out" in a.option_strings for a in sub._actions)}
+
+
+@pytest.mark.parametrize("command", list(RERUN_CASES))
+def test_rerun_verify_reproduces_every_command(tmp_path, capsys, command):
+    out = tmp_path / "run.out"
+    manifest_path = tmp_path / "run.out.manifest.json"
+    assert main([command, *RERUN_CASES[command], "--out", str(out)]) == 0
+    assert main(["rerun", "--verify", str(manifest_path)]) == 0
+    if command == "pde-convergence":
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sha256"][str(out)] = "0" * 64
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", "--verify", str(manifest_path)]) == 7
+        assert f"differs from {manifest_path}: {out}" in capsys.readouterr().err
+
+
 def test_rerun_verify_checks_every_output_digest(tmp_path, capsys):
-    for argv in (["simulate", "--preset", "fig2", "--T", "0.5", "--M", "30", "--paths", "4"],
-                 ["mean-check", "--preset", "fig2", "--t", "0.5", "--M", "30", "--paths", "8"]):
-        out = tmp_path / f"{argv[0]}.out"
-        assert main([*argv, "--seed", "2", "--out", str(out)]) == 0
-        assert main(["rerun", "--verify", str(out) + ".manifest.json"]) == 0
     out = tmp_path / "cloud.csv"
     assert main(["cloud", "--preset", "fig3a", "--T", "0.5", "--M", "30", "--paths", "3",
                  "--seed", "2", "--out", str(out)]) == 0
@@ -329,12 +362,6 @@ def test_rerun_verify_checks_every_output_digest(tmp_path, capsys):
     assert main(["rerun", "--verify", str(manifest_path)]) == 7
     err = capsys.readouterr().err
     assert audit in err and str(out) + "\n" not in err  # only the edited output is named
-
-    # a PDE table records its own runtime, so its manifest cannot be verified
-    out = tmp_path / "pde.csv"
-    assert main(["pde", "--preset", "table1", "--n", "8", "--out", str(out)]) == 0
-    assert main(["rerun", "--verify", str(tmp_path / "pde.csv.manifest.json")]) == 2
-    assert "runtime_s" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload", [
@@ -352,6 +379,7 @@ def test_rerun_rejects_a_malformed_manifest(tmp_path, capsys, payload):
 
 
 SIM_TIMINGS = {"seed_s", "uniforms_s", "steps_s"}
+PDE_TIMINGS = {"assemble_s", "factor_s", "steps_s", "runtime_s"}
 
 
 @pytest.mark.parametrize("argv, timed", [
@@ -360,13 +388,13 @@ SIM_TIMINGS = {"seed_s", "uniforms_s", "steps_s"}
     (["cloud", "--preset", "fig3a", "--T", "0.5", "--M", "40", "--paths", "3"],
      SIM_TIMINGS | {"export_s"}),
     (["mean-check", "--preset", "fig2", "--t", "0.5", "--M", "40", "--paths", "6"], SIM_TIMINGS),
-    (["pde", "--preset", "table1", "--n", "8"], {"assemble_s", "factor_s", "steps_s"}),
+    (["pde", "--preset", "table1", "--n", "8"], PDE_TIMINGS),
     (["build-q", "--preset", "fig3b"], None),
     (["q3-bounds", "--preset", "fig3a"], None),
-    (["pde-convergence", "--preset", "table1", "--n-list", "4,8"], None),
+    (["pde-convergence", "--preset", "table1", "--n-list", "4,8"], PDE_TIMINGS),
 ], ids=["simulate", "cloud", "mean-check", "pde", "build-q", "q3-bounds", "pde-convergence"])
 def test_manifest_records_versions_digests_and_timings(tmp_path, argv, timed):
-    # timed: the stage timings the manifest records, None where it records none or a map per n
+    # timed: the stage timings the manifest records, per n for the PDE; None where it has none
     out = tmp_path / "run.out"
     assert main([*argv, "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
@@ -380,8 +408,10 @@ def test_manifest_records_versions_digests_and_timings(tmp_path, argv, timed):
             assert not {"timings", "sha256", "versions"} & set(json.loads(Path(path).read_text()))
     assert manifest["command"] == argv[0]
     if timed is not None:
-        assert set(manifest["timings"]) == timed
-        assert all(value >= 0.0 for value in manifest["timings"].values())
+        per_n = manifest["timings"] if argv[0].startswith("pde") else {"": manifest["timings"]}
+        for timings in per_n.values():
+            assert set(timings) == timed
+            assert all(value >= 0.0 for value in timings.values())
 
 
 def test_pde_manifests_record_timings_and_blow_up(tmp_path, capsys):
@@ -389,8 +419,11 @@ def test_pde_manifests_record_timings_and_blow_up(tmp_path, capsys):
     assert main(["pde", "--preset", "table1", "--box", "box2", "--n", "64",
                  "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "box2.csv.manifest.json").read_text())
-    assert 1 <= manifest["blowup_step"] <= 64
-    assert manifest["blowup_max_abs"] in ("inf", "nan") or manifest["blowup_max_abs"] > 1e100
+    assert set(manifest["timings"]) == set(manifest["blowup_max_abs"]) == {"64"}
+    assert 1 <= manifest["blowup_step"]["64"] <= 64
+    peak = manifest["blowup_max_abs"]["64"]
+    assert peak in ("inf", "nan") or peak > 1e100
+    box2_timings = manifest["timings"]["64"]
 
     # the centred 3-D march blows up at n = 8 on a box that keeps u_3 >= 0
     out = tmp_path / "fig3a.csv"
@@ -402,8 +435,10 @@ def test_pde_manifests_record_timings_and_blow_up(tmp_path, capsys):
     assert f"n=8 stopped at step {step['8']} with max|v|" in capsys.readouterr().err
     assert set(manifest["timings"]) == set(manifest["blowup_max_abs"]) == {"4", "8"}
     assert manifest["blowup_max_abs"]["4"] is None
-    for timings in manifest["timings"].values():
-        assert set(timings) == {"assemble_s", "factor_s", "steps_s"}
+    for timings in [box2_timings, *manifest["timings"].values()]:
+        assert set(timings) == PDE_TIMINGS
+        stages = timings["assemble_s"] + timings["factor_s"] + timings["steps_s"]
+        assert timings["runtime_s"] >= stages
 
 
 def test_threads_flag_is_accepted_hidden_and_ignored(tmp_path, capsys):
@@ -531,12 +566,14 @@ FORMATTER = ("volterra_cone.floatfmt", "fractions", "decimal")
 def loaded(prefixes):
     return sorted(m for m in sys.modules if m.startswith(prefixes))
 
-report = {"import": loaded(SOLVERS + FORMATTER + ("numpy.random",))}
+# at start-up nothing of scipy is loaded, not even the package whose version a manifest records
+STARTUP = ("scipy", "numpy.random") + FORMATTER
+report = {"import": loaded(STARTUP)}
 try:
     main(["--version"])
 except SystemExit:
     pass
-report["--version"] = loaded(SOLVERS + FORMATTER + ("numpy.random",))
+report["--version"] = loaded(STARTUP)
 for argv in json.loads(sys.argv[1]):
     report[argv[0]] = [main(argv), loaded(SOLVERS), loaded(FORMATTER)]
 print(json.dumps(report))
@@ -550,7 +587,7 @@ def _loaded_modules(tmp_path, commands) -> dict:
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded.pop("import") == []  # nor numpy.random, which seeding loads
+    assert loaded.pop("import") == []  # nor scipy, nor numpy.random, which seeding loads
     assert loaded.pop("--version") == []
     return loaded
 

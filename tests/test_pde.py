@@ -129,7 +129,7 @@ def test_blow_up_reports_its_step_and_magnitude():
     stable = solve(table1_problem(n=64))
     assert not stable.blow_up
     assert stable.blowup_step is None and stable.blowup_max_abs is None
-    assert set(stable.timings) == {"assemble_s", "factor_s", "steps_s"}
+    assert set(stable.timings) == {"assemble_s", "factor_s", "steps_s", "runtime_s"}
     assert all(value >= 0.0 for value in stable.timings.values())
 
 
@@ -186,9 +186,10 @@ def test_error_dichotomy_same_solver_same_parameters():
 
 
 def test_implicit_euler_variant():
-    report = solve(table1_problem(n=32, scheme="ie"))
+    problem = table1_problem(n=32, scheme="ie")
+    report = solve(problem)
     assert not report.blow_up
-    assert report.time_scheme == "ie"
+    assert problem.time_scheme == "ie"
     assert report.l2_error < 10.0
 
 
