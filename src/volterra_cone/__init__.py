@@ -12,13 +12,9 @@ from .admissible import (
     q3_defaults,
 )
 from .cone import (
-    BoundaryCheckReport,
     ConeDomain,
-    boundary_condition_check,
     canonical_anchor,
-    canonical_halfspaces,
     contains,
-    m_matrix_inverse_check,
     original,
     transformed,
 )
@@ -40,7 +36,6 @@ from .scheme import (
     mean_oracle,
     ode_step,
     simulate,
-    strang_step,
     three_point_law,
 )
 
@@ -49,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityReport",
     "AdmissibleMatrix",
-    "BoundaryCheckReport",
     "ConeDomain",
     "DriftSystem",
     "ModelParams",
@@ -60,19 +54,16 @@ __all__ = [
     "ThreePointLaw",
     "TransformedDynamics",
     "aggregate",
-    "boundary_condition_check",
     "build_canonical",
     "build_q2",
     "build_q3",
     "canonical_anchor",
-    "canonical_halfspaces",
     "canonical_inverse",
     "check_admissible",
     "contains",
     "convergence_study",
     "kernel_eval",
     "load_params",
-    "m_matrix_inverse_check",
     "manufactured_solution",
     "mean_oracle",
     "observed_orders",
@@ -84,7 +75,6 @@ __all__ = [
     "simulate",
     "solve",
     "source_term",
-    "strang_step",
     "three_point_law",
     "transformed",
 ]

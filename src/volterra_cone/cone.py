@@ -1,29 +1,25 @@
-"""The invariant state-space cone and its membership and boundary checks.
+"""The invariant state-space cone and its membership check.
 
 The cone is the image of the non-negative orthant under the inverse of an
 admissible matrix, optionally shifted so that an arbitrary anchor with the
-same aggregate becomes reachable.  Membership, the canonical proportional
-anchor, the non-negativity of the inverse rate matrix and the inward drift
-on the faces of the orthant are all made executable here.
+same aggregate becomes reachable.  Membership, the coordinate maps and the
+canonical proportional anchor are made executable here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .admissible import SIGN_TOL, AdmissibleMatrix
-from .model import ModelParams, TransformedDynamics
+from .admissible import AdmissibleMatrix
 
 Array = NDArray[np.float64]
 
 #: transformed coordinates below -MEMBERSHIP_TOL are outside the cone, for every check of it
 MEMBERSHIP_TOL = 1e-9
-#: inward drift components below -DRIFT_TOL on a face of the orthant are violations
-DRIFT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +51,9 @@ class ConeDomain:
     def for_initial_state(cls, matrix: AdmissibleMatrix, y0) -> "ConeDomain":
         """Cone shifted by y0 minus the proportional anchor of equal aggregate (>= 0)."""
         y0_arr = np.asarray(y0, dtype=float)
-        anchor = canonical_anchor(matrix.w, matrix.x, float(matrix.w @ y0_arr))
+        with np.errstate(over="ignore", invalid="ignore"):  # canonical_anchor names a non-finite one
+            aggregate = float(matrix.w @ y0_arr)
+        anchor = canonical_anchor(matrix.w, matrix.x, aggregate)
         return cls(matrix=matrix, shift=y0_arr - anchor)
 
 
@@ -63,13 +61,20 @@ def canonical_anchor(w, x, Y0: float) -> Array:
     """Anchor proportional to 1/x whose aggregate equals Y0.
 
     Returns mu / x componentwise with mu = Y0 / sum(w_i / x_i), the unique
-    vector of this shape satisfying w @ anchor = Y0.
+    vector of this shape satisfying w @ anchor = Y0.  ValueError when Y0 is
+    negative or not finite, or when sum(w_i / x_i) is not finite and positive.
     """
     w_arr = np.asarray(w, dtype=float)
     x_arr = np.asarray(x, dtype=float)
-    if float(Y0) < 0.0:
+    Y0 = float(Y0)
+    if Y0 < 0.0:
         raise ValueError(f"aggregate must be >= 0, got {Y0}")
-    mu = float(Y0) / float(np.sum(w_arr / x_arr))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(w_arr / x_arr))
+    if not (math.isfinite(Y0) and math.isfinite(total) and total > 0.0):
+        raise ValueError(f"anchor needs a finite aggregate w @ v0 and a finite, positive "
+                         f"sum(w / x), got {Y0} and {total}")
+    mu = Y0 / total
     return mu / x_arr
 
 
@@ -99,78 +104,3 @@ def original(domain: ConeDomain, u) -> Array:
 def contains(domain: ConeDomain, y) -> bool:
     """True when no transformed coordinate of y is below -MEMBERSHIP_TOL."""
     return bool(np.min(transformed(domain, y)) >= -MEMBERSHIP_TOL)
-
-
-def canonical_halfspaces(w) -> list[tuple[Array, float]]:
-    """Halfspace description of the canonical cone with zero shift.
-
-    Returns pairs (coefficients, bound) meaning coefficients @ y >= bound:
-    the aggregate inequality w @ y >= 0 followed by, for each leading block,
-    w_1 y_1 + ... + w_i y_i >= (w_1 + ... + w_i) y_{i+1}.
-    """
-    w_arr = np.asarray(w, dtype=float)
-    n = w_arr.size
-    out: list[tuple[Array, float]] = [(w_arr.copy(), 0.0)]
-    for i in range(n - 1):
-        coeff = np.zeros(n)
-        coeff[: i + 1] = w_arr[: i + 1]
-        coeff[i + 1] = -np.sum(w_arr[: i + 1])
-        out.append((coeff, 0.0))
-    return out
-
-
-def m_matrix_inverse_check(matrix: AdmissibleMatrix) -> bool:
-    """True when every entry of Q @ diag(1/x) @ Q^-1 is >= -SIGN_TOL.
-
-    For an admissible matrix the rate matrix is an M-matrix, so its inverse
-    is entrywise non-negative; this implies the canonical anchor lies inside
-    the cone.  Non-admissible matrices are still evaluable, the guarantee is
-    simply lost.
-    """
-    inv_rate = (matrix.Q / matrix.x) @ matrix.Qinv
-    return bool(np.min(inv_rate) >= -SIGN_TOL)
-
-
-@dataclass(frozen=True)
-class BoundaryCheckReport:
-    """Lowest inward drift component over each face of the orthant, within a box."""
-
-    min_drift: float
-    worst_face: int
-    n_violations: int
-
-    @property
-    def ok(self) -> bool:
-        return self.n_violations == 0
-
-
-def boundary_condition_check(
-    matrix: AdmissibleMatrix,
-    params: ModelParams,
-    mu: float = 0.0,
-) -> BoundaryCheckReport:
-    """Audit inward drift on every face of the orthant.
-
-    On face i (u_i = 0) the i-th component of the transformed drift of
-    ``params`` with anchor mu / x must be >= -DRIFT_TOL for every u in the
-    box [0, hi]^N, with hi matched to simulation magnitudes.  The component
-    is linear in u, so its minimum sits at the vertex with u_j = hi where
-    K_ij < 0 and u_j = 0 elsewhere; ``n_violations`` counts the faces below
-    the tolerance.  Tangency needs no audit: only u_N carries noise, and it
-    vanishes on the u_N face.  Raises ValueError for a matrix that fails the
-    row or column condition.
-    """
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    dynamics = TransformedDynamics.from_params(replace(params, v0=mu / params.x), matrix)
-    hi = 10.0 * max(float(np.max(params.v0)), params.theta / float(np.min(params.x)))
-    if hi <= 0.0:
-        hi = 1.0
-    worst = hi * (dynamics.system.A < 0.0)  # row i: the worst vertex of face i
-    np.fill_diagonal(worst, 0.0)
-    face_min = np.diag(dynamics.drift(worst))
-    return BoundaryCheckReport(
-        min_drift=float(np.min(face_min)),
-        worst_face=int(np.argmin(face_min)),
-        n_violations=int(np.sum(face_min < -DRIFT_TOL)),
-    )

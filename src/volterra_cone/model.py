@@ -88,8 +88,11 @@ class ModelParams:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.nu < 0.0:
             raise ValueError(f"nu must be >= 0, got {self.nu}")
-        scale = self.nu * self.wbar
-        if not math.isfinite(scale * scale):  # float ** would raise OverflowError instead
+        try:  # the expression of TransformedDynamics.variance_rate; float ** raises on overflow
+            rate = self.nu**2 * self.wbar**2
+        except OverflowError:
+            rate = math.inf
+        if not math.isfinite(rate):
             raise ValueError(f"nu = {self.nu} overflows the variance rate nu^2 wbar^2")
 
     @property

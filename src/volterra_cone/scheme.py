@@ -6,8 +6,7 @@ step.  Both pieces map the state-space cone into itself, so the composition
 does as well, which keeps every square-root argument non-negative along the
 whole simulation.  One in-place batched step kernel serves the simulator
 in u = Q (v - shift) (:class:`TransformedDynamics`), where the state is
-stored as (N, paths) and the jump moves only the u_N row, and the scalar
-step as a batch of one.
+stored as (N, paths) and the jump moves only the u_N row.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .admissible import AdmissibleMatrix, build_canonical
+from .admissible import AdmissibleMatrix
 from .cone import MEMBERSHIP_TOL, ConeDomain, contains, original, transformed
 from .model import DriftSystem, ModelParams, TransformedDynamics
 
@@ -196,29 +195,6 @@ def _strang_step(state: Array, prop: Array, shift: Array, z_budget: float, u: Ar
     np.matmul(prop, mid, out=state)
     state += shift
     return low, clamps, bad
-
-
-def strang_step(params: ModelParams, v, h: float, u: float) -> Array:
-    """Half drift step, aggregate jump over the full step, half drift step.
-
-    The batched step on one state, in the coordinates y = Q v of
-    :func:`build_canonical` (last row w and Q 1 = wbar e_N, so y_N is the
-    aggregate and the jump is along e_N) with the drift and variance rate of
-    :class:`TransformedDynamics`, mapped back by the closed-form inverse:
-    a step that leaves y unchanged returns v bit for bit.  ValueError when the
-    aggregate before the jump is below -MEMBERSHIP_TOL or NaN.
-    """
-    v = np.asarray(v, dtype=float)
-    canonical = build_canonical(params.w, params.x)
-    dynamics = TransformedDynamics.from_params(params, canonical)
-    prop, shift = dynamics.system.propagators(0.5 * h)
-    y = canonical.Q @ v
-    state = y[:, None].copy()
-    low, _, _ = _strang_step(state, prop, shift[:, None], dynamics.variance_rate * float(h),
-                             np.array([float(u)]), _workspace(y.size, 1))
-    if not low >= -MEMBERSHIP_TOL:  # NaN is outside the cone too
-        raise ValueError(f"aggregate {low} is negative beyond tolerance, state left the cone")
-    return v + canonical.Qinv @ (state[:, 0] - y)
 
 
 @dataclass(frozen=True)

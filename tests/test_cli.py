@@ -62,6 +62,11 @@ def test_missing_params_file_exits_2(tmp_path):
 
 
 THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002, 0.0005]}
+# sum(w / x) of the anchor underflows to 0 and overflows to inf
+ANCHOR_SUM_UNDERFLOWS = {"w": [1e-300], "x": [1e308], "v0": [0.0]}
+ANCHOR_SUM_OVERFLOWS = {"w": [1.0], "x": [1e-320], "v0": [0.02]}
+# nu wbar is finite, but nu**2 overflows in the float ** of the variance rate
+NU_SQUARED_OVERFLOWS = {"w": [1e-300], "x": [1.0], "v0": [0.02], "nu": 1e200}
 
 
 @pytest.mark.parametrize("argv, overrides, names", [
@@ -111,6 +116,12 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
     (["simulate", "--M", "10", "--paths", "2"], {"v0": [1e308, 3e307]}, "shift"),
     (["build-q"], {"w": [3.0, 1.0], "x": [1e200, 1e308]}, "not finite"),
     (["build-q"], {"w": [1e-320, 1e-320]}, "not finite"),
+    (["simulate", "--M", "10", "--paths", "2"], ANCHOR_SUM_UNDERFLOWS, "sum(w / x)"),
+    (["check-domain", "--point", "0"], ANCHOR_SUM_UNDERFLOWS, "sum(w / x)"),
+    (["simulate", "--M", "10", "--paths", "2"], ANCHOR_SUM_OVERFLOWS, "sum(w / x)"),
+    (["check-domain", "--point", "0"], ANCHOR_SUM_OVERFLOWS, "sum(w / x)"),
+    (["simulate", "--M", "10", "--paths", "2"], NU_SQUARED_OVERFLOWS, "variance rate"),
+    (["pde", "--alpha", "1", "--box", "0,4", "--n", "8"], NU_SQUARED_OVERFLOWS, "variance rate"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
@@ -122,7 +133,10 @@ THREE_FACTORS = {"w": [1.0, 2.0, 3.0], "x": [1.0, 5.0, 25.0], "v0": [0.01, 0.002
         "simulate-preset-and-params", "cloud-unallocatable", "pde-alpha-overflows",
         "pde-beta-overflows", "simulate-T-overflows", "simulate-lambda-overflows",
         "simulate-seed-negative", "simulate-anchor-overflows", "build-q-canonical-G-overflows",
-        "build-q-canonical-w-underflows"])
+        "build-q-canonical-w-underflows", "simulate-anchor-sum-underflows",
+        "check-domain-anchor-sum-underflows", "simulate-anchor-sum-overflows",
+        "check-domain-anchor-sum-overflows", "simulate-nu-squared-overflows",
+        "pde-nu-squared-overflows"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     # a case naming a preset takes its parameters from it: adding --params would be an error
     params = [] if "--preset" in argv else ["--params", str(write_params(tmp_path, **overrides))]

@@ -20,7 +20,6 @@ from volterra_cone import (
     mean_oracle,
     ode_step,
     simulate,
-    strang_step,
     three_point_law,
 )
 from volterra_cone import scheme
@@ -205,45 +204,17 @@ def test_path_generators_match_numpy_streams(seed):
                                           np.random.default_rng([seed, k]).random(100))
 
 
-def test_strang_step_rejects_non_finite_state():
-    params = fig2_params()
-    with pytest.raises(ValueError, match="left the cone"):
-        strang_step(params, [math.nan, 0.01], 0.01, 0.5)
-
-
-def test_strang_step_rejects_negative_aggregate():
-    params = fig2_params()
-    with pytest.raises(ValueError, match="left the cone"):
-        strang_step(params, np.array([-1.0, -1.0]), 0.01, 0.5)
-
-
-def test_strang_zero_step_is_identity():
-    params = fig2_params()
-    v = params.v0.copy()
-    np.testing.assert_array_equal(strang_step(params, v, 0.0, 0.7), v)
-
-
-def test_strang_deterministic_limit_matches_ode():
-    params = fig2_params(nu=0.0)
-    system = DriftSystem.from_params(params)
-    v = np.array([0.05, 0.001])
-    for h in (0.01, 0.1, 1.0):
-        split = strang_step(params, v, h, 0.42)
-        direct = ode_step(system, v, h)
-        assert np.max(np.abs(split - direct)) <= 1e-12
-
-
 def test_strang_step_preserves_cone():
+    # one step of five paths from each of 2 000 random cone states and step sizes
     params = fig2_params()
     matrix = build_canonical(params.w, params.x)
     rng = np.random.default_rng(13)
-    coords = rng.uniform(0.0, 0.2, size=(10_000, 2))
-    points = coords @ matrix.Qinv.T
-    hs = rng.uniform(0.0, 0.1, size=10_000)
-    us = rng.random(10_000)
-    for v, h, u in zip(points, hs, us):
-        out = strang_step(params, v, float(h), float(u))
-        assert np.min(matrix.Q @ out) >= -1e-9
+    points = rng.uniform(0.0, 0.2, size=(2_000, 2)) @ matrix.Qinv.T
+    for seed, (v, h) in enumerate(zip(points, rng.uniform(0.0, 0.1, size=2_000))):
+        cloud = simulate(params, matrix, PathConfig(T=float(h), M=1, n_paths=5, seed=seed),
+                         initial_state=v)
+        assert cloud.n_violations == 0 and cloud.sqrt_clamp_count == 0
+        assert cloud.min_transformed >= -1e-9
 
 
 def test_simulate_deterministic_limit_matches_ode_steps():
@@ -431,18 +402,6 @@ def test_simulate_corruption_hook_changes_result(skip_final_half_drift):
     skip_final_half_drift()
     corrupt = simulate(params, matrix, config)
     assert np.max(np.abs(clean.states - corrupt.states)) > 0.0
-
-
-def test_simulate_matches_iterated_scalar_strang_step():
-    params = fig2_params()
-    matrix = build_canonical(params.w, params.x)
-    config = PathConfig(T=1.0, M=200, n_paths=1, seed=23, record_full=True)
-    states = simulate(params, matrix, config).states[0]
-    uniforms = np.random.default_rng([config.seed, 0]).random(config.M)
-    state = params.v0.copy()
-    for j, u in enumerate(uniforms):
-        state = strang_step(params, state, config.T / config.M, float(u))
-        assert np.max(np.abs(states[j + 1] - state)) <= 1e-12
 
 
 def test_simulate_rejects_matrix_failing_row_or_column_condition():
