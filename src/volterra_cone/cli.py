@@ -149,7 +149,7 @@ def _write_manifest(out: Path, args, argv: list[str], config: dict,
     """Write ``<out>.manifest.json``: the run, the library versions, each output's SHA-256 and size.
 
     ``written`` maps each output path to the digest and size
-    :func:`_write_output` returned, and ``telemetry`` (timings, blow-up
+    :func:`_write_output` returned, and ``telemetry`` (timings, worker count, blow-up
     fields) enters the manifest as given.
     """
     import scipy  # here, for its version only: start-up and --version load no scipy module
@@ -251,7 +251,7 @@ def cmd_simulation(args, argv: list[str]) -> int:
     _write_manifest(out, args, argv,
                     {"T": horizon, "M": steps, "paths": paths,
                      "record": args.record, "params": params.to_dict()},
-                    written, started, timings=timings)
+                    written, started, timings=timings, workers=cloud.workers)
     print(json.dumps(audit))
     if cloud.n_violations > 0 and not args.allow_nonadmissible:
         print(f"cone audit failed: {cloud.n_violations} grid states below "
@@ -288,7 +288,8 @@ def cmd_mean_check(args, argv: list[str]) -> int:
         _write_manifest(out, args, argv,
                         {"t": args.t, "M": args.M, "paths": args.paths,
                          "params": params.to_dict()},
-                        {str(out): _write_json(out, payload)}, started, timings=cloud.timings)
+                        {str(out): _write_json(out, payload)}, started,
+                        timings=cloud.timings, workers=cloud.workers)
     return EXIT_OK if passed else EXIT_STATISTICAL
 
 

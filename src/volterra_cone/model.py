@@ -88,6 +88,9 @@ class ModelParams:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.nu < 0.0:
             raise ValueError(f"nu must be >= 0, got {self.nu}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(self.w)):
+                raise ValueError(f"sum(w) overflows for w = {self.w.tolist()}")
         try:  # the expression of TransformedDynamics.variance_rate; float ** raises on overflow
             rate = self.nu**2 * self.wbar**2
         except OverflowError:

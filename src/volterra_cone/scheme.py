@@ -6,12 +6,17 @@ step.  Both pieces map the state-space cone into itself, so the composition
 does as well, which keeps every square-root argument non-negative along the
 whole simulation.  One in-place batched step kernel serves the simulator
 in u = Q (v - shift) (:class:`TransformedDynamics`), where the state is
-stored as (N, paths) and the jump moves only the u_N row.
+stored as (N, paths) and the jump moves only the u_N row.  Blocks of paths
+are shared out among forked worker processes, one per usable CPU.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, replace
 
@@ -28,13 +33,18 @@ Array = NDArray[np.float64]
 SPREAD = (3.0 + math.sqrt(3.0)) / 4.0
 #: probabilities outside [0, 1] by more than this are counted as audit violations
 PROB_SLACK = 1e-12
-#: widest block of paths marched at once, so memory does not grow with the batch: each
-#: path holds a generator (~1 KB) and its chunk of uniforms
+#: widest block of paths a worker marches at once, so memory does not grow with the batch:
+#: each path holds a generator (~1 KB) and its chunk of uniforms
 BLOCK_PATHS = 10_000
-#: most uniforms a path draws per generator call, which amortizes the call's ~1.6 us
+#: most uniforms held at once per path of a block, by its chunk and tile; a path draws a
+#: chunk's steps per generator call, which amortizes the call's ~1.6 us
 CHUNK_STEPS = 512
-#: most uniforms held at once by the block in flight (32 MB), which shortens wide chunks
+#: most uniforms held at once by the chunk and tile of each worker's block (32 MB), which
+#: shortens wide chunks; W workers hold up to W times this
 CHUNK_DRAWS = 1 << 22
+#: paths drawn into a contiguous (paths, steps) tile before it is copied into the chunk as
+#: one transposed block (at most 512 KB, so it stays in cache)
+DRAW_TILE = 128
 #: constants of NumPy's SeedSequence hash (numpy/random/bit_generator.pyx, stream-stable)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -228,7 +238,8 @@ class SampleCloud:
     coordinate below -MEMBERSHIP_TOL) cover every grid state of the run, not
     only the recorded ones.  ``timings`` holds the seconds spent seeding the
     paths' generators (``seed_s``), drawing uniforms (``uniforms_s``) and
-    stepping (``steps_s``).
+    stepping (``steps_s``), summed over the ``workers`` processes that
+    marched the paths.
     """
 
     transformed: Array
@@ -240,6 +251,7 @@ class SampleCloud:
     config: PathConfig
     domain: ConeDomain
     timings: dict[str, float]
+    workers: int
 
     @property
     def steps(self) -> NDArray[np.int64]:
@@ -365,11 +377,11 @@ def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Arra
 
     Path k draws from the generator seeded by (config.seed, k)
     (:func:`_path_generators`), chunk_steps at a time into a (steps, paths)
-    buffer, so a step's uniforms are a contiguous row and the draws do not
-    depend on how paths are split.  The recorded u and the per-path minima
-    fill the block's rows of the cloud's arrays, and the counters and the
-    seconds spent seeding, drawing uniforms and stepping are added to the
-    cloud's.
+    buffer through a tile of DRAW_TILE paths, so a step's uniforms are a
+    contiguous row and the draws do not depend on how paths are split.  The
+    recorded u and the per-path minima fill the block's rows of the cloud's
+    arrays, and the counters and the seconds spent seeding, drawing uniforms
+    and stepping are added to the cloud's.
     """
     started = time.perf_counter()
     config = cloud.config
@@ -377,6 +389,7 @@ def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Arra
     seeded = time.perf_counter()
     width = last - first
     chunk = np.empty((chunk_steps, width))
+    tile = np.empty((min(width, DRAW_TILE), chunk_steps))
     state = np.repeat(initial[:, None], width, axis=1)
     shift = np.repeat(shift[:, None], width, axis=1)
     work = _workspace(*state.shape)
@@ -396,8 +409,12 @@ def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Arra
     for begin in range(0, config.M, chunk.shape[0]):
         drawn = time.perf_counter()
         rows = chunk[:config.M - begin]
-        for i, generator in enumerate(generators):
-            rows[:, i] = generator.random(rows.shape[0])
+        steps = rows.shape[0]
+        for start in range(0, width, len(tile)):
+            group = generators[start:start + len(tile)]
+            for row, generator in zip(tile, group):
+                generator.random(out=row[:steps])
+            rows[:, start:start + len(group)] = tile[:len(group), :steps].T
         stepped = time.perf_counter()
         for j, u in enumerate(rows, start=begin):
             low, clamps, bad = _strang_step(state, prop, shift, z_budget, u, work)
@@ -420,6 +437,88 @@ def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Arra
         recorded[:, 0] = state.T
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where ``os.sched_getaffinity`` or ``os.fork`` is missing."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _shared_arrays(shapes: list[tuple[int, ...]]) -> list[Array]:
+    """Float arrays of ``shapes`` in one anonymous MAP_SHARED mapping, so forked workers fill them."""
+    sizes = [math.prod(shape) for shape in shapes]
+    nbytes = 8 * sum(sizes)
+    try:
+        buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_SHARED)
+    except (OverflowError, OSError) as error:
+        raise MemoryError(f"cannot allocate {nbytes} bytes of shared path arrays: {error}") from None
+    offsets = np.cumsum([0, *sizes[:-1]]) * 8
+    return [np.frombuffer(buffer, count=size, offset=int(offset)).reshape(shape)
+            for shape, size, offset in zip(shapes, sizes, offsets)]
+
+
+def _march_workers(cloud: SampleCloud, blocks: list[tuple[int, int]], march) -> None:
+    """Run ``march`` on every ``cloud.workers``-th block: the parent from block 0, W - 1 forks after.
+
+    ``march(blocks)`` marches its blocks in order into ``cloud`` and returns the
+    first that failed as (first path, error), or None.  Each child sends its
+    counters, timings and failure back through a pipe and always ends with
+    ``os._exit``; the parent reaps every child before it returns or raises,
+    adds the counters and timings, and raises the failure of the lowest block,
+    the one a single process stops at.  A child that ends without a report is
+    a RuntimeError naming its exit status.
+    """
+    workers = cloud.workers
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    reports = []
+    try:
+        for worker in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    failure = march(blocks[worker::workers])
+                    report = (cloud.n_violations, cloud.sqrt_clamp_count,
+                              cloud.prob_violations, cloud.timings, failure)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(report, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        failures = [march(blocks[::workers])]
+        for _, read_fd in children:
+            with os.fdopen(read_fd, "rb", closefd=False) as pipe:
+                reports.append(pipe.read())
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, read_fd in children:
+            os.close(read_fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for worker, ((pid, _), data, status) in enumerate(zip(children, reports, statuses), start=1):
+        if not data:
+            failures.append((blocks[worker][0], RuntimeError(
+                f"simulation worker {pid} exited with status "
+                f"{os.waitstatus_to_exitcode(status)} without a report")))
+            continue
+        violations, clamps, bad, timings, failure = pickle.loads(data)
+        cloud.n_violations += violations
+        cloud.sqrt_clamp_count += clamps
+        cloud.prob_violations += bad
+        for stage, seconds in timings.items():
+            cloud.timings[stage] += seconds
+        failures.append(failure)
+    failures = [failure for failure in failures if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+
 def simulate(
     params: ModelParams,
     matrix: AdmissibleMatrix,
@@ -435,10 +534,13 @@ def simulate(
     and v - shift follows the model anchored at ``params.v0 - shift`` (proportional to 1/x).
     A non-finite initial state is a ValueError, and so is one that
     :func:`contains` rejects unless ``require_initial_in_cone`` is false.
-    The paths are marched one block after another, in contiguous blocks of
-    at most BLOCK_PATHS and nearly equal width.  Path k draws one uniform per
-    step from the substream seeded by (config.seed, k), so the sample cloud
-    is reproducible bit for bit and independent of the block size.
+    The paths are split into contiguous blocks of at most BLOCK_PATHS and
+    nearly equal width, which W = min(blocks, usable CPUs) processes march:
+    this one and W - 1 forked workers (:func:`_march_workers`), which write
+    into arrays in shared memory; the cloud's ``timings`` are summed over the
+    W processes.  Path k draws one uniform per step from the substream seeded
+    by (config.seed, k), so the sample cloud is reproducible bit for bit and
+    independent of the block size and of W.
     """
     initial = params.v0 if initial_state is None else initial_state
     domain = ConeDomain.for_initial_state(matrix, params.v0)
@@ -451,23 +553,36 @@ def simulate(
     prop, forcing = dynamics.system.propagators(0.5 * h)
     z_budget = dynamics.variance_rate * h
 
+    n_blocks = -(-config.n_paths // BLOCK_PATHS)
+    bounds = np.linspace(0, config.n_paths, n_blocks + 1).astype(int).tolist()
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    widest = -(-config.n_paths // n_blocks)
+    held = min(CHUNK_STEPS * widest, CHUNK_DRAWS) // (widest + min(widest, DRAW_TILE))
+    chunk_steps = max(1, min(config.M, held))
+    workers = min(n_blocks, _usable_cpus())
+    shapes = [(config.n_paths, config.M + 1 if config.record_full else 1, u0.size),
+              (config.n_paths,), (config.n_paths,)]
+    arrays = [np.empty(shape) for shape in shapes] if workers == 1 else _shared_arrays(shapes)
     cloud = SampleCloud(
-        transformed=np.empty((config.n_paths, config.M + 1 if config.record_full else 1, u0.size)),
-        min_transformed_per_path=np.empty(config.n_paths),
-        min_aggregate_per_path=np.empty(config.n_paths),
+        *arrays,
         n_violations=0,
         sqrt_clamp_count=0,
         prob_violations=0,
         config=config,
         domain=domain,
         timings={"seed_s": 0.0, "uniforms_s": 0.0, "steps_s": 0.0},
+        workers=workers,
     )
-    n_blocks = -(-config.n_paths // BLOCK_PATHS)
-    bounds = np.linspace(0, config.n_paths, n_blocks + 1).astype(int).tolist()
-    widest = -(-config.n_paths // n_blocks)
-    chunk_steps = max(1, min(config.M, CHUNK_STEPS, CHUNK_DRAWS // widest))
-    for first, last in zip(bounds[:-1], bounds[1:]):
-        _simulate_block(cloud, u0, prop, forcing, z_budget, first, last, chunk_steps)
+
+    def march(own: list[tuple[int, int]]) -> tuple[int, Exception] | None:
+        for first, last in own:
+            try:
+                _simulate_block(cloud, u0, prop, forcing, z_budget, first, last, chunk_steps)
+            except Exception as error:
+                return first, error
+        return None
+
+    _march_workers(cloud, blocks, march)
     return cloud
 
 

@@ -13,6 +13,7 @@ import pytest
 import scipy
 
 from volterra_cone import PathConfig, build_canonical, build_q3, load_params, q3_defaults, simulate
+from volterra_cone import scheme
 from volterra_cone.cli import EXPORT_ROWS, _fmt, build_parser, main
 from volterra_cone.floatfmt import format_g17
 from volterra_cone.presets import preset
@@ -67,6 +68,8 @@ ANCHOR_SUM_UNDERFLOWS = {"w": [1e-300], "x": [1e308], "v0": [0.0]}
 ANCHOR_SUM_OVERFLOWS = {"w": [1.0], "x": [1e-320], "v0": [0.02]}
 # nu wbar is finite, but nu**2 overflows in the float ** of the variance rate
 NU_SQUARED_OVERFLOWS = {"w": [1e-300], "x": [1.0], "v0": [0.02], "nu": 1e200}
+# every weight is finite, but their sum wbar overflows; nu = 0 would hide it in nu^2 wbar^2
+W_SUM_OVERFLOWS = {"w": [1e308, 1e308], "nu": 0.0, "v0": [0.0, 0.0]}
 
 
 @pytest.mark.parametrize("argv, overrides, names", [
@@ -122,6 +125,8 @@ NU_SQUARED_OVERFLOWS = {"w": [1e-300], "x": [1.0], "v0": [0.02], "nu": 1e200}
     (["check-domain", "--point", "0"], ANCHOR_SUM_OVERFLOWS, "sum(w / x)"),
     (["simulate", "--M", "10", "--paths", "2"], NU_SQUARED_OVERFLOWS, "variance rate"),
     (["pde", "--alpha", "1", "--box", "0,4", "--n", "8"], NU_SQUARED_OVERFLOWS, "variance rate"),
+    (["build-q"], W_SUM_OVERFLOWS, "sum(w)"),
+    (["simulate", "--M", "10", "--paths", "2"], W_SUM_OVERFLOWS, "sum(w)"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
@@ -136,7 +141,7 @@ NU_SQUARED_OVERFLOWS = {"w": [1e-300], "x": [1.0], "v0": [0.02], "nu": 1e200}
         "build-q-canonical-w-underflows", "simulate-anchor-sum-underflows",
         "check-domain-anchor-sum-underflows", "simulate-anchor-sum-overflows",
         "check-domain-anchor-sum-overflows", "simulate-nu-squared-overflows",
-        "pde-nu-squared-overflows"])
+        "pde-nu-squared-overflows", "build-q-w-sum-overflows", "simulate-w-sum-overflows"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     # a case naming a preset takes its parameters from it: adding --params would be an error
     params = [] if "--preset" in argv else ["--params", str(write_params(tmp_path, **overrides))]
@@ -567,6 +572,39 @@ def test_column_formatter_gives_fmt_of_each_value():
     for column in np.concatenate((cloud.states, cloud.transformed), axis=-1).reshape(-1, 6).T:
         assert _g17_texts(column) == [_fmt(value) for value in column.tolist()]
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "fig2", "--T", "0.5", "--M", "20", "--paths", "10"],
+    ["cloud", "--preset", "fig3a", "--T", "0.5", "--M", "20", "--paths", "10"],
+    ["mean-check", "--preset", "fig2", "--t", "0.5", "--M", "20", "--paths", "10"],
+], ids=["simulate", "cloud", "mean-check"])
+def test_manifest_records_the_worker_count(tmp_path, monkeypatch, argv):
+    # blocks of at most 4 paths, so 10 paths are 3 blocks and the worker count is the CPUs'
+    monkeypatch.setattr(scheme, "BLOCK_PATHS", 4)
+    for cpus in (1, 2):
+        monkeypatch.setattr(scheme, "_usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"{cpus}.out"
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / f"{cpus}.out.manifest.json").read_text())
+        assert manifest["workers"] == cpus
+    assert (tmp_path / "1.out").read_bytes() == (tmp_path / "2.out").read_bytes()
+
+
+def test_mean_check_forks_its_workers_from_the_cli(tmp_path, monkeypatch):
+    # 20 000 paths are two blocks, so two workers where two CPUs are usable; the interpreter
+    # is a fresh one, whose OpenBLAS threads are running when the workers fork
+    argv = ["mean-check", "--preset", "fig2", "--t", "1", "--M", "20", "--paths", "20000",
+            "--seed", "2"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "volterra_cone", *argv, "--out", "forked.json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "forked.json.manifest.json").read_text())
+    assert manifest["workers"] == min(2, scheme._usable_cpus())
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: 1)
+    assert main([*argv, "--out", str(tmp_path / "one.json")]) == 0
+    assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "one.json").read_bytes()
 
 LOADED_MODULES = """
 import json, sys

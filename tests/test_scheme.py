@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -240,9 +241,11 @@ def test_simulate_is_seed_deterministic():
 
 
 def test_simulate_is_block_size_independent(monkeypatch):
-    # fig3c escapes its cone, so the violation counter is not zero
+    # fig3c escapes its cone, so the violation counter is not zero; one worker, because the
+    # calls a forked worker makes are not seen by this process
     params, matrix = preset("fig3c")
     config = PathConfig(T=10.0, M=200, n_paths=17, seed=21, record_full=True)
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: 1)
     block = scheme._simulate_block
     widths = []
 
@@ -262,6 +265,96 @@ def test_simulate_is_block_size_independent(monkeypatch):
     np.testing.assert_array_equal(whole.min_aggregate_per_path, split.min_aggregate_per_path)
     for counter in ("n_violations", "sqrt_clamp_count", "prob_violations"):
         assert getattr(whole, counter) == getattr(split, counter), counter
+
+
+def escape_run(monkeypatch, cpus):
+    """fig3c (escape) with 43 paths in blocks of at most 8, marched by min(6, cpus) processes."""
+    monkeypatch.setattr(scheme, "BLOCK_PATHS", 8)
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: cpus)
+    params, matrix = preset("fig3c")
+    config = PathConfig(T=10.0, M=60, n_paths=43, seed=17, record_full=True)
+    return simulate(params, matrix, config, require_initial_in_cone=False)
+
+
+def forked_pids(monkeypatch):
+    """The pids of the children ``os.fork`` makes from now on, in a list that fills as they come."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+def test_simulate_is_worker_count_independent(monkeypatch):
+    step = scheme._strang_step
+
+    def counting(*args):  # one clamp and one bad probability per block and step
+        low, clamps, bad = step(*args)
+        return low, clamps + 1, bad + 1
+
+    monkeypatch.setattr(scheme, "_strang_step", counting)
+    pids = forked_pids(monkeypatch)
+    one = escape_run(monkeypatch, 1)
+    assert one.workers == 1 and not pids
+    assert one.n_violations > 0
+    assert one.sqrt_clamp_count == one.prob_violations == 6 * 60
+    for cpus in (2, 3):
+        many = escape_run(monkeypatch, cpus)
+        assert many.workers == cpus
+        for key in ("transformed", "min_transformed_per_path", "min_aggregate_per_path"):
+            np.testing.assert_array_equal(getattr(many, key), getattr(one, key), err_msg=key)
+        for counter in ("n_violations", "sqrt_clamp_count", "prob_violations"):
+            assert getattr(many, counter) == getattr(one, counter), counter
+        assert set(many.timings) == set(one.timings)
+    assert len(pids) == 1 + 2
+    assert_reaped(pids)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_simulate_raises_the_failure_of_the_lowest_block(monkeypatch, cpus):
+    # blocks start at paths 0, 7, 14, 21, 28, 35; every one but the first fails
+    block = scheme._simulate_block
+
+    def failing(cloud, initial, prop, shift, z_budget, first, last, chunk_steps):
+        if first > 0:
+            raise RuntimeError(f"block {first}")
+        block(cloud, initial, prop, shift, z_budget, first, last, chunk_steps)
+
+    monkeypatch.setattr(scheme, "_simulate_block", failing)
+    pids = forked_pids(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"^block 7$"):
+        escape_run(monkeypatch, cpus)
+    assert len(pids) == cpus - 1
+    assert_reaped(pids)
+
+
+def test_simulate_reports_a_worker_that_dies_without_a_report(monkeypatch):
+    block = scheme._simulate_block
+    parent = os.getpid()
+
+    def dying(cloud, initial, prop, shift, z_budget, first, last, chunk_steps):
+        if os.getpid() != parent:
+            os._exit(3)
+        block(cloud, initial, prop, shift, z_budget, first, last, chunk_steps)
+
+    monkeypatch.setattr(scheme, "_simulate_block", dying)
+    pids = forked_pids(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"worker \d+ exited with status 3 without a report"):
+        escape_run(monkeypatch, 2)
+    assert len(pids) == 1
+    assert_reaped(pids)
 
 
 def reference_law(x, z):
@@ -334,7 +427,8 @@ def reference_simulate(params, matrix, config, u0=None):
     ("fig2", False), ("fig3c", True), ("table1", False),
 ], ids=["fig2", "fig3c-escape", "table1-shifted"])
 def test_simulate_matches_row_major_reference_bit_for_bit(monkeypatch, name, escape):
-    # small blocks and chunks, so 43 paths span several blocks and M = 2 chunks + 37 steps
+    # small blocks and chunks, so 43 paths span several blocks and M = 69 steps end in a part
+    # chunk: a block of 8 paths and its tile hold 16 x 8 uniforms, so a chunk is 8 steps
     monkeypatch.setattr(scheme, "BLOCK_PATHS", 8)
     monkeypatch.setattr(scheme, "CHUNK_STEPS", 16)
     params, matrix = preset(name)
