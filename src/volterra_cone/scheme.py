@@ -36,8 +36,7 @@ PROB_SLACK = 1e-12
 #: widest block of paths a worker marches at once, so memory does not grow with the batch:
 #: each path holds a generator (~1 KB) and its chunk of uniforms
 BLOCK_PATHS = 10_000
-#: most uniforms held at once per path of a block, by its chunk and tile; a path draws a
-#: chunk's steps per generator call, which amortizes the call's ~1.6 us
+#: most uniforms a path draws per generator call, which amortizes the call's ~1.6 us
 CHUNK_STEPS = 512
 #: most uniforms held at once by the chunk and tile of each worker's block (32 MB), which
 #: shortens wide chunks; W workers hold up to W times this
@@ -466,7 +465,7 @@ def _march_workers(cloud: SampleCloud, blocks: list[tuple[int, int]], march) -> 
     ``os._exit``; the parent reaps every child before it returns or raises,
     adds the counters and timings, and raises the failure of the lowest block,
     the one a single process stops at.  A child that ends without a report is
-    a RuntimeError naming its exit status.
+    a ChildProcessError naming its exit status.
     """
     workers = cloud.workers
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
@@ -503,7 +502,7 @@ def _march_workers(cloud: SampleCloud, blocks: list[tuple[int, int]], march) -> 
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
     for worker, ((pid, _), data, status) in enumerate(zip(children, reports, statuses), start=1):
         if not data:
-            failures.append((blocks[worker][0], RuntimeError(
+            failures.append((blocks[worker][0], ChildProcessError(
                 f"simulation worker {pid} exited with status "
                 f"{os.waitstatus_to_exitcode(status)} without a report")))
             continue
@@ -557,8 +556,8 @@ def simulate(
     bounds = np.linspace(0, config.n_paths, n_blocks + 1).astype(int).tolist()
     blocks = list(zip(bounds[:-1], bounds[1:]))
     widest = -(-config.n_paths // n_blocks)
-    held = min(CHUNK_STEPS * widest, CHUNK_DRAWS) // (widest + min(widest, DRAW_TILE))
-    chunk_steps = max(1, min(config.M, held))
+    held = CHUNK_DRAWS // (widest + min(widest, DRAW_TILE))
+    chunk_steps = max(1, min(config.M, CHUNK_STEPS, held))
     workers = min(n_blocks, _usable_cpus())
     shapes = [(config.n_paths, config.M + 1 if config.record_full else 1, u0.size),
               (config.n_paths,), (config.n_paths,)]

@@ -573,7 +573,6 @@ def test_column_formatter_gives_fmt_of_each_value():
         assert _g17_texts(column) == [_fmt(value) for value in column.tolist()]
 
 
-
 @pytest.mark.parametrize("argv", [
     ["simulate", "--preset", "fig2", "--T", "0.5", "--M", "20", "--paths", "10"],
     ["cloud", "--preset", "fig3a", "--T", "0.5", "--M", "20", "--paths", "10"],
@@ -591,6 +590,24 @@ def test_manifest_records_the_worker_count(tmp_path, monkeypatch, argv):
     assert (tmp_path / "1.out").read_bytes() == (tmp_path / "2.out").read_bytes()
 
 
+def test_a_worker_that_dies_without_a_report_exits_2(tmp_path, capsys, monkeypatch):
+    # a killed worker is not a cone-audit failure (exit 4)
+    monkeypatch.setattr(scheme, "BLOCK_PATHS", 4)
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: 2)
+    block = scheme._simulate_block
+    parent = os.getpid()
+
+    def dying(cloud, *args):
+        if os.getpid() != parent:
+            os._exit(9)
+        block(cloud, *args)
+
+    monkeypatch.setattr(scheme, "_simulate_block", dying)
+    argv = ["simulate", "--preset", "fig2", "--T", "0.5", "--M", "20", "--paths", "10"]
+    assert main([*argv, "--out", str(tmp_path / "paths.csv")]) == 2
+    assert "exited with status 9 without a report" in capsys.readouterr().err
+
+
 def test_mean_check_forks_its_workers_from_the_cli(tmp_path, monkeypatch):
     # 20 000 paths are two blocks, so two workers where two CPUs are usable; the interpreter
     # is a fresh one, whose OpenBLAS threads are running when the workers fork
@@ -605,6 +622,7 @@ def test_mean_check_forks_its_workers_from_the_cli(tmp_path, monkeypatch):
     monkeypatch.setattr(scheme, "_usable_cpus", lambda: 1)
     assert main([*argv, "--out", str(tmp_path / "one.json")]) == 0
     assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
 
 LOADED_MODULES = """
 import json, sys

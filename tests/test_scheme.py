@@ -351,7 +351,7 @@ def test_simulate_reports_a_worker_that_dies_without_a_report(monkeypatch):
 
     monkeypatch.setattr(scheme, "_simulate_block", dying)
     pids = forked_pids(monkeypatch)
-    with pytest.raises(RuntimeError, match=r"worker \d+ exited with status 3 without a report"):
+    with pytest.raises(ChildProcessError, match=r"worker \d+ exited with status 3 without a report"):
         escape_run(monkeypatch, 2)
     assert len(pids) == 1
     assert_reaped(pids)
@@ -427,9 +427,10 @@ def reference_simulate(params, matrix, config, u0=None):
     ("fig2", False), ("fig3c", True), ("table1", False),
 ], ids=["fig2", "fig3c-escape", "table1-shifted"])
 def test_simulate_matches_row_major_reference_bit_for_bit(monkeypatch, name, escape):
-    # small blocks and chunks, so 43 paths span several blocks and M = 69 steps end in a part
-    # chunk: a block of 8 paths and its tile hold 16 x 8 uniforms, so a chunk is 8 steps
+    # small blocks, tiles and chunks, so 43 paths span several blocks, each drawn through
+    # tiles of 3, 3 and 2 or 1 paths, and M = 2 chunks + 37 steps
     monkeypatch.setattr(scheme, "BLOCK_PATHS", 8)
+    monkeypatch.setattr(scheme, "DRAW_TILE", 3)
     monkeypatch.setattr(scheme, "CHUNK_STEPS", 16)
     params, matrix = preset(name)
     config = PathConfig(T=10.0 if escape else 1.0, M=2 * 16 + 37, n_paths=43, seed=4,
@@ -458,16 +459,32 @@ def test_simulate_matches_row_major_reference_when_aggregates_clamp(monkeypatch)
     assert cloud.sqrt_clamp_count >= config.n_paths
 
 
-def test_simulate_memory_does_not_grow_with_the_batch():
-    # the whole 20 000 x 2 000 uniform matrix alone would be 320 MB
+def traced_peak_of_two_blocks_each(monkeypatch, cpus):
+    """The traced peak of simulating fig2 with 20 000 x ``cpus`` paths x 2 000 steps."""
+    # this process marches two blocks of 10 000 paths in a row, so a block's chunk and
+    # generators kept past its end show in its peak; forked workers are not traced
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: cpus)
     params, matrix = preset("fig2")
     tracemalloc.start()
     try:
-        cloud = simulate(params, matrix, PathConfig(T=1.0, M=2000, n_paths=20_000, seed=6))
+        cloud = simulate(params, matrix, PathConfig(T=1.0, M=2000, n_paths=cpus * 20_000, seed=6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert cloud.workers == cpus
     assert cloud.n_violations == 0
+    return peak
+
+
+def test_simulate_memory_does_not_grow_with_the_batch(monkeypatch):
+    # the whole 20 000 x 2 000 uniform matrix alone would be 320 MB
+    peak = traced_peak_of_two_blocks_each(monkeypatch, 1)
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_simulate_memory_does_not_grow_with_the_batch_of_each_worker(monkeypatch):
+    # four blocks: this process marches blocks 0 and 2, the forked worker 1 and 3
+    peak = traced_peak_of_two_blocks_each(monkeypatch, 2)
     assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
