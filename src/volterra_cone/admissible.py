@@ -256,14 +256,19 @@ def q3_bounds(w, x) -> tuple[float, float, float, float]:
     if y1 <= 0.0 or y2 <= 0.0:
         raise ValueError("q3_bounds requires strictly increasing nodes")
     w1, w2, w3 = w_arr
-    c = w3 * y1 + w2 * (y1 + y2) - w1 * y2
-    disc = math.sqrt(c * c + 4.0 * w1 * w2 * y2 * (y1 + y2))
-    ratio = (w2 / w1) * (w1 * y1 - w3 * y2) / (w2 * y1 + w3 * (y1 + y2))
-    a_lo = max((-c + disc) / (2.0 * w1 * y2), ratio)
-    a_hi = (y1 + y2) / y2
-    b_lo = max(0.0, -ratio)
-    b_hi = (c + disc) / (2.0 * w1 * y2)
-    return (a_lo, a_hi, b_lo, b_hi)
+    with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning
+        c = w3 * y1 + w2 * (y1 + y2) - w1 * y2
+        disc = math.sqrt(c * c + 4.0 * w1 * w2 * y2 * (y1 + y2))
+        ratio = (w2 / w1) * (w1 * y1 - w3 * y2) / (w2 * y1 + w3 * (y1 + y2))
+        a_lo = max((-c + disc) / (2.0 * w1 * y2), ratio)
+        a_hi = (y1 + y2) / y2
+        b_lo = max(0.0, -ratio)
+        b_hi = (c + disc) / (2.0 * w1 * y2)
+    bounds = (a_lo, a_hi, b_lo, b_hi)
+    if not all(math.isfinite(bound) for bound in bounds):
+        raise ValueError(f"q3 bounds {bounds} are not finite for w = {w_arr.tolist()}, "
+                         f"x = {x_arr.tolist()}")
+    return bounds
 
 
 def q3_defaults(w) -> tuple[float, float]:

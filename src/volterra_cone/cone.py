@@ -62,7 +62,8 @@ def canonical_anchor(w, x, Y0: float) -> Array:
 
     Returns mu / x componentwise with mu = Y0 / sum(w_i / x_i), the unique
     vector of this shape satisfying w @ anchor = Y0.  ValueError when Y0 is
-    negative or not finite, or when sum(w_i / x_i) is not finite and positive.
+    negative or not finite, when sum(w_i / x_i) is not finite and positive, or
+    when the anchor is not finite.
     """
     w_arr = np.asarray(w, dtype=float)
     x_arr = np.asarray(x, dtype=float)
@@ -75,7 +76,11 @@ def canonical_anchor(w, x, Y0: float) -> Array:
         raise ValueError(f"anchor needs a finite aggregate w @ v0 and a finite, positive "
                          f"sum(w / x), got {Y0} and {total}")
     mu = Y0 / total
-    return mu / x_arr
+    with np.errstate(over="ignore"):
+        anchor = mu / x_arr
+    if not np.isfinite(anchor).all():
+        raise ValueError(f"anchor mu / x = {anchor} is not finite, mu = {mu}")
+    return anchor
 
 
 def transformed(domain: ConeDomain, y) -> Array:

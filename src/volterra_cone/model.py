@@ -96,7 +96,8 @@ class ModelParams:
         except OverflowError:
             rate = math.inf
         if not math.isfinite(rate):
-            raise ValueError(f"nu = {self.nu} overflows the variance rate nu^2 wbar^2")
+            raise ValueError(f"the variance rate nu^2 wbar^2 overflows for nu = {self.nu}, "
+                             f"wbar = {self.wbar}")
 
     @property
     def n_factors(self) -> int:
@@ -232,8 +233,9 @@ class DriftSystem:
     @classmethod
     def from_params(cls, params: ModelParams) -> "DriftSystem":
         n = params.n_factors
-        a = -params.lam * np.outer(np.ones(n), params.w) - np.diag(params.x)
-        b = params.theta * np.ones(n) + params.x * params.v0
+        with np.errstate(all="ignore"):  # callers check the propagators or K, c for overflow
+            a = -params.lam * np.outer(np.ones(n), params.w) - np.diag(params.x)
+            b = params.theta * np.ones(n) + params.x * params.v0
         return cls(A=a, b=b)
 
     def propagators(self, h: float) -> tuple[Array, Array]:

@@ -19,6 +19,7 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 from numpy.typing import NDArray
@@ -233,17 +234,17 @@ class SampleCloud:
 
     ``transformed`` has shape (n_paths, n_recorded, N) in the coordinates of
     ``domain``, the cone of the model's anchor; states and aggregates are
-    derived from it.  The per-path minima and ``n_violations`` (states with a
+    derived from it.  The minima and ``n_violations`` (states with a
     coordinate below -MEMBERSHIP_TOL) cover every grid state of the run, not
     only the recorded ones.  ``timings`` holds the seconds spent seeding the
     paths' generators (``seed_s``), drawing uniforms (``uniforms_s``) and
-    stepping (``steps_s``), summed over the ``workers`` processes that
-    marched the paths.
+    stepping (``steps_s``), summed over the blocks of paths that the
+    ``workers`` processes marched.
     """
 
     transformed: Array
-    min_transformed_per_path: Array
-    min_aggregate_per_path: Array
+    min_transformed: float
+    min_aggregate: float
     n_violations: int
     sqrt_clamp_count: int
     prob_violations: int
@@ -270,14 +271,6 @@ class SampleCloud:
     def states(self) -> Array:
         """Factor states v = Q^-1 u + shift (:func:`cone.original`), computed on every access."""
         return original(self.domain, self.transformed)
-
-    @property
-    def min_transformed(self) -> float:
-        return float(np.min(self.min_transformed_per_path))
-
-    @property
-    def min_aggregate(self) -> float:
-        return float(np.min(self.min_aggregate_per_path))
 
     def audit(self) -> dict:
         return {
@@ -370,20 +363,19 @@ def _path_generators(seed: int, first: int, last: int) -> list:
     return [Generator(PCG64(HashedState(state))) for state in _seed_states(seed, first, last)]
 
 
-def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Array,
-                    z_budget: float, first: int, last: int, chunk_steps: int) -> None:
-    """March paths first..last-1 in u (aggregate and jump are u_N) and write them into ``cloud``.
+def _simulate_block(transformed: Array, config: PathConfig, initial: Array, prop: Array,
+                    shift: Array, z_budget: float, chunk_steps: int, first: int, last: int) -> dict:
+    """March paths first..last-1 in u (aggregate and jump are u_N) into their rows of ``transformed``.
 
     Path k draws from the generator seeded by (config.seed, k)
     (:func:`_path_generators`), chunk_steps at a time into a (steps, paths)
     buffer through a tile of DRAW_TILE paths, so a step's uniforms are a
-    contiguous row and the draws do not depend on how paths are split.  The
-    recorded u and the per-path minima fill the block's rows of the cloud's
-    arrays, and the counters and the seconds spent seeding, drawing uniforms
-    and stepping are added to the cloud's.
+    contiguous row and the draws do not depend on how paths are split.
+    Returns the block's report: its :meth:`SampleCloud.audit`, over every grid
+    state of its paths, and the seconds spent seeding (``seed_s``), drawing
+    uniforms (``uniforms_s``) and stepping (``steps_s``).
     """
     started = time.perf_counter()
-    config = cloud.config
     generators = _path_generators(config.seed, first, last)
     seeded = time.perf_counter()
     width = last - first
@@ -392,18 +384,16 @@ def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Arra
     state = np.repeat(initial[:, None], width, axis=1)
     shift = np.repeat(shift[:, None], width, axis=1)
     work = _workspace(*state.shape)
-    recorded = cloud.transformed[first:last]
-    min_trans = cloud.min_transformed_per_path[first:last]
-    min_agg = cloud.min_aggregate_per_path[first:last]
+    recorded = transformed[first:last]
     low_now = state.min(axis=0)
-    min_trans[:] = low_now
-    min_agg[:] = state[-1]
-    cloud.n_violations += width - np.count_nonzero(low_now >= -MEMBERSHIP_TOL)  # NaN counts
+    min_trans = low_now.copy()  # per path, reduced once at the end
+    min_agg = state[-1].copy()
+    violations = width - np.count_nonzero(low_now >= -MEMBERSHIP_TOL)  # NaN counts
+    clamps = bad = 0
     if config.record_full:
         recorded[:, 0] = initial
-    timings = cloud.timings
-    timings["seed_s"] += seeded - started
-    timings["uniforms_s"] += time.perf_counter() - seeded
+    timings = {"seed_s": seeded - started, "uniforms_s": time.perf_counter() - seeded,
+               "steps_s": 0.0}
 
     for begin in range(0, config.M, chunk.shape[0]):
         drawn = time.perf_counter()
@@ -416,17 +406,17 @@ def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Arra
             rows[:, start:start + len(group)] = tile[:len(group), :steps].T
         stepped = time.perf_counter()
         for j, u in enumerate(rows, start=begin):
-            low, clamps, bad = _strang_step(state, prop, shift, z_budget, u, work)
+            low, clamped, flagged = _strang_step(state, prop, shift, z_budget, u, work)
             if not low >= -MEMBERSHIP_TOL:  # NaN is outside the cone too
                 raise RuntimeError(
                     f"aggregate {low} is not >= -{MEMBERSHIP_TOL} at step {j}, state left the cone"
                 )
-            cloud.sqrt_clamp_count += clamps
-            cloud.prob_violations += bad
+            clamps += clamped
+            bad += flagged
             np.minimum.reduce(state, axis=0, out=low_now)
             np.minimum(min_trans, low_now, out=min_trans)
             np.minimum(min_agg, state[-1], out=min_agg)
-            cloud.n_violations += width - np.count_nonzero(low_now >= -MEMBERSHIP_TOL)
+            violations += width - np.count_nonzero(low_now >= -MEMBERSHIP_TOL)
             if config.record_full:
                 recorded[:, j + 1] = state.T
         timings["uniforms_s"] += stepped - drawn
@@ -434,6 +424,15 @@ def _simulate_block(cloud: SampleCloud, initial: Array, prop: Array, shift: Arra
 
     if not config.record_full:
         recorded[:, 0] = state.T
+    return {"min_transformed": float(min_trans.min()), "min_aggregate": float(min_agg.min()),
+            "n_violations": violations, "sqrt_clamp_count": clamps, "prob_violations": bad,
+            **timings}
+
+
+def _merged(one: dict, other: dict) -> dict:
+    """Report of two blocks: the lesser of each ``min_`` entry (NaN if either is), the rest summed."""
+    return {key: float(np.minimum(value, other[key])) if key.startswith("min_")
+            else value + other[key] for key, value in one.items()}
 
 
 def _usable_cpus() -> int:
@@ -443,33 +442,29 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _shared_arrays(shapes: list[tuple[int, ...]]) -> list[Array]:
-    """Float arrays of ``shapes`` in one anonymous MAP_SHARED mapping, so forked workers fill them."""
-    sizes = [math.prod(shape) for shape in shapes]
-    nbytes = 8 * sum(sizes)
+def _shared_array(shape: tuple[int, ...]) -> Array:
+    """Float array of ``shape`` in an anonymous MAP_SHARED mapping, so forked workers fill it."""
+    nbytes = 8 * math.prod(shape)
     try:
         buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_SHARED)
     except (OverflowError, OSError) as error:
         raise MemoryError(f"cannot allocate {nbytes} bytes of shared path arrays: {error}") from None
-    offsets = np.cumsum([0, *sizes[:-1]]) * 8
-    return [np.frombuffer(buffer, count=size, offset=int(offset)).reshape(shape)
-            for shape, size, offset in zip(shapes, sizes, offsets)]
+    return np.frombuffer(buffer).reshape(shape)
 
 
-def _march_workers(cloud: SampleCloud, blocks: list[tuple[int, int]], march) -> None:
-    """Run ``march`` on every ``cloud.workers``-th block: the parent from block 0, W - 1 forks after.
+def _march_workers(workers: int, blocks: list[tuple[int, int]], march) -> list[dict]:
+    """Run ``march`` on every ``workers``-th block: the parent from block 0, W - 1 forks after.
 
-    ``march(blocks)`` marches its blocks in order into ``cloud`` and returns the
-    first that failed as (first path, error), or None.  Each child sends its
-    counters, timings and failure back through a pipe and always ends with
+    ``march(blocks)`` marches its blocks in order and returns the pair (their
+    reports, the first that failed as (first path, error) or None).  Each
+    child sends that pair back through a pipe and always ends with
     ``os._exit``; the parent reaps every child before it returns or raises,
-    adds the counters and timings, and raises the failure of the lowest block,
-    the one a single process stops at.  A child that ends without a report is
-    a ChildProcessError naming its exit status.
+    and returns every report or raises the failure of the lowest block, the
+    one a single process stops at.  A child that ends without a report
+    fails its first block with a ChildProcessError naming its exit status.
     """
-    workers = cloud.workers
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    reports = []
+    received = []
     try:
         for worker in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -478,20 +473,18 @@ def _march_workers(cloud: SampleCloud, blocks: list[tuple[int, int]], march) -> 
                 status = 1
                 try:
                     os.close(read_fd)
-                    failure = march(blocks[worker::workers])
-                    report = (cloud.n_violations, cloud.sqrt_clamp_count,
-                              cloud.prob_violations, cloud.timings, failure)
+                    result = march(blocks[worker::workers])
                     with os.fdopen(write_fd, "wb") as pipe:
-                        pickle.dump(report, pipe)
+                        pickle.dump(result, pipe)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
             children.append((pid, read_fd))
-        failures = [march(blocks[::workers])]
+        results = [march(blocks[::workers])]
         for _, read_fd in children:
             with os.fdopen(read_fd, "rb", closefd=False) as pipe:
-                reports.append(pipe.read())
+                received.append(pipe.read())
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -500,22 +493,14 @@ def _march_workers(cloud: SampleCloud, blocks: list[tuple[int, int]], march) -> 
         for _, read_fd in children:
             os.close(read_fd)
         statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for worker, ((pid, _), data, status) in enumerate(zip(children, reports, statuses), start=1):
-        if not data:
-            failures.append((blocks[worker][0], ChildProcessError(
-                f"simulation worker {pid} exited with status "
-                f"{os.waitstatus_to_exitcode(status)} without a report")))
-            continue
-        violations, clamps, bad, timings, failure = pickle.loads(data)
-        cloud.n_violations += violations
-        cloud.sqrt_clamp_count += clamps
-        cloud.prob_violations += bad
-        for stage, seconds in timings.items():
-            cloud.timings[stage] += seconds
-        failures.append(failure)
-    failures = [failure for failure in failures if failure is not None]
+    for worker, ((pid, _), data, status) in enumerate(zip(children, received, statuses), start=1):
+        results.append(pickle.loads(data) if data else ([], (blocks[worker][0], ChildProcessError(
+            f"simulation worker {pid} exited with status "
+            f"{os.waitstatus_to_exitcode(status)} without a report"))))
+    failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+    return [report for reports, _ in results for report in reports]
 
 
 def simulate(
@@ -536,8 +521,9 @@ def simulate(
     The paths are split into contiguous blocks of at most BLOCK_PATHS and
     nearly equal width, which W = min(blocks, usable CPUs) processes march:
     this one and W - 1 forked workers (:func:`_march_workers`), which write
-    into arrays in shared memory; the cloud's ``timings`` are summed over the
-    W processes.  Path k draws one uniform per step from the substream seeded
+    the paths into one array in shared memory.  :func:`_merged` folds the
+    report of each block into the cloud's audit and ``timings``, summed over
+    the blocks.  Path k draws one uniform per step from the substream seeded
     by (config.seed, k), so the sample cloud is reproducible bit for bit and
     independent of the block size and of W.
     """
@@ -559,30 +545,23 @@ def simulate(
     held = CHUNK_DRAWS // (widest + min(widest, DRAW_TILE))
     chunk_steps = max(1, min(config.M, CHUNK_STEPS, held))
     workers = min(n_blocks, _usable_cpus())
-    shapes = [(config.n_paths, config.M + 1 if config.record_full else 1, u0.size),
-              (config.n_paths,), (config.n_paths,)]
-    arrays = [np.empty(shape) for shape in shapes] if workers == 1 else _shared_arrays(shapes)
-    cloud = SampleCloud(
-        *arrays,
-        n_violations=0,
-        sqrt_clamp_count=0,
-        prob_violations=0,
-        config=config,
-        domain=domain,
-        timings={"seed_s": 0.0, "uniforms_s": 0.0, "steps_s": 0.0},
-        workers=workers,
-    )
+    shape = (config.n_paths, config.M + 1 if config.record_full else 1, u0.size)
+    paths = np.empty(shape) if workers == 1 else _shared_array(shape)
 
-    def march(own: list[tuple[int, int]]) -> tuple[int, Exception] | None:
+    def march(own: list[tuple[int, int]]) -> tuple[list[dict], tuple[int, Exception] | None]:
+        reports = []
         for first, last in own:
             try:
-                _simulate_block(cloud, u0, prop, forcing, z_budget, first, last, chunk_steps)
+                reports.append(_simulate_block(paths, config, u0, prop, forcing, z_budget,
+                                               chunk_steps, first, last))
             except Exception as error:
-                return first, error
-        return None
+                return reports, (first, error)
+        return reports, None
 
-    _march_workers(cloud, blocks, march)
-    return cloud
+    report = reduce(_merged, _march_workers(workers, blocks, march))
+    timings = {stage: report.pop(stage) for stage in ("seed_s", "uniforms_s", "steps_s")}
+    return SampleCloud(paths, **report, config=config, domain=domain, timings=timings,
+                       workers=workers)
 
 
 def mean_oracle(params: ModelParams, t: float) -> Array:

@@ -70,6 +70,14 @@ ANCHOR_SUM_OVERFLOWS = {"w": [1.0], "x": [1e-320], "v0": [0.02]}
 NU_SQUARED_OVERFLOWS = {"w": [1e-300], "x": [1.0], "v0": [0.02], "nu": 1e200}
 # every weight is finite, but their sum wbar overflows; nu = 0 would hide it in nu^2 wbar^2
 W_SUM_OVERFLOWS = {"w": [1e308, 1e308], "nu": 0.0, "v0": [0.0, 0.0]}
+# wbar is finite, but wbar**2 overflows; the message must not blame nu = 0
+WBAR_SQUARED_OVERFLOWS = {**THREE_FACTORS, "w": [1e200, 1e200, 1e200], "nu": 0.0}
+# every input is finite, but 4 w1 w2 y2 (y1 + y2) of the q3 bounds overflows
+Q3_BOUNDS_OVERFLOW = {**THREE_FACTORS, "w": [1.0, 1.0, 1.0], "x": [1.0, 2.0, 1e170]}
+# w @ v0 and sum(w / x) are finite, but the anchor mu / x overflows
+ANCHOR_OVERFLOWS = {"w": [1e-300, 1e12], "x": [1e-300, 1e12], "v0": [1e200, 0.5]}
+# x v0 in the drift's constant term overflows
+DRIFT_CONSTANT_OVERFLOWS = {"w": [1.0, 1.0], "theta": 0.1, "v0": [1.0, 1e308]}
 
 
 @pytest.mark.parametrize("argv, overrides, names", [
@@ -127,6 +135,13 @@ W_SUM_OVERFLOWS = {"w": [1e308, 1e308], "nu": 0.0, "v0": [0.0, 0.0]}
     (["pde", "--alpha", "1", "--box", "0,4", "--n", "8"], NU_SQUARED_OVERFLOWS, "variance rate"),
     (["build-q"], W_SUM_OVERFLOWS, "sum(w)"),
     (["simulate", "--M", "10", "--paths", "2"], W_SUM_OVERFLOWS, "sum(w)"),
+    (["build-q"], WBAR_SQUARED_OVERFLOWS, "wbar = 3e+200"),
+    (["simulate", "--M", "10", "--paths", "2"], WBAR_SQUARED_OVERFLOWS, "wbar = 3e+200"),
+    (["q3-bounds"], Q3_BOUNDS_OVERFLOW, "q3 bounds"),
+    (["simulate", "--M", "10", "--paths", "2"], ANCHOR_OVERFLOWS, "anchor mu / x"),
+    (["mean-check", "--M", "10", "--paths", "20"], ANCHOR_OVERFLOWS, "anchor mu / x"),
+    (["check-domain", "--point", "1,1"], ANCHOR_OVERFLOWS, "anchor mu / x"),
+    (["pde", "--n", "8"], DRIFT_CONSTANT_OVERFLOWS, "transformed drift"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
@@ -141,7 +156,11 @@ W_SUM_OVERFLOWS = {"w": [1e308, 1e308], "nu": 0.0, "v0": [0.0, 0.0]}
         "build-q-canonical-w-underflows", "simulate-anchor-sum-underflows",
         "check-domain-anchor-sum-underflows", "simulate-anchor-sum-overflows",
         "check-domain-anchor-sum-overflows", "simulate-nu-squared-overflows",
-        "pde-nu-squared-overflows", "build-q-w-sum-overflows", "simulate-w-sum-overflows"])
+        "pde-nu-squared-overflows", "build-q-w-sum-overflows", "simulate-w-sum-overflows",
+        "build-q-wbar-squared-overflows", "simulate-wbar-squared-overflows",
+        "q3-bounds-overflows", "simulate-anchor-divide-overflows",
+        "mean-check-anchor-divide-overflows", "check-domain-anchor-divide-overflows",
+        "pde-drift-constant-overflows"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     # a case naming a preset takes its parameters from it: adding --params would be an error
     params = [] if "--preset" in argv else ["--params", str(write_params(tmp_path, **overrides))]
@@ -597,10 +616,10 @@ def test_a_worker_that_dies_without_a_report_exits_2(tmp_path, capsys, monkeypat
     block = scheme._simulate_block
     parent = os.getpid()
 
-    def dying(cloud, *args):
+    def dying(*args):
         if os.getpid() != parent:
             os._exit(9)
-        block(cloud, *args)
+        return block(*args)
 
     monkeypatch.setattr(scheme, "_simulate_block", dying)
     argv = ["simulate", "--preset", "fig2", "--T", "0.5", "--M", "20", "--paths", "10"]

@@ -249,9 +249,10 @@ def test_simulate_is_block_size_independent(monkeypatch):
     block = scheme._simulate_block
     widths = []
 
-    def counted(cloud, initial, prop, shift, z_budget, first, last, chunk_steps):
+    def counted(*args):
+        first, last = args[-2:]
         widths.append(last - first)
-        block(cloud, initial, prop, shift, z_budget, first, last, chunk_steps)
+        return block(*args)
 
     monkeypatch.setattr(scheme, "_simulate_block", counted)
     monkeypatch.setattr(scheme, "BLOCK_PATHS", 17)
@@ -260,11 +261,8 @@ def test_simulate_is_block_size_independent(monkeypatch):
     split = simulate(params, matrix, config, require_initial_in_cone=False)
     assert widths == [17, 3, 3, 4, 3, 4]
     assert whole.n_violations > 0
-    np.testing.assert_array_equal(whole.states, split.states)
-    np.testing.assert_array_equal(whole.min_transformed_per_path, split.min_transformed_per_path)
-    np.testing.assert_array_equal(whole.min_aggregate_per_path, split.min_aggregate_per_path)
-    for counter in ("n_violations", "sqrt_clamp_count", "prob_violations"):
-        assert getattr(whole, counter) == getattr(split, counter), counter
+    np.testing.assert_array_equal(whole.transformed, split.transformed)
+    assert whole.audit() == split.audit()
 
 
 def escape_run(monkeypatch, cpus):
@@ -313,10 +311,8 @@ def test_simulate_is_worker_count_independent(monkeypatch):
     for cpus in (2, 3):
         many = escape_run(monkeypatch, cpus)
         assert many.workers == cpus
-        for key in ("transformed", "min_transformed_per_path", "min_aggregate_per_path"):
-            np.testing.assert_array_equal(getattr(many, key), getattr(one, key), err_msg=key)
-        for counter in ("n_violations", "sqrt_clamp_count", "prob_violations"):
-            assert getattr(many, counter) == getattr(one, counter), counter
+        np.testing.assert_array_equal(many.transformed, one.transformed)
+        assert many.audit() == one.audit()
         assert set(many.timings) == set(one.timings)
     assert len(pids) == 1 + 2
     assert_reaped(pids)
@@ -327,10 +323,11 @@ def test_simulate_raises_the_failure_of_the_lowest_block(monkeypatch, cpus):
     # blocks start at paths 0, 7, 14, 21, 28, 35; every one but the first fails
     block = scheme._simulate_block
 
-    def failing(cloud, initial, prop, shift, z_budget, first, last, chunk_steps):
+    def failing(*args):
+        first = args[-2]
         if first > 0:
             raise RuntimeError(f"block {first}")
-        block(cloud, initial, prop, shift, z_budget, first, last, chunk_steps)
+        return block(*args)
 
     monkeypatch.setattr(scheme, "_simulate_block", failing)
     pids = forked_pids(monkeypatch)
@@ -344,10 +341,10 @@ def test_simulate_reports_a_worker_that_dies_without_a_report(monkeypatch):
     block = scheme._simulate_block
     parent = os.getpid()
 
-    def dying(cloud, initial, prop, shift, z_budget, first, last, chunk_steps):
+    def dying(*args):
         if os.getpid() != parent:
             os._exit(3)
-        block(cloud, initial, prop, shift, z_budget, first, last, chunk_steps)
+        return block(*args)
 
     monkeypatch.setattr(scheme, "_simulate_block", dying)
     pids = forked_pids(monkeypatch)
@@ -355,6 +352,24 @@ def test_simulate_reports_a_worker_that_dies_without_a_report(monkeypatch):
         escape_run(monkeypatch, 2)
     assert len(pids) == 1
     assert_reaped(pids)
+
+
+def test_merged_block_reports_keep_the_least_minima_and_sum_the_rest():
+    one = {"min_transformed": -0.5, "min_aggregate": 2.0, "n_violations": 3,
+           "sqrt_clamp_count": 1, "prob_violations": 0,
+           "seed_s": 0.25, "uniforms_s": 0.5, "steps_s": 1.0}
+    other = {"min_transformed": 0.0, "min_aggregate": 1.0, "n_violations": 4,
+             "sqrt_clamp_count": 0, "prob_violations": 2,
+             "seed_s": 0.5, "uniforms_s": 0.25, "steps_s": 2.0}
+    expected = {"min_transformed": -0.5, "min_aggregate": 1.0, "n_violations": 7,
+                "sqrt_clamp_count": 1, "prob_violations": 2,
+                "seed_s": 0.75, "uniforms_s": 0.75, "steps_s": 3.0}
+    assert scheme._merged(one, other) == scheme._merged(other, one) == expected
+    for key in ("min_transformed", "min_aggregate"):
+        # a min over every path's minimum is NaN when one of them is, whichever block holds it
+        poisoned = {**one, key: math.nan}
+        for merged in (scheme._merged(poisoned, other), scheme._merged(other, poisoned)):
+            assert math.isnan(merged[key]) and set(merged) == set(one)
 
 
 def reference_law(x, z):
@@ -415,8 +430,8 @@ def reference_simulate(params, matrix, config, u0=None):
         recorded.append(state)
     return {
         "transformed": np.stack(recorded if config.record_full else recorded[-1:], axis=1),
-        "min_transformed_per_path": min_trans,
-        "min_aggregate_per_path": min_agg,
+        "min_transformed": float(np.min(min_trans)),
+        "min_aggregate": float(np.min(min_agg)),
         "n_violations": violations,
         "sqrt_clamp_count": clamps,
         "prob_violations": bad,
