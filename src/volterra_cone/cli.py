@@ -20,6 +20,8 @@ import json
 import platform
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from .cone import MEMBERSHIP_TOL, ConeDomain, contains, original, transformed
 from .model import ModelParams, load_params
 from .pde import PdeProblem, convergence_study, observed_orders, residual_check, solve
 from .presets import DEFAULT_GRIDS, PDE_BOXES, preset
-from .scheme import PathConfig, mean_oracle, simulate
+from .scheme import PathConfig, forked_map, mean_oracle, process_count, simulate
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -45,9 +47,10 @@ EXIT_NOT_REPRODUCED = 7
 #: every float the CLI writes as text: 17 significant digits round-trip a float64.
 #: ``floatfmt.format_g17`` writes the sample cloud's floats with exactly these bytes
 FLOAT_FORMAT = "%.17g"
-#: most rows of a sample cloud formatted and written at once.  A row's byte table and the
-#: formatter's working arrays take about 2.2 KB while its chunk is built (N = 3): 1 024
-#: rows cut cloud fig3c's export time by about 9 % but raised its peak RSS by 0.9 MB
+#: most rows of a sample cloud in one chunk, which one export process formats and holds at
+#: once.  A row's byte table and the formatter's working arrays take about 2.2 KB while its
+#: chunk is built (N = 3): 1 024 rows cut cloud fig3c's export time by about 9 % in one
+#: process but raised its peak RSS by 0.9 MB
 EXPORT_ROWS = 512
 
 
@@ -73,52 +76,68 @@ def _csv_rows(table, lengths) -> bytes:
     return table[np.take(keep, lengths, axis=0)].tobytes()
 
 
-def _cloud_csv(cloud):
-    """The sample cloud as CSV bytes: the header, then path-major rows, at most EXPORT_ROWS at once.
+def _cloud_csv(cloud) -> tuple[int, Iterator[bytes]]:
+    """W, the processes that format the sample cloud, and its CSV bytes: the header, then chunks.
 
-    A chunk is a block of whole paths when a path has at most EXPORT_ROWS
-    rows, and otherwise a near-equal piece of one path.  Its 2N distinct
-    floats per row (v, then u) are formatted by one ``floatfmt.format_g17``
-    call into a table of padded fields, ``agg`` copies the text of u_N, and
-    the ``step`` and ``t`` texts are built once per run.  v is computed per
-    chunk by :func:`original` on a (paths, rows, N) block with more than one
-    row unless the record has one: a one-row product rounds differently
-    (BLAS gemv against gemm), and this keeps every value equal to
-    ``cloud.states``.
+    The rows are path-major, in chunks of at most EXPORT_ROWS: a chunk is a
+    block of whole paths when a path has at most EXPORT_ROWS rows, and
+    otherwise a near-equal piece of one path.  The chunks are independent,
+    and :func:`forked_map` shares them among W = min(chunks, usable CPUs)
+    processes, chunk i to process i mod W, and yields them in order.  The
+    2N distinct floats per row (v, then u) of a chunk are formatted by one
+    ``floatfmt.format_g17`` call into a table of padded fields, ``agg``
+    copies the text of u_N, and the ``step`` and ``t`` texts are built once
+    per run, before any worker is forked.  v is computed per chunk by
+    :func:`original` on a (paths, rows, N) block with more than one row
+    unless the record has one: a one-row product rounds differently (BLAS
+    gemv against gemm), and this keeps every value equal to
+    ``cloud.states``.  Close the generator when the write stops early, so
+    the workers are reaped.
     """
-    from .floatfmt import WIDTH, format_g17, pad  # its tables are built on the first export only
+    # its tables are built on the first export only, here, so the export workers inherit them
+    from .floatfmt import WIDTH, format_g17, pad
 
     u = cloud.transformed
     n_paths, n_recorded, n = u.shape
-    yield (",".join(["path_id", "step", "t", *(f"v_{i + 1}" for i in range(n)),
-                     *(f"u_{i + 1}" for i in range(n)), "agg"]) + "\n").encode()
+    header = (",".join(["path_id", "step", "t", *(f"v_{i + 1}" for i in range(n)),
+                        *(f"u_{i + 1}" for i in range(n)), "agg"]) + "\n").encode()
     steps, step_lengths = pad(list(map(str, cloud.steps.tolist())))
     times, time_lengths = pad(list(map(_fmt, cloud.times.tolist())))
     paths_per_chunk = max(1, EXPORT_ROWS // n_recorded)
     n_pieces = -(-n_recorded // EXPORT_ROWS)
     pieces = np.linspace(0, n_recorded, n_pieces + 1).astype(int).tolist()
-    for first in range(0, n_paths, paths_per_chunk):
-        for begin, end in zip(pieces[:-1], pieces[1:]):
-            block = u[first:first + paths_per_chunk, begin:end]
-            paths, rows = block.shape[:2]
-            chars, value_lengths = format_g17(np.concatenate((original(cloud.domain, block), block),
-                                                             axis=-1))
-            # fields: path_id, step, t, v_1..v_N, u_1..u_N, agg
-            table = np.empty((paths, rows, 2 * n + 4, WIDTH + 1), np.uint8)
-            lengths = np.empty(table.shape[:3], np.intp)
-            ids, id_lengths = pad(list(map(str, range(first, first + paths))))
-            table[:, :, 0, :ids.shape[1]] = ids[:, None]
-            lengths[..., 0] = id_lengths[:, None]
-            table[:, :, 1, :steps.shape[1]] = steps[begin:end]
-            lengths[..., 1] = step_lengths[begin:end]
-            table[:, :, 2, :times.shape[1]] = times[begin:end]
-            lengths[..., 2] = time_lengths[begin:end]
-            table[:, :, 3:-1, :WIDTH] = chars.reshape(paths, rows, 2 * n, WIDTH)
-            lengths[..., 3:-1] = value_lengths.reshape(paths, rows, 2 * n)
-            table[:, :, -1], lengths[..., -1] = table[:, :, -2], lengths[..., -2]
-            del chars, value_lengths  # the table holds the only copy of the texts while compressed
-            yield _csv_rows(table.reshape(paths * rows, *table.shape[2:]),
-                            lengths.reshape(paths * rows, -1))
+    chunks = [(first, begin, end) for first in range(0, n_paths, paths_per_chunk)
+              for begin, end in zip(pieces[:-1], pieces[1:])]
+    workers = process_count(len(chunks))
+
+    def chunk_csv(chunk) -> bytes:
+        first, begin, end = chunk
+        block = u[first:first + paths_per_chunk, begin:end]
+        paths, rows = block.shape[:2]
+        chars, value_lengths = format_g17(np.concatenate((original(cloud.domain, block), block),
+                                                         axis=-1))
+        # fields: path_id, step, t, v_1..v_N, u_1..u_N, agg
+        table = np.empty((paths, rows, 2 * n + 4, WIDTH + 1), np.uint8)
+        lengths = np.empty(table.shape[:3], np.intp)
+        ids, id_lengths = pad(list(map(str, range(first, first + paths))))
+        table[:, :, 0, :ids.shape[1]] = ids[:, None]
+        lengths[..., 0] = id_lengths[:, None]
+        table[:, :, 1, :steps.shape[1]] = steps[begin:end]
+        lengths[..., 1] = step_lengths[begin:end]
+        table[:, :, 2, :times.shape[1]] = times[begin:end]
+        lengths[..., 2] = time_lengths[begin:end]
+        table[:, :, 3:-1, :WIDTH] = chars.reshape(paths, rows, 2 * n, WIDTH)
+        lengths[..., 3:-1] = value_lengths.reshape(paths, rows, 2 * n)
+        table[:, :, -1], lengths[..., -1] = table[:, :, -2], lengths[..., -2]
+        del chars, value_lengths  # the table holds the only copy of the texts while compressed
+        return _csv_rows(table.reshape(paths * rows, *table.shape[2:]),
+                         lengths.reshape(paths * rows, -1))
+
+    def csv():
+        yield header
+        yield from forked_map(chunk_csv, chunks, workers)
+
+    return workers, csv()
 
 
 def _write_output(path: Path, chunks) -> tuple[str, int]:
@@ -243,7 +262,9 @@ def cmd_simulation(args, argv: list[str]) -> int:
 
     out = Path(args.out)
     exported = time.perf_counter()
-    written = {str(out): _write_output(out, _cloud_csv(cloud))}
+    export_workers, chunks = _cloud_csv(cloud)
+    with closing(chunks):  # the export workers are reaped however the write ends
+        written = {str(out): _write_output(out, chunks)}
     timings = {**cloud.timings, "export_s": time.perf_counter() - exported}
     audit = cloud.audit()
     audit_path = Path(str(out) + ".audit.json")
@@ -251,7 +272,8 @@ def cmd_simulation(args, argv: list[str]) -> int:
     _write_manifest(out, args, argv,
                     {"T": horizon, "M": steps, "paths": paths,
                      "record": args.record, "params": params.to_dict()},
-                    written, started, timings=timings, workers=cloud.workers)
+                    written, started, timings=timings, workers=cloud.workers,
+                    export_workers=export_workers)
     print(json.dumps(audit))
     if cloud.n_violations > 0 and not args.allow_nonadmissible:
         print(f"cone audit failed: {cloud.n_violations} grid states below "

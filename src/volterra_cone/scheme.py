@@ -18,6 +18,7 @@ import os
 import pickle
 import signal
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -452,19 +453,25 @@ def _shared_array(shape: tuple[int, ...]) -> Array:
     return np.frombuffer(buffer).reshape(shape)
 
 
-def _march_workers(workers: int, blocks: list[tuple[int, int]], march) -> list[dict]:
-    """Run ``march`` on every ``workers``-th block: the parent from block 0, W - 1 forks after.
+def process_count(items: int) -> int:
+    """W = min(items, usable CPUs): the processes :func:`forked_map` shares ``items`` items among."""
+    return min(items, _usable_cpus())
 
-    ``march(blocks)`` marches its blocks in order and returns the pair (their
-    reports, the first that failed as (first path, error) or None).  Each
-    child sends that pair back through a pipe and always ends with
-    ``os._exit``; the parent reaps every child before it returns or raises,
-    and returns every report or raises the failure of the lowest block, the
-    one a single process stops at.  A child that ends without a report
-    fails its first block with a ChildProcessError naming its exit status.
+
+def forked_map(work: Callable, items: list, workers: int) -> Iterator:
+    """Yield ``work(item)`` for each of ``items`` in order; item i is computed by process i mod W.
+
+    Process 0 is this one, which computes its items as they fall due.  The
+    W - 1 others, forked with ``os.fork`` when the first result is asked for,
+    compute theirs in order and send each result, or the exception ``work``
+    raised, through a pipe that is read only when the item is due, so the
+    first failure in item order is raised, as by one process.  A worker that
+    ends without a result (killed, say) is a ChildProcessError naming its exit
+    status.  However the generator ends, closed early included, every worker
+    is killed and reaped.  W = 1 forks nothing.
     """
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    received = []
+    children = []  # (pid, read end of its pipe)
+    reaped = None
     try:
         for worker in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -473,34 +480,40 @@ def _march_workers(workers: int, blocks: list[tuple[int, int]], march) -> list[d
                 status = 1
                 try:
                     os.close(read_fd)
-                    result = march(blocks[worker::workers])
                     with os.fdopen(write_fd, "wb") as pipe:
-                        pickle.dump(result, pipe)
+                        try:
+                            for item in items[worker::workers]:
+                                pickle.dump((work(item), None), pipe)
+                                pipe.flush()
+                        except Exception as error:
+                            pickle.dump((None, error), pipe)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
-            children.append((pid, read_fd))
-        results = [march(blocks[::workers])]
-        for _, read_fd in children:
-            with os.fdopen(read_fd, "rb", closefd=False) as pipe:
-                received.append(pipe.read())
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        for index, item in enumerate(items):
+            if index % workers == 0:
+                yield work(item)
+                continue
+            pid, pipe = children[index % workers - 1]
+            try:
+                result, error = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                status = os.waitpid(pid, 0)[1]
+                reaped = pid
+                raise ChildProcessError(f"worker {pid} exited with status "
+                                        f"{os.waitstatus_to_exitcode(status)} without a report "
+                                        f"on item {index}") from None
+            if error is not None:
+                raise error
+            yield result
     finally:
-        for _, read_fd in children:
-            os.close(read_fd)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for worker, ((pid, _), data, status) in enumerate(zip(children, received, statuses), start=1):
-        results.append(pickle.loads(data) if data else ([], (blocks[worker][0], ChildProcessError(
-            f"simulation worker {pid} exited with status "
-            f"{os.waitstatus_to_exitcode(status)} without a report"))))
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return [report for reports, _ in results for report in reports]
+        for pid, pipe in children:
+            pipe.close()
+            if pid != reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def simulate(
@@ -519,11 +532,12 @@ def simulate(
     A non-finite initial state is a ValueError, and so is one that
     :func:`contains` rejects unless ``require_initial_in_cone`` is false.
     The paths are split into contiguous blocks of at most BLOCK_PATHS and
-    nearly equal width, which W = min(blocks, usable CPUs) processes march:
-    this one and W - 1 forked workers (:func:`_march_workers`), which write
-    the paths into one array in shared memory.  :func:`_merged` folds the
-    report of each block into the cloud's audit and ``timings``, summed over
-    the blocks.  Path k draws one uniform per step from the substream seeded
+    nearly equal width, which W = min(blocks, usable CPUs) processes march
+    (:func:`forked_map`): this one and W - 1 forked workers, which write the
+    paths into one array in shared memory.  The failure of the lowest
+    failing block is raised; otherwise :func:`_merged` folds the report of
+    each block into the cloud's audit and ``timings``, summed over the
+    blocks.  Path k draws one uniform per step from the substream seeded
     by (config.seed, k), so the sample cloud is reproducible bit for bit and
     independent of the block size and of W.
     """
@@ -544,21 +558,13 @@ def simulate(
     widest = -(-config.n_paths // n_blocks)
     held = CHUNK_DRAWS // (widest + min(widest, DRAW_TILE))
     chunk_steps = max(1, min(config.M, CHUNK_STEPS, held))
-    workers = min(n_blocks, _usable_cpus())
+    workers = process_count(n_blocks)
     shape = (config.n_paths, config.M + 1 if config.record_full else 1, u0.size)
     paths = np.empty(shape) if workers == 1 else _shared_array(shape)
-
-    def march(own: list[tuple[int, int]]) -> tuple[list[dict], tuple[int, Exception] | None]:
-        reports = []
-        for first, last in own:
-            try:
-                reports.append(_simulate_block(paths, config, u0, prop, forcing, z_budget,
-                                               chunk_steps, first, last))
-            except Exception as error:
-                return reports, (first, error)
-        return reports, None
-
-    report = reduce(_merged, _march_workers(workers, blocks, march))
+    report = reduce(_merged, forked_map(
+        lambda block: _simulate_block(paths, config, u0, prop, forcing, z_budget, chunk_steps,
+                                      *block),
+        blocks, workers))
     timings = {stage: report.pop(stage) for stage in ("seed_s", "uniforms_s", "steps_s")}
     return SampleCloud(paths, **report, config=config, domain=domain, timings=timings,
                        workers=workers)

@@ -13,7 +13,7 @@ import pytest
 import scipy
 
 from volterra_cone import PathConfig, build_canonical, build_q3, load_params, q3_defaults, simulate
-from volterra_cone import scheme
+from volterra_cone import cli, scheme
 from volterra_cone.cli import EXPORT_ROWS, _fmt, build_parser, main
 from volterra_cone.floatfmt import format_g17
 from volterra_cone.presets import preset
@@ -598,33 +598,118 @@ def test_column_formatter_gives_fmt_of_each_value():
     ["mean-check", "--preset", "fig2", "--t", "0.5", "--M", "20", "--paths", "10"],
 ], ids=["simulate", "cloud", "mean-check"])
 def test_manifest_records_the_worker_count(tmp_path, monkeypatch, argv):
-    # blocks of at most 4 paths, so 10 paths are 3 blocks and the worker count is the CPUs'
+    # blocks and chunks of at most 4 paths or rows, so 10 paths are 3 blocks, their CSV is 3 or
+    # more chunks and both process counts are the CPUs'; mean-check exports no CSV
     monkeypatch.setattr(scheme, "BLOCK_PATHS", 4)
+    monkeypatch.setattr(cli, "EXPORT_ROWS", 4)
     for cpus in (1, 2):
         monkeypatch.setattr(scheme, "_usable_cpus", lambda cpus=cpus: cpus)
         out = tmp_path / f"{cpus}.out"
         assert main([*argv, "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / f"{cpus}.out.manifest.json").read_text())
         assert manifest["workers"] == cpus
+        assert manifest.get("export_workers") == (None if argv[0] == "mean-check" else cpus)
     assert (tmp_path / "1.out").read_bytes() == (tmp_path / "2.out").read_bytes()
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_a_worker_that_dies_without_a_report_exits_2(tmp_path, capsys, monkeypatch):
-    # a killed worker is not a cone-audit failure (exit 4)
+    # a killed worker is not a cone-audit failure (exit 4); of the 4 blocks the worker dies on
+    # block 1, which is due right after the parent's block 0, so the parent marches no other
     monkeypatch.setattr(scheme, "BLOCK_PATHS", 4)
     monkeypatch.setattr(scheme, "_usable_cpus", lambda: 2)
     block = scheme._simulate_block
     parent = os.getpid()
+    marched = []
 
     def dying(*args):
         if os.getpid() != parent:
             os._exit(9)
+        marched.append(args[-2])
         return block(*args)
 
     monkeypatch.setattr(scheme, "_simulate_block", dying)
-    argv = ["simulate", "--preset", "fig2", "--T", "0.5", "--M", "20", "--paths", "10"]
+    argv = ["simulate", "--preset", "fig2", "--T", "0.5", "--M", "20", "--paths", "16"]
     assert main([*argv, "--out", str(tmp_path / "paths.csv")]) == 2
     assert "exited with status 9 without a report" in capsys.readouterr().err
+    assert marched == [0]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("factors, record, steps, paths", [
+    # a path one row longer than a chunk is split into two pieces: 6 chunks
+    (THREE_FACTORS, "full", EXPORT_ROWS, 3),
+    # two chunks of whole paths and a part chunk
+    ({}, "full", 40, 2 * (EXPORT_ROWS // 41) + 5),
+    # one row per path: two full chunks and a part chunk
+    (THREE_FACTORS, "terminal", 3, 2 * EXPORT_ROWS + 7),
+], ids=["split-paths", "chunks-of-paths", "terminal-chunks"])
+def test_export_bytes_do_not_depend_on_the_process_count(tmp_path, monkeypatch, factors, record,
+                                                         steps, paths):
+    params_path = write_params(tmp_path, **factors)
+    argv = ["simulate", "--params", str(params_path), "--T", "0.5", "--M", str(steps),
+            "--paths", str(paths), "--seed", "5", "--record", record]
+    exported = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(scheme, "_usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"{cpus}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / f"{cpus}.csv.manifest.json").read_text())
+        assert manifest["export_workers"] == cpus
+        exported[cpus] = out.read_bytes()
+        assert exported[cpus] == exported[1], cpus
+    assert_no_child_left()
+    params = load_params(params_path)
+    cloud = simulate(params, build_canonical(params.w, params.x),
+                     PathConfig(T=0.5, M=steps, n_paths=paths, seed=5,
+                                record_full=record == "full"))
+    n = len(params.w)
+    rows = [[float(tok) for tok in line.split(",")] for line in exported[1].decode().splitlines()[1:]]
+    values = np.array(rows).reshape(*cloud.transformed.shape[:2], 2 * n + 4)
+    np.testing.assert_array_equal(values[..., 3:3 + n], cloud.states)
+    np.testing.assert_array_equal(values[..., 3 + n:-1], cloud.transformed)
+    # the run of one process repeated by three, and the other way round
+    assert main(["rerun", "--verify", str(tmp_path / "1.csv.manifest.json")]) == 0
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: 1)
+    assert main(["rerun", "--verify", str(tmp_path / "3.csv.manifest.json")]) == 0
+
+
+def test_an_export_worker_that_dies_without_its_chunk_exits_2(tmp_path, capsys, monkeypatch):
+    # 40 chunks of 4 rows: the worker dies formatting chunk 1, before any manifest is written
+    monkeypatch.setattr(cli, "EXPORT_ROWS", 4)
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: 2)
+    rows = cli._csv_rows
+    parent = os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(5)
+        return rows(*args)
+
+    monkeypatch.setattr(cli, "_csv_rows", dying)
+    out = tmp_path / "cloud.csv"
+    assert main(["simulate", "--preset", "fig2", "--T", "0.5", "--M", "20", "--paths", "160",
+                 "--out", str(out)]) == 2
+    assert "exited with status 5 without a report" in capsys.readouterr().err
+    assert not (tmp_path / "cloud.csv.audit.json").exists()
+    assert not (tmp_path / "cloud.csv.manifest.json").exists()
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_write_error_during_the_export_exits_2(capsys, monkeypatch):
+    # chunks of one row, so the file's buffer takes many before the first write fails, while
+    # both export workers are formatting
+    monkeypatch.setattr(cli, "EXPORT_ROWS", 1)
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: 3)
+    assert main(["simulate", "--preset", "fig2", "--T", "0.5", "--M", "20", "--paths", "400",
+                 "--out", "/dev/full"]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert_no_child_left()
 
 
 def test_mean_check_forks_its_workers_from_the_cli(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -351,6 +352,34 @@ def test_simulate_reports_a_worker_that_dies_without_a_report(monkeypatch):
     with pytest.raises(ChildProcessError, match=r"worker \d+ exited with status 3 without a report"):
         escape_run(monkeypatch, 2)
     assert len(pids) == 1
+    assert_reaped(pids)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_forked_map_deals_items_round_robin_and_yields_them_in_order(monkeypatch, workers):
+    pids = forked_pids(monkeypatch)
+    results = list(scheme.forked_map(lambda item: (item, os.getpid()), list(range(7)), workers))
+    assert [item for item, _ in results] == list(range(7))
+    # item i is computed by process i mod W, this one for i mod W = 0
+    computed_by = [os.getpid(), *pids]
+    assert [pid for _, pid in results] == [computed_by[i % workers] for i in range(7)]
+    assert len(pids) == workers - 1
+    assert_reaped(pids)
+
+
+def test_forked_map_reaps_its_workers_when_the_consumer_stops_early(monkeypatch):
+    def work(item):
+        if item % 3 == 2:  # worker 2 would outlive the test if it were not killed
+            time.sleep(60)
+        return item
+
+    pids = forked_pids(monkeypatch)
+    results = scheme.forked_map(work, list(range(9)), 3)
+    assert [next(results), next(results)] == [0, 1]
+    started = time.perf_counter()
+    results.close()
+    assert time.perf_counter() - started < 10
+    assert len(pids) == 2
     assert_reaped(pids)
 
 
