@@ -294,7 +294,7 @@ def cmd_mean_check(args, argv: list[str]) -> int:
     se = float(np.std(mc, ddof=1) / np.sqrt(mc.size))
     exact = float(params.w @ mean_oracle(params, args.t))
     deviation = abs(mc_mean - exact)
-    passed = deviation <= 1e-10 if params.nu == 0.0 else deviation <= 3.0 * se
+    passed = deviation <= (1e-10 * max(1.0, abs(exact)) if params.nu == 0.0 else 3.0 * se)
     payload = {
         "t": args.t,
         "paths": args.paths,
@@ -416,8 +416,8 @@ def cmd_pde_convergence(args, argv: list[str]) -> int:
 def cmd_rerun(args, _argv: list[str]) -> int:
     """Repeat the run of a manifest; with ``--verify``, exit 7 unless each output has its digest.
 
-    A verified run is executed here rather than through :func:`main`, so an
-    error stops it before any output is compared, and the digests compared
+    The run is executed here and its exit code returned, so a verified run
+    stops at an error before any output is compared, and the digests compared
     are those of the manifest the run writes over the old one.
     """
     with open(args.manifest, "r", encoding="utf-8") as fh:
@@ -427,15 +427,15 @@ def cmd_rerun(args, _argv: list[str]) -> int:
         raise ValueError(f"manifest {args.manifest} has no argv list of strings")
     if argv[:1] == ["rerun"]:
         raise ValueError(f"manifest {args.manifest} reruns a manifest itself")
-    if not args.verify:
-        return main(argv)
     expected = manifest.get("sha256")
-    if not isinstance(expected, dict):
+    if args.verify and not isinstance(expected, dict):
         raise ValueError(f"manifest {args.manifest} has no sha256 map to verify against")
     run = build_parser().parse_args(argv)
-    if getattr(run, "out", None) is None:
+    if args.verify and getattr(run, "out", None) is None:
         raise ValueError(f"manifest {args.manifest} runs {argv[0]} without --out")
     code = run.func(run, argv)
+    if not args.verify:
+        return code
     with open(str(run.out) + ".manifest.json", "r", encoding="utf-8") as fh:
         digests = json.load(fh)["sha256"]
     differ = [path for path, digest in expected.items() if digests.get(path) != digest]

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .admissible import AdmissibleMatrix
+from .cone import ConeDomain
 
 Array = NDArray[np.float64]
 
@@ -170,13 +170,19 @@ def _augmented_exp(a: Array, b: Array, h: float) -> tuple[Array, Array]:
     """Top rows (exp(a h), forcing) of exp([[a, b], [0, 0]] h), as :class:`DriftSystem` says.
 
     Squaring [[E, F], [0, 1]] gives (E E, E F + F), which keeps the last row
-    exact: F is not scaled by 2^s roundings of that 1.
+    exact: F is not scaled by 2^s roundings of that 1.  F is linear in b, so
+    b enters divided by the power of two that brings |b|_1 under ||a||_1,
+    and F is multiplied back: both are exact, and the squarings, each of
+    which may double the relative error, follow ||a h||_1 alone.
     """
     n = b.size
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = a
-    aug[:n, n] = b
     with np.errstate(over="ignore"):
+        a_norm, b_norm = float(np.abs(a).sum(axis=0).max()), float(np.abs(b).sum())
+        power = (math.frexp(b_norm)[1] - math.frexp(a_norm)[1] + 1
+                 if 0.0 < a_norm < b_norm < math.inf else 0)
+        aug[:n, n] = np.ldexp(b, -power)
         norm = float(np.abs(aug).sum(axis=0).max()) * h
     if not norm <= 2.0 ** (MAX_SQUARINGS - 1):  # NaN and inf too
         raise ValueError(f"drift step h = {h:.6g} is out of double-precision reach: "
@@ -200,6 +206,7 @@ def _augmented_exp(a: Array, b: Array, h: float) -> tuple[Array, Array]:
         for _ in range(squarings):
             forcing = prop @ forcing + forcing
             prop = prop @ prop
+        forcing = np.ldexp(forcing, power)
     if not (np.isfinite(prop).all() and np.isfinite(forcing).all()):
         raise ValueError(f"drift step h = {h:.6g} overflows: exp(A h) is not finite, "
                          f"||A h||_1 = {norm:.6g}")
@@ -247,42 +254,37 @@ class DriftSystem:
             return np.eye(self.b.size), np.zeros(self.b.size)
         return _augmented_exp(self.A, self.b, h)
 
+    def drift(self, v) -> Array:
+        """Drift A v + b at one point or at the rows of an array of points."""
+        return np.asarray(v, dtype=float) @ self.A.T + self.b
+
 
 @dataclass(frozen=True, eq=False)
-class TransformedDynamics:
-    """The model in the coordinates u = Q v, where the cone is the orthant.
+class TransformedDynamics(DriftSystem):
+    """The model in the coordinates u = Q (v - shift) of a :class:`ConeDomain`, the orthant.
 
     When the last row of Q is w and Q 1 = wbar e_N, u_N is the aggregate and
-    du = (K u + c) dt + nu wbar sqrt(u_N) e_N dW, where ``system`` holds
-    K = Q A Q^-1 and c = Q b conjugated from :meth:`DriftSystem.from_params`.
+    du = (K u + c) dt + nu wbar sqrt(u_N) e_N dW.  As w @ shift = 0, A shift = -x shift,
+    so K = Q A Q^-1 and c = Q b(v0 - shift) conjugate :meth:`DriftSystem.from_params`.
     For an admissible Q, K = -G - lam wbar e_N e_N^T is a Metzler matrix and
-    c = G Q v0 + theta wbar e_N, which keeps the orthant invariant.
+    c = G Q (v0 - shift) + theta wbar e_N, which keeps the orthant invariant.
     """
 
-    system: DriftSystem
     #: variance rate nu^2 wbar^2 of u_N per unit of u_N
     variance_rate: float
 
     @classmethod
-    def from_params(cls, params: ModelParams, matrix: AdmissibleMatrix) -> "TransformedDynamics":
+    def from_params(cls, params: ModelParams, domain: ConeDomain) -> "TransformedDynamics":
         """Raises ValueError unless Q passes the row and column conditions and K, c are finite."""
+        matrix = domain.matrix
         if not matrix.passes_row_and_column():
             raise ValueError("transform matrix fails the row or column condition")
-        original = DriftSystem.from_params(params)
+        original = DriftSystem.from_params(replace(params, v0=params.v0 - domain.shift))
         with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning
-            system = DriftSystem(A=matrix.Q @ original.A @ matrix.Qinv, b=matrix.Q @ original.b)
-        if not (np.isfinite(system.A).all() and np.isfinite(system.b).all()):
+            k, c = matrix.Q @ original.A @ matrix.Qinv, matrix.Q @ original.b
+        if not (np.isfinite(k).all() and np.isfinite(c).all()):
             raise ValueError("transformed drift K u + c is not finite for this matrix")
-        return cls(system=system, variance_rate=params.nu**2 * params.wbar**2)
-
-    def drift(self, u) -> Array:
-        """Drift K u + c at one point or at the rows of an array of points."""
-        return np.asarray(u, dtype=float) @ self.system.A.T + self.system.b
-
-    @property
-    def divergence(self) -> Array:
-        """Per-axis terms d(K u + c)_i / du_i of the drift divergence."""
-        return np.diag(self.system.A)
+        return cls(A=k, b=c, variance_rate=params.nu**2 * params.wbar**2)
 
     def diffusion(self, u):
         """Generator coefficient of d^2/du_N^2, half the variance rate of u_N."""

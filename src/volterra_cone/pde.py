@@ -1,10 +1,10 @@
 """Backward pricing PDE in transformed coordinates with a manufactured solution.
 
-The PDE is posed on a truncated box in the transformed space where the true
-state domain is the non-negative orthant.  A quadratic-in-space, linear-in-
-time exact solution is imposed through a fabricated source term and through
-Dirichlet data on the box boundary, so the discretization error is directly
-measurable.  Boxes that keep the last coordinate non-negative give a
+The PDE is posed on a truncated box in u = Q v, the coordinates of the
+unshifted cone, where the state domain is the non-negative orthant.  A
+quadratic-in-space, linear-in-time exact solution is imposed through a
+fabricated source term and Dirichlet data on the box boundary, so the
+discretization error is measurable.  Boxes that keep u_N >= 0 give a
 parabolic problem and second-order convergence; boxes that dip below zero
 make the diffusion coefficient negative and the march blows up.
 """
@@ -20,6 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .admissible import AdmissibleMatrix
+from .cone import ConeDomain
 from .model import DriftSystem, ModelParams, TransformedDynamics
 
 Array = NDArray[np.float64]
@@ -81,7 +82,7 @@ class PdeProblem:
         reach = np.array([max(-lo, hi) for lo, hi in box])
         with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning
             solution = 1.0 + np.abs(alpha) @ reach**2 + abs(self.beta) * self.T
-            drift = np.abs(dynamics.system.A) @ reach + np.abs(dynamics.system.b)
+            drift = np.abs(dynamics.A) @ reach + np.abs(dynamics.b)
             source = (abs(self.beta) + 2.0 * (np.abs(alpha) * reach) @ drift
                       + abs(alpha[-1]) * dynamics.variance_rate * reach[-1])
         if not (math.isfinite(solution) and math.isfinite(source)):
@@ -90,8 +91,8 @@ class PdeProblem:
 
     @cached_property
     def dynamics(self) -> TransformedDynamics:
-        """The transformed dynamics of ``params`` under ``matrix``, built once per problem."""
-        return TransformedDynamics.from_params(self.params, self.matrix)
+        """The dynamics of ``params`` in u = Q v, the unshifted cone of ``matrix``, built once."""
+        return TransformedDynamics.from_params(self.params, ConeDomain(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def residual_check(problem: PdeProblem, n_samples: int = 100, seed: int = 0) -> 
     noise = q @ np.ones(params.n_factors)
     operator = (
         problem.beta
-        + np.einsum("ki,ki->k", (v @ original.A.T + original.b) @ q.T, grad)
+        + np.einsum("ki,ki->k", original.drift(v) @ q.T, grad)
         + 0.5 * params.nu**2 * (v @ params.w) * (noise**2 @ (2.0 * problem.alpha))
     )
     return float(np.max(np.abs(operator - phi)))
@@ -170,12 +171,12 @@ def _assemble(problem: PdeProblem):
     """Spatial operator on interior rows acting on the full node vector.
 
     A sum over axes of 1-D stencils lifted to the grid by Kronecker products
-    and scaled by the coefficients of :class:`TransformedDynamics` at the
-    nodes.  The drift along each axis is discretized in divergence form, the
-    central difference of the coefficient-times-value product corrected by
-    the exact coefficient divergence; the degenerate last-coordinate
-    diffusion uses the plain central second difference with no
-    regularization.
+    and scaled at the nodes by the coefficients of ``problem.dynamics``, the
+    model in u = Q v.  The drift along each axis is discretized in divergence
+    form, the central difference of the coefficient-times-value product
+    corrected by the exact derivative K_ii of that coefficient, read as
+    ``dynamics.A[dim, dim]``; the degenerate last-coordinate diffusion uses
+    the plain central second difference with no regularization.
     """
     from scipy import sparse
 
@@ -197,7 +198,7 @@ def _assemble(problem: PdeProblem):
     for dim, (lo, hi) in enumerate(problem.box):
         h = (hi - lo) / n
         op += along(dim, (-1.0, 0.0, 1.0)) @ sparse.diags(drift[:, dim] / (2.0 * h))
-        op -= dynamics.divergence[dim] * sparse.identity(len(nodes))
+        op -= dynamics.A[dim, dim] * sparse.identity(len(nodes))
         if dim == ndim - 1:
             op += sparse.diags(dynamics.diffusion(nodes) / h**2) @ along(dim, (1.0, -2.0, 1.0))
     interior = np.arange(len(nodes)).reshape((n + 1,) * ndim)[(slice(1, -1),) * ndim].ravel()

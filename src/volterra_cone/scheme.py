@@ -19,7 +19,7 @@ import pickle
 import signal
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -444,10 +444,10 @@ def _usable_cpus() -> int:
 
 
 def _shared_array(shape: tuple[int, ...]) -> Array:
-    """Float array of ``shape`` in an anonymous MAP_SHARED mapping, so forked workers fill it."""
+    """Float array of ``shape`` in an anonymous shared mapping, so forked workers fill it."""
     nbytes = 8 * math.prod(shape)
-    try:
-        buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_SHARED)
+    try:  # mmap's default flags are MAP_SHARED on Unix; on Windows, which has no fork, none
+        buffer = mmap.mmap(-1, nbytes)
     except (OverflowError, OSError) as error:
         raise MemoryError(f"cannot allocate {nbytes} bytes of shared path arrays: {error}") from None
     return np.frombuffer(buffer).reshape(shape)
@@ -525,10 +525,10 @@ def simulate(
 ) -> SampleCloud:
     """Simulate independent paths on a uniform grid and audit cone membership.
 
-    Paths run in u = Q (v - shift) on ``ConeDomain.for_initial_state(matrix,
-    params.v0)`` (:class:`TransformedDynamics`, so ValueError for a matrix failing
-    the row or column condition).  The shift has zero aggregate, so A shift = -x shift
-    and v - shift follows the model anchored at ``params.v0 - shift`` (proportional to 1/x).
+    Paths run in u = Q (v - shift) on the anchor's cone,
+    ``ConeDomain.for_initial_state(matrix, params.v0)``, under the
+    :class:`TransformedDynamics` of that domain (so ValueError for a matrix
+    failing the row or column condition).
     A non-finite initial state is a ValueError, and so is one that
     :func:`contains` rejects unless ``require_initial_in_cone`` is false.
     The paths are split into contiguous blocks of at most BLOCK_PATHS and
@@ -543,13 +543,13 @@ def simulate(
     """
     initial = params.v0 if initial_state is None else initial_state
     domain = ConeDomain.for_initial_state(matrix, params.v0)
-    dynamics = TransformedDynamics.from_params(replace(params, v0=params.v0 - domain.shift), matrix)
+    dynamics = TransformedDynamics.from_params(params, domain)
     u0 = transformed(domain, initial)
     if require_initial_in_cone and not contains(domain, initial):
         raise ValueError(f"initial state is outside the cone, transformed coordinates {u0}")
 
     h = config.T / config.M
-    prop, forcing = dynamics.system.propagators(0.5 * h)
+    prop, forcing = dynamics.propagators(0.5 * h)
     z_budget = dynamics.variance_rate * h
 
     n_blocks = -(-config.n_paths // BLOCK_PATHS)
@@ -560,7 +560,7 @@ def simulate(
     chunk_steps = max(1, min(config.M, CHUNK_STEPS, held))
     workers = process_count(n_blocks)
     shape = (config.n_paths, config.M + 1 if config.record_full else 1, u0.size)
-    paths = np.empty(shape) if workers == 1 else _shared_array(shape)
+    paths = _shared_array(shape)
     report = reduce(_merged, forked_map(
         lambda block: _simulate_block(paths, config, u0, prop, forcing, z_budget, chunk_steps,
                                       *block),

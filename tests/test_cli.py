@@ -270,6 +270,15 @@ def test_mean_check_pass_and_corrupted_fail(tmp_path, skip_final_half_drift):
     assert main(base) == 5
 
 
+def test_mean_check_bounds_the_exact_deviation_relative_to_the_mean(tmp_path, capsys):
+    # at theta = 2e5 the exact mean is about 1.4e5, so an absolute 1e-10 is below its rounding
+    params = write_params(tmp_path, theta=2e5, nu=0.0)
+    assert main(["mean-check", "--params", str(params), "--t", "1", "--M", "100",
+                 "--paths", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["deviation"] <= 1e-13 * payload["exact_mean"]
+
+
 def test_mean_check_statistical_pass(tmp_path):
     params = write_params(tmp_path)
     assert main(["mean-check", "--params", str(params), "--t", "1.0",
@@ -400,6 +409,19 @@ def test_rerun_verify_checks_every_output_digest(tmp_path, capsys):
     assert main(["rerun", "--verify", str(manifest_path)]) == 7
     err = capsys.readouterr().err
     assert audit in err and str(out) + "\n" not in err  # only the edited output is named
+
+
+def test_rerun_without_verify_returns_the_exit_code_of_the_run(tmp_path, capsys):
+    params = write_params(tmp_path)
+    argv = ["simulate", "--params", str(params), "--M", "10", "--paths", "2",
+            "--out", str(tmp_path / "sim.csv")]
+    assert main(argv) == 0
+    params.unlink()
+    capsys.readouterr()
+    assert main(argv) == 2
+    direct = capsys.readouterr().err
+    assert main(["rerun", str(tmp_path / "sim.csv.manifest.json")]) == 2
+    assert capsys.readouterr().err == direct and str(params) in direct
 
 
 @pytest.mark.parametrize("payload", [

@@ -116,40 +116,64 @@ def test_json_missing_key(tmp_path):
         load_params(path)
 
 
-def assert_transformed_closed_form(params, matrix):
-    # K = -G - lam wbar e_N e_N^T and c = G Q v0 + theta wbar e_N
-    dynamics = TransformedDynamics.from_params(params, matrix)
+def assert_transformed_closed_form(params, domain):
+    # K = -G - lam wbar e_N e_N^T and c = G Q (v0 - shift) + theta wbar e_N
+    dynamics = TransformedDynamics.from_params(params, domain)
+    matrix = domain.matrix
     e_n = np.eye(params.n_factors)[-1]
     k = -matrix.G - params.lam * params.wbar * np.outer(e_n, e_n)
-    c = matrix.G @ matrix.Q @ params.v0 + params.theta * params.wbar * e_n
-    assert np.linalg.norm(dynamics.system.A - k) <= 1e-12 * np.linalg.norm(k)
-    assert np.linalg.norm(dynamics.system.b - c) <= 1e-12 * np.linalg.norm(c)
-    assert np.max(np.abs(dynamics.divergence - np.diag(k))) <= 1e-12 * np.linalg.norm(k)
+    c = matrix.G @ matrix.Q @ (params.v0 - domain.shift) + params.theta * params.wbar * e_n
+    assert np.linalg.norm(dynamics.A - k) <= 1e-12 * np.linalg.norm(k)
+    assert np.linalg.norm(dynamics.b - c) <= 1e-12 * np.linalg.norm(c)
     assert dynamics.variance_rate == pytest.approx(params.nu**2 * params.wbar**2, rel=1e-15)
+    # the change of variables: the drift of u = Q (v - shift) is Q times the drift of v
+    original = DriftSystem.from_params(params)
+    v = np.random.default_rng(params.n_factors).uniform(-1.0, 1.0, (5, params.n_factors))
+    u = (v - domain.shift) @ matrix.Q.T
+    expected = original.drift(v) @ matrix.Q.T
+    scale = (np.linalg.norm(k) * np.linalg.norm(u) + np.linalg.norm(c) + np.linalg.norm(matrix.Q)
+             * (np.linalg.norm(original.A) * np.linalg.norm(v) + np.linalg.norm(original.b)))
+    assert np.linalg.norm(dynamics.drift(u) - expected) <= 1e-12 * scale
+
+
+def closed_form_domains(params, matrix):
+    """The unshifted cone of ``matrix`` and, where its aggregate is >= 0, the anchor's cone."""
+    domains = [ConeDomain(matrix)]
+    if params.w @ params.v0 >= 0.0:
+        domains.append(ConeDomain.for_initial_state(matrix, params.v0))
+    return domains
 
 
 def test_transformed_dynamics_closed_form_presets():
     for name in ("table1", "fig2", "fig3a", "fig3c"):
-        assert_transformed_closed_form(*preset(name))
+        params, matrix = preset(name)
+        domains = closed_form_domains(params, matrix)
+        assert len(domains) == 2
+        for domain in domains:
+            assert_transformed_closed_form(params, domain)
 
 
 def test_transformed_dynamics_closed_form_random_canonical():
     rng = np.random.default_rng(2412)
+    shifted = 0
     for _ in range(200):
         n = int(rng.integers(1, 9))
         w = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
         x = np.sort(rng.uniform(0.01, 50.0, size=n))
         params = ModelParams(w=w, x=x, theta=rng.uniform(0.01, 1.0), lam=rng.uniform(-1.0, 2.0),
                              nu=rng.uniform(0.0, 1.0), v0=rng.uniform(-1.0, 1.0, size=n))
-        assert_transformed_closed_form(params, build_canonical(w, x))
+        domains = closed_form_domains(params, build_canonical(w, x))
+        shifted += len(domains) - 1
+        for domain in domains:
+            assert_transformed_closed_form(params, domain)
+    assert shifted >= 50
 
 
 def stepped_systems(name):
     """A preset's drift in v and the shifted drift in u that :func:`simulate` steps."""
     params, matrix = preset(name)
-    shift = ConeDomain.for_initial_state(matrix, params.v0).shift
-    dynamics = TransformedDynamics.from_params(replace(params, v0=params.v0 - shift), matrix)
-    return DriftSystem.from_params(params), dynamics.system
+    domain = ConeDomain.for_initial_state(matrix, params.v0)
+    return DriftSystem.from_params(params), TransformedDynamics.from_params(params, domain)
 
 
 @pytest.mark.parametrize("name", ["table1", "fig1", "fig2", "fig3a", "fig3b", "fig3c"])
@@ -195,3 +219,26 @@ def test_propagators_refuse_steps_out_of_double_precision_reach():
             system.propagators(h)
     with pytest.raises(ValueError, match=r"not finite, \|\|A h\|\|_1 = 1000"):
         DriftSystem(A=np.array([[1000.0]]), b=np.zeros(1)).propagators(1.0)
+    # the forcing is scaled out of the norm, so the refusal names ||A h||_1, not |b|_1 h
+    with pytest.raises(ValueError, match=r"\|\|A h\|\|_1 = 4e\+09 needs"):
+        DriftSystem(A=np.array([[-4e9]]), b=np.array([1e20])).propagators(1.0)
+    for b in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="out of double-precision reach"):
+            DriftSystem(A=np.array([[-1.0]]), b=np.array([b])).propagators(1.0)
+
+
+@pytest.mark.parametrize("theta", [2e3, 2e7])
+def test_propagators_are_accurate_whatever_the_size_of_the_forcing(theta):
+    # the forcing column b is scaled into ||A||_1, so it adds no squarings: each could
+    # double the relative error (3.8e-8 of the forcing at theta = 2e7 when b set them)
+    mpmath = pytest.importorskip("mpmath")
+    w, x = np.array([1.0, 2.0]), np.array([1.0, 10.0])
+    params = ModelParams(w=w, x=x, theta=theta, lam=0.3, nu=0.0, v0=1.0 / (30.0 * x))
+    system = DriftSystem.from_params(params)
+    aug = np.zeros((3, 3))
+    aug[:2, :2], aug[:2, 2] = system.A, system.b
+    with mpmath.workdps(40):
+        exact = np.array(mpmath.expm(mpmath.matrix(aug.tolist())).tolist(), dtype=float)[:2]
+    prop, forcing = system.propagators(1.0)
+    assert np.max(np.abs(prop - exact[:, :2])) <= 1e-14 * np.max(np.abs(exact[:, :2]))
+    assert np.max(np.abs(forcing - exact[:, 2])) <= 1e-14 * np.max(np.abs(exact[:, 2]))

@@ -6,6 +6,7 @@ import pytest
 
 from volterra_cone import pde
 from volterra_cone import (
+    ConeDomain,
     ModelParams,
     PdeProblem,
     TransformedDynamics,
@@ -46,7 +47,7 @@ def test_operator_exact_on_affine_functions(make_problem):
     problem = make_problem()
     op, nodes, interior = pde._assemble(problem)
     slope = np.linspace(0.5, -1.5, nodes.shape[1])
-    dynamics = TransformedDynamics.from_params(problem.params, problem.matrix)
+    dynamics = TransformedDynamics.from_params(problem.params, ConeDomain(problem.matrix))
     expected = dynamics.drift(nodes[interior]) @ slope
     got = op @ (1.0 + nodes @ slope)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -155,9 +156,9 @@ def test_a_problem_builds_its_transformed_dynamics_once(monkeypatch):
     builds = []
     build = TransformedDynamics.from_params
 
-    def counted(params, matrix):
-        builds.append(matrix)
-        return build(params, matrix)
+    def counted(params, domain):
+        builds.append(domain)
+        return build(params, domain)
 
     monkeypatch.setattr(TransformedDynamics, "from_params", counted)
     problem = table1_problem(n=8)

@@ -423,12 +423,12 @@ def reference_simulate(params, matrix, config, u0=None):
     jump is added along e_N to every coordinate.  Same arithmetic as the
     in-place kernel, so :func:`simulate` must match it bit for bit.
     """
-    shift = ConeDomain.for_initial_state(matrix, params.v0).shift
-    dynamics = TransformedDynamics.from_params(replace(params, v0=params.v0 - shift), matrix)
+    domain = ConeDomain.for_initial_state(matrix, params.v0)
+    dynamics = TransformedDynamics.from_params(params, domain)
     if u0 is None:
-        u0 = matrix.Q @ (params.v0 - shift)
+        u0 = matrix.Q @ (params.v0 - domain.shift)
     h = config.T / config.M
-    prop, forcing = dynamics.system.propagators(0.5 * h)
+    prop, forcing = dynamics.propagators(0.5 * h)
     z_budget = dynamics.variance_rate * h
     uniforms = np.empty((config.n_paths, config.M))
     for k in range(config.n_paths):
@@ -490,12 +490,12 @@ def test_simulate_matches_row_major_reference_when_aggregates_clamp(monkeypatch)
     monkeypatch.setattr(scheme, "BLOCK_PATHS", 8)
     params, matrix = preset("fig3c")
     config = PathConfig(T=1.0, M=20, n_paths=19, seed=8, record_full=True)
-    shift = ConeDomain.for_initial_state(matrix, params.v0).shift
-    dynamics = TransformedDynamics.from_params(replace(params, v0=params.v0 - shift), matrix)
-    prop, forcing = dynamics.system.propagators(0.5 * config.T / config.M)
+    domain = ConeDomain.for_initial_state(matrix, params.v0)
+    prop, forcing = TransformedDynamics.from_params(params, domain).propagators(
+        0.5 * config.T / config.M)
     a = (forcing[-1] + 5e-10) / (prop[-1, 0] + prop[-1, 1])
     u0 = np.array([-a, -a, 0.0])
-    cloud = simulate(params, matrix, config, initial_state=matrix.Qinv @ u0 + shift,
+    cloud = simulate(params, matrix, config, initial_state=matrix.Qinv @ u0 + domain.shift,
                      require_initial_in_cone=False)
     expected = reference_simulate(params, matrix, config, u0=cloud.transformed[0, 0])
     for key, value in expected.items():
@@ -729,9 +729,9 @@ def laplace_transform(params, matrix, a, t):
     rate, so E[exp(-a @ u_t)] = exp(phi(t) + psi(t) @ u_0), where the Riccati system
     psi' = K^T psi + sigma^2 psi_N^2 e_N / 2, phi' = c @ psi, psi(0) = -a, phi(0) = 0.
     """
-    shift = ConeDomain.for_initial_state(matrix, params.v0).shift
-    dynamics = TransformedDynamics.from_params(replace(params, v0=params.v0 - shift), matrix)
-    k, c = dynamics.system.A, dynamics.system.b
+    domain = ConeDomain.for_initial_state(matrix, params.v0)
+    dynamics = TransformedDynamics.from_params(params, domain)
+    k, c = dynamics.A, dynamics.b
     n = c.size
 
     def riccati(_, y):
@@ -742,7 +742,7 @@ def laplace_transform(params, matrix, a, t):
 
     end = solve_ivp(riccati, (0.0, t), np.append(-np.asarray(a, dtype=float), 0.0),
                     rtol=1e-12, atol=1e-14).y[:, -1]
-    return math.exp(end[n] + end[:n] @ (matrix.Q @ (params.v0 - shift)))
+    return math.exp(end[n] + end[:n] @ (matrix.Q @ (params.v0 - domain.shift)))
 
 
 @pytest.mark.parametrize("name, arguments", [
