@@ -18,7 +18,7 @@ from .cone import (
     original,
     transformed,
 )
-from .model import DriftSystem, ModelParams, TransformedDynamics, aggregate, kernel_eval, load_params
+from .model import DriftSystem, ModelParams, TransformedDynamics, kernel_eval, load_params
 from .pde import (
     PdeProblem,
     SolveReport,
@@ -34,7 +34,6 @@ from .scheme import (
     SampleCloud,
     ThreePointLaw,
     mean_oracle,
-    ode_step,
     simulate,
     three_point_law,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "SolveReport",
     "ThreePointLaw",
     "TransformedDynamics",
-    "aggregate",
     "build_canonical",
     "build_q2",
     "build_q3",
@@ -67,7 +65,6 @@ __all__ = [
     "manufactured_solution",
     "mean_oracle",
     "observed_orders",
-    "ode_step",
     "original",
     "q3_bounds",
     "q3_defaults",

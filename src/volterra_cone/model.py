@@ -1,4 +1,4 @@
-"""Model parameters, the exponential-sum kernel, the aggregation map and the dynamics.
+"""Model parameters, the exponential-sum kernel and the dynamics.
 
 Everything downstream (matrix construction, simulation, PDE solves) consumes
 a validated :class:`ModelParams`, so all precondition checks live here, and
@@ -124,11 +124,6 @@ class ModelParams:
         except KeyError as exc:
             raise ValueError(f"parameter file is missing key {exc}") from exc
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ModelParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
     def to_dict(self) -> dict:
         return {
             "w": self.w.tolist(),
@@ -142,7 +137,8 @@ class ModelParams:
 
 def load_params(path: str | Path) -> ModelParams:
     """Read a JSON parameter file with keys w, x, theta, lambda, nu, v0."""
-    return ModelParams.from_json(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        return ModelParams.from_dict(json.load(fh))
 
 
 def kernel_eval(params: ModelParams, t):
@@ -158,14 +154,6 @@ def kernel_eval(params: ModelParams, t):
     return float(vals) if np.isscalar(t) or t_arr.ndim == 0 else vals
 
 
-def aggregate(params: ModelParams, y) -> float:
-    """Weighted aggregate ``w @ y`` of a factor state vector."""
-    y_arr = np.asarray(y, dtype=float)
-    if y_arr.shape != (params.n_factors,):
-        raise ValueError(f"state must have shape ({params.n_factors},), got {y_arr.shape}")
-    return float(params.w @ y_arr)
-
-
 def _augmented_exp(a: Array, b: Array, h: float) -> tuple[Array, Array]:
     """Top rows (exp(a h), forcing) of exp([[a, b], [0, 0]] h), as :class:`DriftSystem` says.
 
@@ -173,15 +161,19 @@ def _augmented_exp(a: Array, b: Array, h: float) -> tuple[Array, Array]:
     exact: F is not scaled by 2^s roundings of that 1.  F is linear in b, so
     b enters divided by the power of two that brings |b|_1 under ||a||_1,
     and F is multiplied back: both are exact, and the squarings, each of
-    which may double the relative error, follow ||a h||_1 alone.
+    which may double the relative error, follow ||a h||_1 alone.  |b|_1 is
+    summed in units of 2^top, the power of two of max|b|, so it does not
+    overflow while every entry of b is finite.
     """
     n = b.size
     aug = np.zeros((n + 1, n + 1))
     aug[:n, :n] = a
     with np.errstate(over="ignore"):
-        a_norm, b_norm = float(np.abs(a).sum(axis=0).max()), float(np.abs(b).sum())
-        power = (math.frexp(b_norm)[1] - math.frexp(a_norm)[1] + 1
-                 if 0.0 < a_norm < b_norm < math.inf else 0)
+        a_norm = float(np.abs(a).sum(axis=0).max())
+        top = math.frexp(float(np.abs(b).max()))[1]
+        b_norm = float(np.abs(np.ldexp(b, -top)).sum())  # |b|_1 / 2^top
+        power = (math.frexp(b_norm)[1] + top - math.frexp(a_norm)[1] + 1
+                 if 0.0 < a_norm and math.ldexp(a_norm, -top) < b_norm < math.inf else 0)
         aug[:n, n] = np.ldexp(b, -power)
         norm = float(np.abs(aug).sum(axis=0).max()) * h
     if not norm <= 2.0 ** (MAX_SQUARINGS - 1):  # NaN and inf too

@@ -101,10 +101,9 @@ class SolveReport:
 
     ``timings`` holds the seconds spent in assembly, factorisation and the
     time loop (``assemble_s``, ``factor_s``, ``steps_s``) and in the whole
-    solve (``runtime_s``).  On a blow-up,
-    ``blowup_step`` and ``blowup_max_abs`` are the time level and max|v| at
-    which the march stopped (n and the final max|v| when only the final L2
-    error crossed :data:`BLOWUP_THRESHOLD`); both are ``None`` otherwise.
+    solve (``runtime_s``).  ``blowup_step`` and ``blowup_max_abs`` are the
+    time level and max|v| of a blow-up, by the rules of :func:`solve`, and
+    ``None`` otherwise.
     """
 
     n: int
@@ -205,22 +204,26 @@ def _assemble(problem: PdeProblem):
     return op[interior], nodes, interior
 
 
-def _march(problem: PdeProblem) -> tuple[float, tuple[int, float] | None, dict]:
-    """Run the backward time march; returns (error_l2, blow-up, timings).
+def solve(problem: PdeProblem) -> SolveReport:
+    """March the PDE backward from the terminal data and report the error.
 
     One theta-step per time level (theta = 1/2 for ``cn``, 1 for ``ie``):
     (I - theta dt L_II) v_new = v_old + dt (L x - phi), where x mixes the old
-    state and the new boundary data as (1 - theta) old + theta new.  The
-    blow-up is ``None`` or the (time level, max|v|) at which the march
-    stopped; a step matrix that cannot be factored stops it at level 0 with
-    no state, max|v| NaN.
+    state and the new boundary data as (1 - theta) old + theta new.  Dirichlet
+    data from the exact solution is imposed on the whole box boundary at every
+    time level.  A blow-up, reported with an infinite L2 error, is the time
+    level and max|v| at which the march stopped: the first level whose max|v|
+    exceeds EARLY_EXIT_MAGNITUDE or is NaN; level n and the last max|v| when
+    the final L2 error is not finite or exceeds BLOWUP_THRESHOLD; level 0 and
+    NaN when the step matrix cannot be factored.
     """
-    from scipy import sparse
+    # loaded before any clock starts, so no timing (nor a span around splu) holds the import
+    import scipy.sparse.linalg
 
     n = problem.n
-    clock = time.perf_counter()
+    start = time.perf_counter()
     op, nodes, interior = _assemble(problem)
-    timings = {"assemble_s": time.perf_counter() - clock, "factor_s": 0.0, "steps_s": 0.0}
+    timings = {"assemble_s": time.perf_counter() - start, "factor_s": 0.0, "steps_s": 0.0}
     boundary = np.ones(len(nodes), dtype=bool)
     boundary[interior] = False
     edge = nodes[boundary]
@@ -228,7 +231,8 @@ def _march(problem: PdeProblem) -> tuple[float, tuple[int, float] | None, dict]:
 
     dt = problem.T / n
     theta = 0.5 if problem.time_scheme == "cn" else 1.0
-    step_matrix = (sparse.identity(interior.size) - theta * dt * op[:, interior]).tocsc()
+    l2, blowup = math.inf, None
+    step_matrix = (scipy.sparse.identity(interior.size) - theta * dt * op[:, interior]).tocsc()
     # Fill-reducing column order.  The 2-D stencil has a symmetric pattern, so minimum
     # degree on A^T + A suits it: table1 box1 L+U nnz 1.19 M -> 0.65 M at n = 128 and
     # 6.29 M -> 3.38 M at n = 256 (one solve 20.8 -> 11.1 ms) against COLAMD's A^T A.
@@ -237,13 +241,12 @@ def _march(problem: PdeProblem) -> tuple[float, tuple[int, float] | None, dict]:
     try:
         lu = splu(step_matrix, permc_spec="MMD_AT_PLUS_A" if len(problem.box) == 2 else "COLAMD")
     except RuntimeError:
-        return math.inf, (0, math.nan), timings
-    finally:
-        timings["factor_s"] = time.perf_counter() - clock
+        blowup = (0, math.nan)
+    timings["factor_s"] = time.perf_counter() - clock
 
-    full = manufactured_solution(problem, nodes, problem.T)
-    clock = time.perf_counter()
-    try:
+    if blowup is None:
+        full = manufactured_solution(problem, nodes, problem.T)
+        clock = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(1, n + 1):
                 mixed = (1.0 - theta) * full
@@ -252,41 +255,22 @@ def _march(problem: PdeProblem) -> tuple[float, tuple[int, float] | None, dict]:
                 v_int = lu.solve(full[interior] + dt * (op @ mixed - phi_int))
                 peak = float(np.max(np.abs(v_int)))  # NaN when any entry is NaN
                 if not peak <= EARLY_EXIT_MAGNITUDE:
-                    return math.inf, (m, peak), timings
+                    blowup = (m, peak)
+                    break
                 full[interior] = v_int
-    finally:
         timings["steps_s"] = time.perf_counter() - clock
 
-    # the boundary error is zero and every interior node has weight prod(h)
-    cell = math.prod((hi - lo) / n for lo, hi in problem.box)
-    exact = manufactured_solution(problem, nodes[interior], 0.0)
-    l2 = math.sqrt(cell * float(np.sum((v_int - exact) ** 2)))
-    if not math.isfinite(l2) or l2 > BLOWUP_THRESHOLD:
-        return math.inf, (n, peak), timings
-    return l2, None, timings
-
-
-def solve(problem: PdeProblem) -> SolveReport:
-    """March the PDE backward from the terminal data and report the error.
-
-    Dirichlet data from the exact solution is imposed on the whole box
-    boundary at every time level.
-    """
-    # loaded before any clock starts, so no timing (nor a span around splu) holds the import
-    import scipy.sparse.linalg
-
-    start = time.perf_counter()
-    l2, blowup, timings = _march(problem)
+    if blowup is None:
+        # the boundary error is zero and every interior node has weight prod(h)
+        cell = math.prod((hi - lo) / n for lo, hi in problem.box)
+        exact = manufactured_solution(problem, nodes[interior], 0.0)
+        l2 = math.sqrt(cell * float(np.sum((v_int - exact) ** 2)))
+        if not math.isfinite(l2) or l2 > BLOWUP_THRESHOLD:
+            l2, blowup = math.inf, (n, peak)
     timings["runtime_s"] = time.perf_counter() - start
     step, peak = blowup or (None, None)
-    return SolveReport(
-        n=problem.n,
-        l2_error=l2,
-        blow_up=blowup is not None,
-        timings=timings,
-        blowup_step=step,
-        blowup_max_abs=peak,
-    )
+    return SolveReport(n=n, l2_error=l2, blow_up=blowup is not None, timings=timings,
+                       blowup_step=step, blowup_max_abs=peak)
 
 
 def convergence_study(problem: PdeProblem, n_list) -> list[SolveReport]:

@@ -53,13 +53,6 @@ _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 
 
-def ode_step(system: DriftSystem, z, h: float) -> Array:
-    """Exact solution of the linear drift ODE after time h from state z."""
-    z_arr = np.asarray(z, dtype=float)
-    prop, shift = system.propagators(h)
-    return prop @ z_arr + shift
-
-
 @dataclass(frozen=True)
 class ThreePointLaw:
     """Discrete law on three support points matching the first three moments.
@@ -74,8 +67,6 @@ class ThreePointLaw:
     p1: float
     p2: float
     p3: float
-    x: float
-    z: float
 
     @property
     def support(self) -> tuple[float, float, float]:
@@ -159,13 +150,7 @@ def three_point_law(x: float, z: float) -> ThreePointLaw:
         raise ValueError(f"aggregate must be finite and >= 0, got {x}")
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError(f"variance budget must be finite and >= 0, got {z}")
-    x1, x2, x3, p1, p2, p3 = (float(v[0]) for v in _law_arrays(np.array([x]), z))
-    return ThreePointLaw(x1=x1, x2=x2, x3=x3, p1=p1, p2=p2, p3=p3, x=x, z=z)
-
-
-def _workspace(n_factors: int, n_paths: int) -> tuple[Array, Array, NDArray[np.bool_]]:
-    """Scratch of :func:`_strang_step`: the mid-step state, the law's rows and a mask."""
-    return np.empty((n_factors, n_paths)), np.empty((8, n_paths)), np.empty(n_paths, dtype=bool)
+    return ThreePointLaw(*(float(row[0]) for row in _law_arrays(np.array([x]), z)))
 
 
 def _strang_step(state: Array, prop: Array, shift: Array, z_budget: float, u: Array,
@@ -174,12 +159,13 @@ def _strang_step(state: Array, prop: Array, shift: Array, z_budget: float, u: Ar
 
     ``state`` is (N, paths) with the aggregate in its last row, ``(prop, shift)``
     is the exact half-step drift with ``shift`` of the shape of ``state`` (a
-    column broadcasts, but costs more per step), ``u`` holds one
-    uniform per path and ``work`` comes from :func:`_workspace`.  The jump
-    redraws the aggregate from the three-point law and moves only the last
-    row.  Returns the lowest aggregate before the jump, the clamp count and
-    the probability audit; the exact audit runs only when the probabilities
-    leave [0, 1] by more than PROB_SLACK or are NaN.
+    column broadcasts, but costs more per step), ``u`` holds one uniform per
+    path and ``work`` is scratch: the mid-step state, the law's (8, paths)
+    rows and a mask of one flag per path.  The jump redraws the aggregate
+    from the three-point law and moves only the last row.  Returns the
+    lowest aggregate before the jump, the clamp count and the probability
+    audit; the exact audit runs only when the probabilities leave [0, 1] by
+    more than PROB_SLACK or are NaN.
     """
     mid, law, below = work
     np.matmul(prop, state, out=mid)
@@ -365,11 +351,11 @@ def _path_generators(seed: int, first: int, last: int) -> list:
 
 
 def _simulate_block(transformed: Array, config: PathConfig, initial: Array, prop: Array,
-                    shift: Array, z_budget: float, chunk_steps: int, first: int, last: int) -> dict:
+                    shift: Array, z_budget: float, first: int, last: int) -> dict:
     """March paths first..last-1 in u (aggregate and jump are u_N) into their rows of ``transformed``.
 
     Path k draws from the generator seeded by (config.seed, k)
-    (:func:`_path_generators`), chunk_steps at a time into a (steps, paths)
+    (:func:`_path_generators`), a chunk of steps at a time into a (steps, paths)
     buffer through a tile of DRAW_TILE paths, so a step's uniforms are a
     contiguous row and the draws do not depend on how paths are split.
     Returns the block's report: its :meth:`SampleCloud.audit`, over every grid
@@ -380,11 +366,12 @@ def _simulate_block(transformed: Array, config: PathConfig, initial: Array, prop
     generators = _path_generators(config.seed, first, last)
     seeded = time.perf_counter()
     width = last - first
-    chunk = np.empty((chunk_steps, width))
-    tile = np.empty((min(width, DRAW_TILE), chunk_steps))
+    held = CHUNK_DRAWS // (width + min(width, DRAW_TILE))
+    chunk = np.empty((max(1, min(config.M, CHUNK_STEPS, held)), width))
+    tile = np.empty((min(width, DRAW_TILE), len(chunk)))
     state = np.repeat(initial[:, None], width, axis=1)
     shift = np.repeat(shift[:, None], width, axis=1)
-    work = _workspace(*state.shape)
+    work = np.empty_like(state), np.empty((8, width)), np.empty(width, dtype=bool)
     recorded = transformed[first:last]
     low_now = state.min(axis=0)
     min_trans = low_now.copy()  # per path, reduced once at the end
@@ -555,15 +542,11 @@ def simulate(
     n_blocks = -(-config.n_paths // BLOCK_PATHS)
     bounds = np.linspace(0, config.n_paths, n_blocks + 1).astype(int).tolist()
     blocks = list(zip(bounds[:-1], bounds[1:]))
-    widest = -(-config.n_paths // n_blocks)
-    held = CHUNK_DRAWS // (widest + min(widest, DRAW_TILE))
-    chunk_steps = max(1, min(config.M, CHUNK_STEPS, held))
     workers = process_count(n_blocks)
     shape = (config.n_paths, config.M + 1 if config.record_full else 1, u0.size)
     paths = _shared_array(shape)
     report = reduce(_merged, forked_map(
-        lambda block: _simulate_block(paths, config, u0, prop, forcing, z_budget, chunk_steps,
-                                      *block),
+        lambda block: _simulate_block(paths, config, u0, prop, forcing, z_budget, *block),
         blocks, workers))
     timings = {stage: report.pop(stage) for stage in ("seed_s", "uniforms_s", "steps_s")}
     return SampleCloud(paths, **report, config=config, domain=domain, timings=timings,
@@ -578,4 +561,5 @@ def mean_oracle(params: ModelParams, t: float) -> Array:
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    return ode_step(DriftSystem.from_params(params), params.v0, float(t))
+    prop, forcing = DriftSystem.from_params(params).propagators(t)
+    return prop @ params.v0 + forcing

@@ -13,7 +13,7 @@ import pytest
 import scipy
 
 from volterra_cone import PathConfig, build_canonical, build_q3, load_params, q3_defaults, simulate
-from volterra_cone import cli, scheme
+from volterra_cone import cli, pde, scheme
 from volterra_cone.cli import EXPORT_ROWS, _fmt, build_parser, main
 from volterra_cone.floatfmt import format_g17
 from volterra_cone.presets import preset
@@ -501,6 +501,19 @@ def test_pde_manifests_record_timings_and_blow_up(tmp_path, capsys):
         assert timings["runtime_s"] >= stages
 
 
+def test_pde_exits_6_when_the_step_matrix_cannot_be_factored(tmp_path, monkeypatch):
+    def singular_factor(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(pde, "splu", singular_factor)
+    out = tmp_path / "box1.csv"
+    assert main(["pde", "--preset", "table1", "--box", "box1", "--n", "8",
+                 "--out", str(out)]) == 6
+    manifest = json.loads((tmp_path / "box1.csv.manifest.json").read_text())
+    assert manifest["blowup_step"] == {"8": 0}
+    assert manifest["blowup_max_abs"] == {"8": "nan"}
+
+
 def test_threads_flag_is_accepted_hidden_and_ignored(tmp_path, capsys):
     params = write_params(tmp_path)
     out1 = tmp_path / "t1.csv"
@@ -806,3 +819,24 @@ def test_only_the_pde_commands_load_scipy_linalg_or_sparse(tmp_path):
     (code, solvers, formatter), = _loaded_modules(
         tmp_path, [["pde", "--preset", "table1", "--n", "8", "--out", "pde.csv"]]).values()
     assert code == 0 and "scipy.sparse.linalg" in solvers and formatter == []
+
+
+def test_every_benchmark_invocation_still_parses():
+    # perfbench/run.py is loaded from its path and read, never changed; its dataclasses
+    # need the module registered before it runs
+    import importlib.util
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench
+    try:
+        spec.loader.exec_module(bench)
+        workloads = json.loads((root / "BENCHMARK.json").read_text())["workloads"]
+        argvs = [call.argv for workload in workloads
+                 for call in bench.workload_calls(workload["name"], 1)]
+    finally:
+        del sys.modules[spec.name]
+    assert len(argvs) == 5
+    for argv in argvs:
+        build_parser().parse_args(list(argv))

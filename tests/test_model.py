@@ -11,10 +11,10 @@ from volterra_cone import (
     DriftSystem,
     ModelParams,
     TransformedDynamics,
-    aggregate,
     build_canonical,
     kernel_eval,
     load_params,
+    mean_oracle,
 )
 from volterra_cone.presets import DEFAULT_GRIDS, preset
 
@@ -50,30 +50,6 @@ def test_kernel_vectorized_and_monotone():
     assert vals.shape == ts.shape
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) <= 0.0)
-
-
-def test_aggregate_values():
-    params = make_params()
-    assert aggregate(params, [0.0, 0.0]) == 0.0
-    assert aggregate(params, [1.0, 1.0]) == 3.0
-    table1 = make_params(w=[0.4, 1.8], x=[0.1, 3.5], v0=[0.2, 0.3])
-    assert aggregate(table1, [0.2, 0.3]) == pytest.approx(0.62, abs=1e-15)
-
-
-def test_aggregate_dimension_mismatch():
-    with pytest.raises(ValueError):
-        aggregate(make_params(), [1.0, 2.0, 3.0])
-
-
-def test_aggregate_is_linear():
-    params = make_params(w=[0.7, 1.3], x=[0.5, 2.0])
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        y, z = rng.normal(size=(2, 2))
-        a, b = rng.normal(size=2)
-        lhs = aggregate(params, a * y + b * z)
-        rhs = a * aggregate(params, y) + b * aggregate(params, z)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
 def test_validation_rejects_bad_inputs():
@@ -242,3 +218,13 @@ def test_propagators_are_accurate_whatever_the_size_of_the_forcing(theta):
     prop, forcing = system.propagators(1.0)
     assert np.max(np.abs(prop - exact[:, :2])) <= 1e-14 * np.max(np.abs(exact[:, :2]))
     assert np.max(np.abs(forcing - exact[:, 2])) <= 1e-14 * np.max(np.abs(exact[:, 2]))
+
+
+@pytest.mark.parametrize("theta", [1e308, 1.7e308])
+def test_mean_is_linear_in_theta_up_to_the_largest_finite_forcing(theta):
+    # |b|_1 overflows here although every entry of b is finite, so the scale of the
+    # forcing must come from its largest entry
+    def mean(theta):
+        return mean_oracle(make_params(theta=theta, v0=[0.0, 0.0]), 1.0)
+
+    np.testing.assert_allclose(mean(theta), theta * mean(1.0), rtol=1e-14)

@@ -134,6 +134,20 @@ def test_blow_up_reports_its_step_and_magnitude():
     assert all(value >= 0.0 for value in stable.timings.values())
 
 
+def singular_factor(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def test_a_step_matrix_that_cannot_be_factored_is_a_blow_up_at_level_zero(monkeypatch):
+    monkeypatch.setattr(pde, "splu", singular_factor)
+    report = solve(table1_problem(n=8))
+    assert report.blow_up and report.blowup_step == 0 and math.isnan(report.blowup_max_abs)
+    assert report.l2_error == math.inf
+    timings = report.timings
+    assert timings["steps_s"] == 0.0
+    assert timings["runtime_s"] >= timings["assemble_s"] + timings["factor_s"]
+
+
 def superlu_fill(monkeypatch, problem) -> int:
     """L+U nonzeros of the one factor a solve makes, read outside the program."""
     fills = []

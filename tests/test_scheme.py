@@ -20,7 +20,6 @@ from volterra_cone import (
     build_canonical,
     canonical_anchor,
     mean_oracle,
-    ode_step,
     simulate,
     three_point_law,
 )
@@ -50,6 +49,12 @@ def rk4(system, z, T, steps):
         k4 = rhs(z + dt * k3)
         z = z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return z
+
+
+def ode_step(system, z, h):
+    """Exact solution of the linear drift ODE after time h from state z."""
+    prop, shift = system.propagators(h)
+    return prop @ z + shift
 
 
 def test_drift_system_entries():
