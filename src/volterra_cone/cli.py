@@ -27,12 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .admissible import (AdmissibleMatrix, build_canonical, build_q2, build_q3, check_admissible,
-                         q3_bounds, q3_defaults)
+from .admissible import (AdmissibleMatrix, build_canonical, build_q2, build_q3, q3_bounds,
+                         q3_defaults)
 from .cone import MEMBERSHIP_TOL, ConeDomain, contains, original, transformed
 from .model import ModelParams, load_params
 from .pde import PdeProblem, convergence_study, observed_orders, residual_check, solve
-from .presets import DEFAULT_GRIDS, PDE_BOXES, preset
+from .presets import PDE_BOXES, PRESETS, preset
 from .scheme import PathConfig, forked_map, mean_oracle, process_count, simulate
 
 EXIT_OK = 0
@@ -163,17 +163,24 @@ def _write_json(path: Path, payload: dict) -> tuple[str, int]:
     return _write_output(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
-def _write_manifest(out: Path, args, argv: list[str], config: dict,
-                    written: dict[str, tuple[str, int]], started: float, **telemetry) -> None:
-    """Write ``<out>.manifest.json``: the run, the library versions, each output's SHA-256 and size.
+def _run(args, argv: list[str]) -> tuple[int, dict[str, tuple[str, int]]]:
+    """Run the command of ``args``; its exit code and the digest and size of each output.
 
-    ``written`` maps each output path to the digest and size
-    :func:`_write_output` returned, and ``telemetry`` (timings, worker count, blow-up
-    fields) enters the manifest as given.
+    A command returns its exit code and either None or its record: its
+    config, the map of each output path to the digest and size
+    :func:`_write_output` returned, and its telemetry (timings, worker
+    counts, blow-up fields).  A record is written to ``<out>.manifest.json``
+    with the run, the library versions, each output's SHA-256 and size and
+    the wall time, and its telemetry enters the manifest as given.
     """
+    started = time.perf_counter()
+    code, record = args.func(args)
+    if record is None:
+        return code, {}
     import scipy  # here, for its version only: start-up and --version load no scipy module
 
-    _write_json(Path(str(out) + ".manifest.json"), {
+    config, written, telemetry = record
+    _write_json(Path(f"{Path(args.out)}.manifest.json"), {
         "command": args.command,
         "argv": argv,
         "config": config,
@@ -187,6 +194,7 @@ def _write_manifest(out: Path, args, argv: list[str], config: dict,
         "wall_clock_s": time.perf_counter() - started,
         **telemetry,
     })
+    return code, written
 
 
 def _resolve(args) -> tuple[ModelParams, AdmissibleMatrix]:
@@ -212,22 +220,19 @@ def _resolve(args) -> tuple[ModelParams, AdmissibleMatrix]:
     return params, matrix
 
 
-def cmd_build_q(args, argv: list[str]) -> int:
-    started = time.perf_counter()
+def cmd_build_q(args) -> tuple[int, tuple | None]:
     params, matrix = _resolve(args)
-    report = check_admissible(matrix.Q, matrix.w, matrix.x, Qinv=matrix.Qinv)
+    report = matrix.report()
     out = Path(args.out)
     written = _write_json(out, {"Q": matrix.Q.tolist(), "Qinv": matrix.Qinv.tolist(),
                                 "G": matrix.G.tolist(), "report": report.to_dict()})
-    _write_manifest(out, args, argv, {"family": args.family, "q": args.q, "a": args.a,
-                                      "b": args.b, "params": params.to_dict()},
-                    {str(out): written}, started)
     print(f"admissible={report.admissible} -> {out}")
-    return EXIT_OK if report.admissible else EXIT_NONADMISSIBLE
+    return (EXIT_OK if report.admissible else EXIT_NONADMISSIBLE), (
+        {"family": args.family, "q": args.q, "a": args.a, "b": args.b,
+         "params": params.to_dict()}, {str(out): written}, {})
 
 
-def cmd_q3_bounds(args, argv: list[str]) -> int:
-    started = time.perf_counter()
+def cmd_q3_bounds(args) -> tuple[int, tuple | None]:
     params, _ = _resolve(args)
     a_lo, a_hi, b_lo, b_hi = q3_bounds(params.w, params.x)
     a, b = q3_defaults(params.w)
@@ -238,18 +243,16 @@ def cmd_q3_bounds(args, argv: list[str]) -> int:
                      "b_feasible": bool(b_lo <= b <= b_hi)},
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        out = Path(args.out)
-        _write_manifest(out, args, argv, {"params": params.to_dict()},
-                        {str(out): _write_json(out, payload)}, started)
-    return EXIT_OK
+    if not args.out:
+        return EXIT_OK, None
+    out = Path(args.out)
+    return EXIT_OK, ({"params": params.to_dict()}, {str(out): _write_json(out, payload)}, {})
 
 
-def cmd_simulation(args, argv: list[str]) -> int:
+def cmd_simulation(args) -> tuple[int, tuple | None]:
     """``simulate`` and ``cloud``, which differ only in the default of ``--record``."""
-    started = time.perf_counter()
     params, matrix = _resolve(args)
-    grid = DEFAULT_GRIDS.get(args.preset or "", (1.0, 1000, 1000))
+    grid = PRESETS[args.preset][2] if args.preset else (1.0, 1000, 1000)
     horizon = args.T if args.T is not None else grid[0]
     steps = args.M if args.M is not None else grid[1]
     paths = args.paths if args.paths is not None else grid[2]
@@ -269,21 +272,18 @@ def cmd_simulation(args, argv: list[str]) -> int:
     audit = cloud.audit()
     audit_path = Path(str(out) + ".audit.json")
     written[str(audit_path)] = _write_json(audit_path, audit)
-    _write_manifest(out, args, argv,
-                    {"T": horizon, "M": steps, "paths": paths,
-                     "record": args.record, "params": params.to_dict()},
-                    written, started, timings=timings, workers=cloud.workers,
-                    export_workers=export_workers)
     print(json.dumps(audit))
+    code = EXIT_OK
     if cloud.n_violations > 0 and not args.allow_nonadmissible:
         print(f"cone audit failed: {cloud.n_violations} grid states below "
               f"-{MEMBERSHIP_TOL}", file=sys.stderr)
-        return EXIT_CONE_AUDIT
-    return EXIT_OK
+        code = EXIT_CONE_AUDIT
+    return code, ({"T": horizon, "M": steps, "paths": paths, "record": args.record,
+                   "params": params.to_dict()}, written,
+                  {"timings": timings, "workers": cloud.workers, "export_workers": export_workers})
 
 
-def cmd_mean_check(args, argv: list[str]) -> int:
-    started = time.perf_counter()
+def cmd_mean_check(args) -> tuple[int, tuple | None]:
     params, matrix = _resolve(args)
     if args.paths < 2:
         raise ValueError(f"mean-check needs at least 2 paths for a standard error, got {args.paths}")
@@ -305,17 +305,16 @@ def cmd_mean_check(args, argv: list[str]) -> int:
         "pass": bool(passed),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        out = Path(args.out)
-        _write_manifest(out, args, argv,
-                        {"t": args.t, "M": args.M, "paths": args.paths,
-                         "params": params.to_dict()},
-                        {str(out): _write_json(out, payload)}, started,
-                        timings=cloud.timings, workers=cloud.workers)
-    return EXIT_OK if passed else EXIT_STATISTICAL
+    code = EXIT_OK if passed else EXIT_STATISTICAL
+    if not args.out:
+        return code, None
+    out = Path(args.out)
+    return code, ({"t": args.t, "M": args.M, "paths": args.paths, "params": params.to_dict()},
+                  {str(out): _write_json(out, payload)},
+                  {"timings": cloud.timings, "workers": cloud.workers})
 
 
-def cmd_check_domain(args, argv: list[str]) -> int:
+def cmd_check_domain(args) -> tuple[int, tuple | None]:
     params, matrix = _resolve(args)
     point = np.array([float(v) for v in args.point.split(",")])
     domain = ConeDomain.for_initial_state(matrix, params.v0)
@@ -326,7 +325,7 @@ def cmd_check_domain(args, argv: list[str]) -> int:
         "worst_component": float(np.min(coords)),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
+    return EXIT_OK, None
 
 
 def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
@@ -367,8 +366,8 @@ def _blowup_text(reports) -> str:
                      f"{_fmt(rep.blowup_max_abs)}" for rep in reports if rep.blow_up)
 
 
-def _pde_table(args, argv: list[str], problem: PdeProblem, reports, config: dict,
-               started: float, summary: str | None = None) -> int:
+def _pde_table(args, problem: PdeProblem, reports, config: dict,
+               summary: str | None = None) -> tuple[int, tuple]:
     """Write the PDE table and its manifest, and print ``summary`` (the table when it is None).
 
     Exit 6 when a report blew up on a stable box, one whose last interval
@@ -380,45 +379,40 @@ def _pde_table(args, argv: list[str], problem: PdeProblem, reports, config: dict
     out = Path(args.out)
     rows = _pde_rows(reports)
     written = _write_output(out, [("\n".join(rows) + "\n").encode()])
-    _write_manifest(out, args, argv,
-                    {"box": list(problem.box), "alpha": args.alpha, "beta": args.beta,
-                     "T": args.T, "scheme": args.scheme, "params": problem.params.to_dict(),
-                     **config},
-                    {str(out): written}, started,
-                    timings={rep.n: rep.timings for rep in reports},
-                    blowup_step={rep.n: rep.blowup_step for rep in reports},
-                    blowup_max_abs={rep.n: _json_float(rep.blowup_max_abs) for rep in reports})
     print("\n".join(rows) if summary is None else summary)
+    code = EXIT_OK
     if problem.box[-1][0] >= 0.0 and any(rep.blow_up for rep in reports):
         print(f"blow-up on a stable box: {_blowup_text(reports)}", file=sys.stderr)
-        return EXIT_BLOWUP
-    return EXIT_OK
+        code = EXIT_BLOWUP
+    return code, ({"box": list(problem.box), "alpha": args.alpha, "beta": args.beta, "T": args.T,
+                   "scheme": args.scheme, "params": problem.params.to_dict(), **config},
+                  {str(out): written},
+                  {"timings": {rep.n: rep.timings for rep in reports},
+                   "blowup_step": {rep.n: rep.blowup_step for rep in reports},
+                   "blowup_max_abs": {rep.n: _json_float(rep.blowup_max_abs) for rep in reports}})
 
 
-def cmd_pde(args, argv: list[str]) -> int:
-    started = time.perf_counter()
+def cmd_pde(args) -> tuple[int, tuple | None]:
     problem = _pde_problem(args, args.n)
     residual = residual_check(problem)
     report = solve(problem)
     summary = f"n={report.n} l2_error={_fmt(report.l2_error)} blow_up={report.blow_up}"
-    return _pde_table(args, argv, problem, [report], {"n": args.n, "residual_check": residual},
-                      started, summary)
+    return _pde_table(args, problem, [report], {"n": args.n, "residual_check": residual}, summary)
 
 
-def cmd_pde_convergence(args, argv: list[str]) -> int:
-    started = time.perf_counter()
+def cmd_pde_convergence(args) -> tuple[int, tuple | None]:
     n_list = [int(v) for v in args.n_list.split(",")]
     problem = _pde_problem(args, n_list[0])
     reports = convergence_study(problem, n_list)
-    return _pde_table(args, argv, problem, reports, {"n_list": n_list}, started)
+    return _pde_table(args, problem, reports, {"n_list": n_list})
 
 
-def cmd_rerun(args, _argv: list[str]) -> int:
+def cmd_rerun(args) -> tuple[int, tuple | None]:
     """Repeat the run of a manifest; with ``--verify``, exit 7 unless each output has its digest.
 
     The run is executed here and its exit code returned, so a verified run
     stops at an error before any output is compared, and the digests compared
-    are those of the manifest the run writes over the old one.
+    are those of the bytes the run wrote, which its new manifest records.
     """
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -433,21 +427,19 @@ def cmd_rerun(args, _argv: list[str]) -> int:
     run = build_parser().parse_args(argv)
     if args.verify and getattr(run, "out", None) is None:
         raise ValueError(f"manifest {args.manifest} runs {argv[0]} without --out")
-    code = run.func(run, argv)
+    code, written = _run(run, argv)
     if not args.verify:
-        return code
-    with open(str(run.out) + ".manifest.json", "r", encoding="utf-8") as fh:
-        digests = json.load(fh)["sha256"]
+        return code, None
+    digests = {path: digest for path, (digest, _) in written.items()}
     differ = [path for path, digest in expected.items() if digests.get(path) != digest]
     for path in differ:
         print(f"rerun differs from {args.manifest}: {path}", file=sys.stderr)
-    return EXIT_NOT_REPRODUCED if differ else code
+    return (EXIT_NOT_REPRODUCED if differ else code), None
 
 
 def _add_params_options(sub, family: bool = True) -> None:
     sub.add_argument("--params", help="JSON parameter file")
-    sub.add_argument("--preset", choices=["table1", "fig1", "fig2", "fig3a", "fig3b", "fig3c"],
-                     help="named parameter set")
+    sub.add_argument("--preset", choices=list(PRESETS), help="named parameter set")
     if family:
         sub.add_argument("--family", choices=["preset", "canonical", "q2", "q3"],
                          default=None, help="transform matrix family")
@@ -539,10 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, argv)
+        return _run(args, argv)[0]
     except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
+from .admissible import _check_nodes, _check_weights
 from .cone import ConeDomain
 
 Array = NDArray[np.float64]
@@ -76,14 +77,9 @@ class ModelParams:
         object.__setattr__(self, "theta", _scalar(self.theta, "theta"))
         object.__setattr__(self, "lam", _scalar(self.lam, "lambda"))
         object.__setattr__(self, "nu", _scalar(self.nu, "nu"))
-        if self.x.size != self.w.size:
-            raise ValueError(f"w and x must have equal length, got {self.w.size} and {self.x.size}")
+        _check_nodes(self.x, _check_weights(self.w).size)
         if self.v0.size != self.w.size:
             raise ValueError(f"v0 must have length {self.w.size}, got {self.v0.size}")
-        if np.any(self.w <= 0.0):
-            raise ValueError("all weights w must be strictly positive")
-        if self.x[0] <= 0.0 or np.any(np.diff(self.x) < 0.0):
-            raise ValueError("nodes x must be strictly positive and non-decreasing")
         if self.theta < 0.0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.nu < 0.0:
@@ -242,8 +238,6 @@ class DriftSystem:
         h = float(h)
         if h < 0.0:
             raise ValueError(f"step size must be >= 0, got {h}")
-        if h == 0.0:
-            return np.eye(self.b.size), np.zeros(self.b.size)
         return _augmented_exp(self.A, self.b, h)
 
     def drift(self, v) -> Array:
@@ -267,8 +261,16 @@ class TransformedDynamics(DriftSystem):
 
     @classmethod
     def from_params(cls, params: ModelParams, domain: ConeDomain) -> "TransformedDynamics":
-        """Raises ValueError unless Q passes the row and column conditions and K, c are finite."""
+        """The model in the coordinates of ``domain``.
+
+        Raises ValueError unless Q was built for the model's own w and x, passes
+        the row and column conditions, and K, c are finite.
+        """
         matrix = domain.matrix
+        if not (np.array_equal(matrix.w, params.w) and np.array_equal(matrix.x, params.x)):
+            raise ValueError(f"transform matrix is built for w = {matrix.w.tolist()}, "
+                             f"x = {matrix.x.tolist()}, not the model's w = {params.w.tolist()}, "
+                             f"x = {params.x.tolist()}")
         if not matrix.passes_row_and_column():
             raise ValueError("transform matrix fails the row or column condition")
         original = DriftSystem.from_params(replace(params, v0=params.v0 - domain.shift))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
 
 from .admissible import AdmissibleMatrix, build_canonical, build_q3
 from .cone import canonical_anchor
@@ -15,26 +15,6 @@ PDE_BOXES = {
     "box3": ((-0.5, 3.5), (0.0, 4.0)),
 }
 
-#: family parameters of the three-dimensional sample-cloud runs;
-#: the first two lie inside the feasibility intervals, the third does not.
-#: The violation in fig3c is deliberately strong: mild ones produce a cone
-#: that still contains the reachable states, so no escape would be visible.
-FIG3_FAMILY = {
-    "fig3a": (1.0, 2.0),
-    "fig3b": (1.1, 1.5),
-    "fig3c": (2.0, 2.0),
-}
-
-#: per-preset default grids (T, M, n_paths) at desk scale
-DEFAULT_GRIDS = {
-    "table1": (1.0, 1000, 1000),
-    "fig1": (1.0, 1000, 100000),
-    "fig2": (10.0, 10000, 1000),
-    "fig3a": (10.0, 10000, 1000),
-    "fig3b": (10.0, 10000, 1000),
-    "fig3c": (10.0, 10000, 1000),
-}
-
 
 def params_table1() -> ModelParams:
     """Two-factor volatility parameters of the PDE numerical example."""
@@ -43,35 +23,37 @@ def params_table1() -> ModelParams:
     )
 
 
-def params_fig2() -> ModelParams:
-    """Two-factor sample-cloud parameters, anchor proportional to 1/x."""
-    w = np.array([1.0, 2.0])
-    x = np.array([1.0, 10.0])
+def params_anchored(w, x) -> ModelParams:
+    """Sample-cloud parameters with weights w and nodes x, anchor proportional to 1/x."""
     return ModelParams(
         w=w, x=x, theta=0.02, lam=0.3, nu=0.3, v0=canonical_anchor(w, x, 0.02)
     )
 
 
-def params_fig3() -> ModelParams:
-    """Three-factor sample-cloud parameters, anchor proportional to 1/x."""
-    w = np.array([1.0, 2.0, 3.0])
-    x = np.array([1.0, 5.0, 25.0])
-    return ModelParams(
-        w=w, x=x, theta=0.02, lam=0.3, nu=0.3, v0=canonical_anchor(w, x, 0.02)
-    )
+_fig2 = partial(params_anchored, (1.0, 2.0), (1.0, 10.0))
+_fig3 = partial(params_anchored, (1.0, 2.0, 3.0), (1.0, 5.0, 25.0))
+
+#: each preset's model, its q3 family parameters (a, b) or None for the canonical
+#: matrix, and its default grid (T, M, n_paths) at desk scale.  fig3a and fig3b lie
+#: inside the feasibility intervals, fig3c does not.  The violation in fig3c is
+#: deliberately strong: mild ones produce a cone that still contains the reachable
+#: states, so no escape would be visible.
+PRESETS = {
+    "table1": (params_table1, None, (1.0, 1000, 1000)),
+    "fig1": (_fig2, None, (1.0, 1000, 100000)),
+    "fig2": (_fig2, None, (10.0, 10000, 1000)),
+    "fig3a": (_fig3, (1.0, 2.0), (10.0, 10000, 1000)),
+    "fig3b": (_fig3, (1.1, 1.5), (10.0, 10000, 1000)),
+    "fig3c": (_fig3, (2.0, 2.0), (10.0, 10000, 1000)),
+}
 
 
 def preset(name: str) -> tuple[ModelParams, AdmissibleMatrix]:
     """Resolve a preset name to its parameters and transform matrix."""
-    if name == "table1":
-        params = params_table1()
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}, expected one of {', '.join(PRESETS)}")
+    model, family, _ = PRESETS[name]
+    params = model()
+    if family is None:
         return params, build_canonical(params.w, params.x)
-    if name in ("fig1", "fig2"):
-        params = params_fig2()
-        return params, build_canonical(params.w, params.x)
-    if name in FIG3_FAMILY:
-        params = params_fig3()
-        a, b = FIG3_FAMILY[name]
-        return params, build_q3(params.w, params.x, a, b)
-    raise ValueError(f"unknown preset {name!r}, expected one of "
-                     f"table1, fig1, fig2, fig3a, fig3b, fig3c")
+    return params, build_q3(params.w, params.x, *family)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy
 
-from volterra_cone import PathConfig, build_canonical, build_q3, load_params, q3_defaults, simulate
+from volterra_cone import (DriftSystem, PathConfig, build_canonical, build_q3, load_params,
+                           q3_defaults, simulate)
 from volterra_cone import cli, pde, scheme
 from volterra_cone.cli import EXPORT_ROWS, _fmt, build_parser, main
 from volterra_cone.floatfmt import format_g17
@@ -142,6 +143,8 @@ DRIFT_CONSTANT_OVERFLOWS = {"w": [1.0, 1.0], "theta": 0.1, "v0": [1.0, 1e308]}
     (["mean-check", "--M", "10", "--paths", "20"], ANCHOR_OVERFLOWS, "anchor mu / x"),
     (["check-domain", "--point", "1,1"], ANCHOR_OVERFLOWS, "anchor mu / x"),
     (["pde", "--n", "8"], DRIFT_CONSTANT_OVERFLOWS, "transformed drift"),
+    (["check-domain", "--point", "1"], {}, "point must have shape (2,)"),
+    (["pde", "--alpha", "nan,1", "--n", "8"], {}, "alpha and beta must be finite"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
@@ -160,7 +163,7 @@ DRIFT_CONSTANT_OVERFLOWS = {"w": [1.0, 1.0], "theta": 0.1, "v0": [1.0, 1e308]}
         "build-q-wbar-squared-overflows", "simulate-wbar-squared-overflows",
         "q3-bounds-overflows", "simulate-anchor-divide-overflows",
         "mean-check-anchor-divide-overflows", "check-domain-anchor-divide-overflows",
-        "pde-drift-constant-overflows"])
+        "pde-drift-constant-overflows", "check-domain-point-short", "pde-alpha-nan"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     # a case naming a preset takes its parameters from it: adding --params would be an error
     params = [] if "--preset" in argv else ["--params", str(write_params(tmp_path, **overrides))]
@@ -424,18 +427,22 @@ def test_rerun_without_verify_returns_the_exit_code_of_the_run(tmp_path, capsys)
     assert capsys.readouterr().err == direct and str(params) in direct
 
 
-@pytest.mark.parametrize("payload", [
-    "self",
-    [1, 2],
-    {"argv": ["check-domain", "--preset", "fig2", "--point", 3]},
-], ids=["reruns-itself", "list", "argv-with-number"])
-def test_rerun_rejects_a_malformed_manifest(tmp_path, capsys, payload):
+@pytest.mark.parametrize("payload, verify, names", [
+    ("self", False, "reruns a manifest itself"),
+    ([1, 2], False, "no argv list"),
+    ({"argv": ["check-domain", "--preset", "fig2", "--point", 3]}, False, "no argv list"),
+    ({"argv": ["check-domain", "--preset", "fig2", "--point", "0.1,0.1"]}, True, "no sha256 map"),
+    ({"argv": ["q3-bounds", "--preset", "fig3a"], "sha256": {}}, True, "without --out"),
+], ids=["reruns-itself", "list", "argv-with-number", "verify-without-digests",
+        "verify-without-out"])
+def test_rerun_rejects_a_malformed_manifest(tmp_path, capsys, payload, verify, names):
     manifest = tmp_path / "bad.manifest.json"
     if payload == "self":
         payload = {"argv": ["rerun", str(manifest)]}
     manifest.write_text(json.dumps(payload))
-    assert main(["rerun", str(manifest)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert main(["rerun", *["--verify"] * verify, str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
 
 
 SIM_TIMINGS = {"seed_s", "uniforms_s", "steps_s"}
@@ -650,6 +657,28 @@ def test_manifest_records_the_worker_count(tmp_path, monkeypatch, argv):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_march_that_leaves_the_cone_exits_4(tmp_path, capsys, monkeypatch, cpus):
+    # a NaN in the propagators puts each path's aggregate outside the cone at step 0; with
+    # two CPUs each of the two paths is a block, and a forked worker marches one of them
+    propagators = DriftSystem.propagators
+
+    def poisoned(system, h):
+        prop, forcing = propagators(system, h)
+        prop[-1, 0] = math.nan
+        return prop, forcing
+
+    monkeypatch.setattr(DriftSystem, "propagators", poisoned)
+    if cpus == 2:
+        monkeypatch.setattr(scheme, "BLOCK_PATHS", 1)
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: cpus)
+    assert main(["simulate", "--preset", "fig2", "--M", "10", "--paths", "2",
+                 "--out", str(tmp_path / "paths.csv")]) == 4
+    assert "state left the cone" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert_no_child_left()
 
 
 def test_a_worker_that_dies_without_a_report_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,13 +11,21 @@ from volterra_cone import (
     ConeDomain,
     DriftSystem,
     ModelParams,
+    PathConfig,
+    PdeProblem,
     TransformedDynamics,
     build_canonical,
+    build_q2,
+    build_q3,
+    check_admissible,
     kernel_eval,
     load_params,
     mean_oracle,
+    q3_bounds,
+    simulate,
+    transformed,
 )
-from volterra_cone.presets import DEFAULT_GRIDS, preset
+from volterra_cone.presets import PRESETS, preset
 
 
 def make_params(**overrides):
@@ -90,6 +99,52 @@ def test_json_missing_key(tmp_path):
     path.write_text(json.dumps({"w": [1.0], "x": [1.0]}))
     with pytest.raises(ValueError):
         load_params(path)
+
+
+TWO_FACTORS = ([1.0, 2.0], [1.0, 10.0])
+
+
+def table1_pde(alpha=(3.0, 4.0), beta=1.6, matrix=None):
+    params, own = preset("table1")
+    return PdeProblem(params=params, matrix=own if matrix is None else matrix, alpha=alpha,
+                      beta=beta, T=2.0, box=((0.0, 4.0), (0.0, 4.0)), n=8)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_canonical([[1.0, 2.0]], [1.0, 10.0]), "weights must be a non-empty 1-d"),
+    (lambda: build_canonical([], []), "weights must be a non-empty 1-d"),
+    (lambda: build_canonical([1.0, -2.0], [1.0, 10.0]), "all weights must be strictly positive"),
+    (lambda: build_canonical([1.0, 2.0], [1.0]), "nodes must have shape (2,)"),
+    (lambda: build_canonical([1.0, 2.0], [10.0, 1.0]), "non-decreasing"),
+    (lambda: check_admissible(np.eye(3), *TWO_FACTORS), "Q must have shape (2, 2)"),
+    (lambda: build_q2([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 1.0), "exactly 2 weights"),
+    (lambda: q3_bounds(*TWO_FACTORS), "exactly 3 weights"),
+    (lambda: build_q3([1.0, 2.0], [1.0, 10.0], 1.0, 2.0), "exactly 3 weights"),
+    (lambda: ConeDomain(build_canonical(*TWO_FACTORS), shift=[0.0]), "shift must have shape"),
+    (lambda: transformed(ConeDomain(build_canonical(*TWO_FACTORS)), [1.0]),
+     "point must have shape (2,)"),
+    (lambda: make_params(v0=[[0.01, 0.001]]), "v0 must be a non-empty 1-d array"),
+    (lambda: make_params(x=[1.0, math.inf]), "x contains non-finite entries"),
+    (lambda: table1_pde(alpha=(math.nan, 1.0)), "alpha and beta must be finite"),
+    (lambda: table1_pde(beta=math.inf), "alpha and beta must be finite"),
+    (lambda: preset("fig4"), "unknown preset 'fig4'"),
+], ids=["weights-2d", "weights-empty", "weights-negative", "nodes-short", "nodes-decreasing",
+        "q-shape", "q2-three-weights", "q3-bounds-two-weights", "q3-two-weights", "shift-shape",
+        "point-shape", "v0-2d", "x-inf", "pde-alpha-nan", "pde-beta-inf", "unknown-preset"])
+def test_library_input_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_dynamics_refuse_a_matrix_built_for_another_model():
+    # the matrix's anchor and cone would follow (w, x) of the matrix while K, c and the
+    # variance rate follow the model's, so both applications would model something else
+    params, _ = preset("fig2")
+    with pytest.raises(ValueError, match=r"built for w = \[3.0, 0.5\], x = \[2.0, 7.0\]"):
+        simulate(params, build_canonical([3.0, 0.5], [2.0, 7.0]),
+                 PathConfig(T=1.0, M=50, n_paths=2000, seed=1))
+    with pytest.raises(ValueError, match=r"model's w = \[0.4, 1.8\], x = \[0.1, 3.5\]"):
+        table1_pde(matrix=build_canonical([1.0, 1.0], [0.5, 2.0]))
 
 
 def assert_transformed_closed_form(params, domain):
@@ -169,7 +224,7 @@ def test_propagators_match_scipy_expm(name):
 
 @pytest.mark.parametrize("name", ["table1", "fig1", "fig2", "fig3a", "fig3b"])
 def test_half_step_propagators_of_admissible_presets_are_non_negative(name):
-    T, M, _ = DEFAULT_GRIDS[name]
+    T, M, _ = PRESETS[name][2]
     prop, forcing = stepped_systems(name)[1].propagators(0.5 * T / M)
     assert np.min(prop) >= 0.0 and np.min(forcing) >= 0.0
 
