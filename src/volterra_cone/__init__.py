@@ -1,5 +1,16 @@
 """Cone state spaces and cone-preserving numerics for multifactor square-root models."""
 
+import os
+
+# The forked workers of scheme.forked_map are the one level of parallelism.
+# OpenBLAS reads this only when its library loads, through numpy in the imports
+# below.  Unpinned, numpy's and SciPy's pools each start a thread that spins for
+# 0.1-0.15 s of CPU although no product of the presets is large enough to use
+# it (pde-conv CPU time 2.10 -> 1.64 s at the same wall time), and each forked
+# worker starts a pool of its own (a 40-factor simulate of 20 000 paths took
+# 1.26-1.69 s unpinned, 0.67 s pinned, on 2 vCPUs).  A caller's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .admissible import (
     AdmissibilityReport,
     AdmissibleMatrix,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
 import time
@@ -170,10 +171,11 @@ def _run(args, argv: list[str]) -> tuple[int, dict[str, tuple[str, int]]]:
     config, the map of each output path to the digest and size
     :func:`_write_output` returned, and its telemetry (timings, worker
     counts, blow-up fields).  A record is written to ``<out>.manifest.json``
-    with the run, the library versions, each output's SHA-256 and size and
-    the wall time, and its telemetry enters the manifest as given.
+    with the run, the library versions, each output's SHA-256 and size, the
+    wall time and the CPU time (user + system, of this process and of the
+    workers it reaped), and its telemetry enters the manifest as given.
     """
-    started = time.perf_counter()
+    started, cpu = time.perf_counter(), os.times()
     code, record = args.func(args)
     if record is None:
         return code, {}
@@ -192,6 +194,7 @@ def _run(args, argv: list[str]) -> tuple[int, dict[str, tuple[str, int]]]:
         "sha256": {path: digest for path, (digest, _) in written.items()},
         "bytes": {path: size for path, (_, size) in written.items()},
         "wall_clock_s": time.perf_counter() - started,
+        "cpu_clock_s": sum(os.times()[:4]) - sum(cpu[:4]),
         **telemetry,
     })
     return code, written

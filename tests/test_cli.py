@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,8 @@ def test_manifest_records_versions_digests_and_timings(tmp_path, argv, timed):
         if path.endswith(".json"):  # audit JSON and mean.json stay free of run telemetry
             assert not {"timings", "sha256", "versions"} & set(json.loads(Path(path).read_text()))
     assert manifest["command"] == argv[0]
+    for clock in ("wall_clock_s", "cpu_clock_s"):
+        assert math.isfinite(manifest[clock]) and manifest[clock] >= 0.0, clock
     if timed is not None:
         per_n = manifest["timings"] if argv[0].startswith("pde") else {"": manifest["timings"]}
         for timings in per_n.values():
@@ -778,10 +781,12 @@ def test_a_write_error_during_the_export_exits_2(capsys, monkeypatch):
 
 def test_mean_check_forks_its_workers_from_the_cli(tmp_path, monkeypatch):
     # 20 000 paths are two blocks, so two workers where two CPUs are usable; the interpreter
-    # is a fresh one, whose OpenBLAS threads are running when the workers fork
+    # is a fresh one, told to run OpenBLAS threads (the package pins one unless told), which
+    # are running when the workers fork
     argv = ["mean-check", "--preset", "fig2", "--t", "1", "--M", "20", "--paths", "20000",
             "--seed", "2"]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="2")
     proc = subprocess.run([sys.executable, "-m", "volterra_cone", *argv, "--out", "forked.json"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -790,6 +795,53 @@ def test_mean_check_forks_its_workers_from_the_cli(tmp_path, monkeypatch):
     monkeypatch.setattr(scheme, "_usable_cpus", lambda: 1)
     assert main([*argv, "--out", str(tmp_path / "one.json")]) == 0
     assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+
+def test_the_cpu_clock_counts_the_reaped_workers(tmp_path, monkeypatch):
+    # the export worker spins until it has used 0.5 s of CPU while the CLI process waits;
+    # os.times counts in clock ticks, hence the margin
+    monkeypatch.setattr(cli, "EXPORT_ROWS", 4)
+    monkeypatch.setattr(scheme, "_usable_cpus", lambda: 2)
+    rows = cli._csv_rows
+    parent = os.getpid()
+
+    def spinning(*args):
+        while os.getpid() != parent and time.process_time() < 0.5:
+            pass
+        return rows(*args)
+
+    monkeypatch.setattr(cli, "_csv_rows", spinning)
+    out = tmp_path / "cloud.csv"
+    assert main(["simulate", "--preset", "fig2", "--T", "0.5", "--M", "20", "--paths", "160",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "cloud.csv.manifest.json").read_text())
+    assert manifest["export_workers"] == 2
+    assert manifest["cpu_clock_s"] >= 0.45
+
+
+PINNED_THREADS = """
+import os
+import volterra_cone
+import scipy.sparse.linalg  # loads SciPy's own OpenBLAS
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("given", [None, "2"])
+def test_the_package_pins_openblas_to_one_thread_unless_told(tmp_path, given):
+    # a fresh interpreter, as this one carries the "1" of its own import
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", PINNED_THREADS], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    threads, value = proc.stdout.split()
+    assert value == (given or "1")
+    if given is None:  # numpy's and SciPy's pools started no thread
+        assert threads == "1"
 
 
 LOADED_MODULES = """
