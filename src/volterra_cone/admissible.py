@@ -41,13 +41,18 @@ def _check_weights(w) -> Array:
     return w_arr
 
 
-def _check_nodes(x, n: int) -> Array:
+def _family(w, x, n: int | None = None, name: str = "") -> tuple[Array, Array]:
+    """w and x as float arrays; ValueError unless w > 0 (with ``n``, of size n) and x has w's
+    size, is positive and non-decreasing."""
+    w_arr = _check_weights(w)
+    if n is not None and w_arr.size != n:
+        raise ValueError(f"{name} requires exactly {n} weights, got {w_arr.size}")
     x_arr = np.asarray(x, dtype=float)
-    if x_arr.shape != (n,):
-        raise ValueError(f"nodes must have shape ({n},), got {x_arr.shape}")
+    if x_arr.shape != w_arr.shape:
+        raise ValueError(f"nodes must have shape ({w_arr.size},), got {x_arr.shape}")
     if x_arr[0] <= 0.0 or np.any(np.diff(x_arr) < 0.0):
         raise ValueError("nodes must be strictly positive and non-decreasing")
-    return x_arr
+    return w_arr, x_arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +75,6 @@ class AdmissibleMatrix:
 
     def report(self) -> "AdmissibilityReport":
         return check_admissible(self.Q, self.w, self.x, Qinv=self.Qinv)
-
-    def passes_row_and_column(self) -> bool:
-        """Conditions 2 and 3 alone, without the SVD and the product G of :meth:`report`."""
-        row_ok, _, col_ok, _ = _row_column(*_checked(self.Q, self.w, self.x)[:2])
-        return row_ok and col_ok
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,8 @@ def build_canonical(w, x) -> AdmissibleMatrix:
     closed form of :func:`canonical_inverse`, not a numerical inversion.
     ValueError when Q, the inverse or G is not finite.
     """
-    w_arr = _check_weights(w)
+    w_arr, x_arr = _family(w, x)
     n = w_arr.size
-    x_arr = _check_nodes(x, n)
     q = np.zeros((n, n))
     for i in range(n):
         q[i, : i + 1] = w_arr[: i + 1]
@@ -145,39 +144,27 @@ def build_canonical(w, x) -> AdmissibleMatrix:
                    "canonical")
 
 
-def _checked(Q, w, x) -> tuple[Array, Array, Array]:
-    """Q, w and x as float arrays; ValueError unless w > 0, x fits w and Q is N x N."""
-    q_arr = np.asarray(Q, dtype=float)
-    w_arr = _check_weights(w)
-    n = w_arr.size
-    x_arr = _check_nodes(x, n)
-    if q_arr.shape != (n, n):
-        raise ValueError(f"Q must have shape ({n}, {n}), got {q_arr.shape}")
-    return q_arr, w_arr, x_arr
-
-
-def _row_column(q_arr: Array, w_arr: Array) -> tuple[bool, float, bool, float]:
-    """(row_ok, row_max_dev, col_ok, col_max_dev) of conditions 2 (the last row of Q is w)
-    and 3 (Q 1 = wbar e_N)."""
-    n = w_arr.size
-    row_dev = float(np.max(np.abs(q_arr[n - 1] - w_arr)))
-    col_dev = float(np.max(np.abs(q_arr @ np.ones(n) - np.sum(w_arr) * np.eye(n)[n - 1])))
-    return bool(row_dev <= EQUALITY_TOL), row_dev, bool(col_dev <= EQUALITY_TOL), col_dev
-
-
 def check_admissible(Q, w, x, Qinv: Array | None = None) -> AdmissibilityReport:
     """Evaluate all four admissibility conditions of a candidate matrix.
 
     Non-admissible and even singular matrices are reported, never raised:
-    deliberately failing choices are part of the intended workflow.  When
+    deliberately failing choices are part of the intended workflow.  A Q
+    with a non-finite entry is a ValueError, as is any other bad input.  When
     ``Qinv`` is not supplied the rate matrix is obtained through a linear
     solve against Q rather than explicit inversion.
     """
-    q_arr, w_arr, x_arr = _checked(Q, w, x)
+    q_arr = np.asarray(Q, dtype=float)
+    w_arr, x_arr = _family(w, x)
     n = w_arr.size
+    if q_arr.shape != (n, n):
+        raise ValueError(f"Q must have shape ({n}, {n}), got {q_arr.shape}")
+    if not np.isfinite(q_arr).all():
+        raise ValueError(f"Q must be finite, got {q_arr.tolist()}")
     cond = float(np.linalg.cond(q_arr))
     invertible = bool(np.isfinite(cond) and cond < COND_LIMIT)
-    row_ok, row_dev, col_ok, col_dev = _row_column(q_arr, w_arr)
+    # conditions 2 (the last row of Q is w) and 3 (Q 1 = wbar e_N)
+    row_dev = float(np.max(np.abs(q_arr[n - 1] - w_arr)))
+    col_dev = float(np.max(np.abs(q_arr @ np.ones(n) - np.sum(w_arr) * np.eye(n)[n - 1])))
 
     offdiag_ok = False
     worst = (0, 0, math.inf)
@@ -202,9 +189,9 @@ def check_admissible(Q, w, x, Qinv: Array | None = None) -> AdmissibilityReport:
     return AdmissibilityReport(
         invertible=invertible,
         cond_estimate=cond,
-        row_ok=row_ok,
+        row_ok=bool(row_dev <= EQUALITY_TOL),
         row_max_dev=row_dev,
-        col_ok=col_ok,
+        col_ok=bool(col_dev <= EQUALITY_TOL),
         col_max_dev=col_dev,
         offdiag_ok=offdiag_ok,
         worst_offdiag=worst,
@@ -228,10 +215,7 @@ def build_q2(w, x, q: float) -> AdmissibleMatrix:
 
     The cone it generates does not depend on the choice of q.
     """
-    w_arr = _check_weights(w)
-    if w_arr.size != 2:
-        raise ValueError("build_q2 requires exactly 2 weights")
-    x_arr = _check_nodes(x, 2)
+    w_arr, x_arr = _family(w, x, 2, "build_q2")
     q = float(q)
     if not (0.0 < q < math.inf):
         raise ValueError(f"family parameter q must be finite and > 0, got {q}")
@@ -247,10 +231,7 @@ def q3_bounds(w, x) -> tuple[float, float, float, float]:
     Requires strictly increasing nodes since the bounds divide by the node
     gaps.  The defaults of :func:`q3_defaults` always lie inside the intervals.
     """
-    w_arr = _check_weights(w)
-    if w_arr.size != 3:
-        raise ValueError("q3_bounds requires exactly 3 weights")
-    x_arr = _check_nodes(x, 3)
+    w_arr, x_arr = _family(w, x, 3, "q3_bounds")
     y1 = x_arr[1] - x_arr[0]
     y2 = x_arr[2] - x_arr[1]
     if y1 <= 0.0 or y2 <= 0.0:
@@ -287,10 +268,7 @@ def build_q3(w, x, a: float, b: float) -> AdmissibleMatrix:
     is then flagged as non-admissible by :func:`check_admissible` instead of
     raising, so that deliberately failing configurations can be simulated.
     """
-    w_arr = _check_weights(w)
-    if w_arr.size != 3:
-        raise ValueError("build_q3 requires exactly 3 weights")
-    x_arr = _check_nodes(x, 3)
+    w_arr, x_arr = _family(w, x, 3, "build_q3")
     a = float(a)
     b = float(b)
     if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):

@@ -253,16 +253,14 @@ def cmd_q3_bounds(args) -> tuple[int, tuple | None]:
 
 
 def cmd_simulation(args) -> tuple[int, tuple | None]:
-    """``simulate`` and ``cloud``, which differ only in the default of ``--record``."""
+    """``simulate`` and ``cloud``, which records every step of each path and not just the last."""
     params, matrix = _resolve(args)
     grid = PRESETS[args.preset][2] if args.preset else (1.0, 1000, 1000)
     horizon = args.T if args.T is not None else grid[0]
     steps = args.M if args.M is not None else grid[1]
     paths = args.paths if args.paths is not None else grid[2]
-    config = PathConfig(
-        T=horizon, M=steps, n_paths=paths, seed=args.seed,
-        record_full=(args.record == "full"),
-    )
+    config = PathConfig(T=horizon, M=steps, n_paths=paths, seed=args.seed,
+                        record_full=args.command == "cloud")
     cloud = simulate(params, matrix, config,
                      require_initial_in_cone=not args.allow_nonadmissible)
 
@@ -281,8 +279,7 @@ def cmd_simulation(args) -> tuple[int, tuple | None]:
         print(f"cone audit failed: {cloud.n_violations} grid states below "
               f"-{MEMBERSHIP_TOL}", file=sys.stderr)
         code = EXIT_CONE_AUDIT
-    return code, ({"T": horizon, "M": steps, "paths": paths, "record": args.record,
-                   "params": params.to_dict()}, written,
+    return code, ({"T": horizon, "M": steps, "paths": paths, "params": params.to_dict()}, written,
                   {"timings": timings, "workers": cloud.workers, "export_workers": export_workers})
 
 
@@ -471,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_q3_bounds)
 
     for name, help_text in (
-        ("simulate", "simulate paths and audit cone membership"),
+        ("simulate", "simulate paths, audit cone membership and write the last states"),
         ("cloud", "simulate and record full trajectories for scatter plots"),
     ):
         sub = subs.add_parser(name, help=help_text)
@@ -480,8 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--M", type=int, default=None)
         sub.add_argument("--paths", type=int, default=None)
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--record", choices=["terminal", "full"],
-                         default="full" if name == "cloud" else "terminal")
         sub.add_argument("--allow-nonadmissible", action="store_true",
                          help="report cone violations instead of failing")
         # accepted and ignored: old command lines and manifests carry it
@@ -537,7 +532,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args, argv)[0]
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except RuntimeError as exc:

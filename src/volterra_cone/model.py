@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .admissible import _check_nodes, _check_weights
+from .admissible import _family
 from .cone import ConeDomain
 
 Array = NDArray[np.float64]
@@ -77,7 +77,7 @@ class ModelParams:
         object.__setattr__(self, "theta", _scalar(self.theta, "theta"))
         object.__setattr__(self, "lam", _scalar(self.lam, "lambda"))
         object.__setattr__(self, "nu", _scalar(self.nu, "nu"))
-        _check_nodes(self.x, _check_weights(self.w).size)
+        _family(self.w, self.x)
         if self.v0.size != self.w.size:
             raise ValueError(f"v0 must have length {self.w.size}, got {self.v0.size}")
         if self.theta < 0.0:
@@ -271,7 +271,8 @@ class TransformedDynamics(DriftSystem):
             raise ValueError(f"transform matrix is built for w = {matrix.w.tolist()}, "
                              f"x = {matrix.x.tolist()}, not the model's w = {params.w.tolist()}, "
                              f"x = {params.x.tolist()}")
-        if not matrix.passes_row_and_column():
+        report = matrix.report()
+        if not (report.row_ok and report.col_ok):
             raise ValueError("transform matrix fails the row or column condition")
         original = DriftSystem.from_params(replace(params, v0=params.v0 - domain.shift))
         with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning

@@ -289,10 +289,10 @@ def _seed_states(seed: int, first: int, last: int) -> NDArray[np.uint64]:
     words.append(np.arange(first, last, dtype=np.uint64).astype(np.uint32))
     const = _INIT_A
 
-    def hashmix(value):
+    def hashmix(value, mult=_MULT_A):
         nonlocal const
         value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
+        const = const * mult & _MASK32
         value *= np.uint32(const)
         value ^= value >> np.uint32(16)
         return value
@@ -314,10 +314,7 @@ def _seed_states(seed: int, first: int, last: int) -> NDArray[np.uint64]:
     const = _INIT_B
     states = np.empty((last - first, 4), dtype=np.uint64)
     for i in range(8):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value *= np.uint32(const)
-        value ^= value >> np.uint32(16)
+        value = hashmix(pool[i % _POOL_SIZE], _MULT_B)
         if i % 2:  # words 2j and 2j + 1 are the low and high halves of state j
             states[:, i // 2] |= value.astype(np.uint64) << np.uint64(32)
         else:

@@ -237,8 +237,8 @@ def test_simulate_deterministic_csv(tmp_path):
     params = write_params(tmp_path)
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    args = ["simulate", "--params", str(params), "--T", "1.0", "--M", "100",
-            "--paths", "5", "--seed", "11", "--record", "full"]
+    args = ["cloud", "--params", str(params), "--T", "1.0", "--M", "100",
+            "--paths", "5", "--seed", "11"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -343,8 +343,8 @@ def test_pde_convergence_csv(tmp_path):
 def test_rerun_reproduces_outputs(tmp_path):
     params = write_params(tmp_path)
     out = tmp_path / "sim.csv"
-    args = ["simulate", "--params", str(params), "--T", "0.5", "--M", "50",
-            "--paths", "4", "--seed", "3", "--record", "full", "--out", str(out)]
+    args = ["cloud", "--params", str(params), "--T", "0.5", "--M", "50",
+            "--paths", "4", "--seed", "3", "--out", str(out)]
     assert main(args) == 0
     first = out.read_bytes()
     out.unlink()
@@ -528,8 +528,8 @@ def test_threads_flag_is_accepted_hidden_and_ignored(tmp_path, capsys):
     params = write_params(tmp_path)
     out1 = tmp_path / "t1.csv"
     out2 = tmp_path / "t2.csv"
-    args = ["simulate", "--params", str(params), "--T", "0.5", "--M", "50",
-            "--paths", "7", "--seed", "13", "--record", "full"]
+    args = ["cloud", "--params", str(params), "--T", "0.5", "--M", "50",
+            "--paths", "7", "--seed", "13"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--threads", "3", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -546,12 +546,33 @@ def test_threads_flag_is_accepted_hidden_and_ignored(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_the_command_picks_the_record(tmp_path, capsys):
+    # cloud records every step of each path and simulate the last; --record is gone, so a
+    # manifest whose argv carries it is refused as bad input
+    argv = ["--preset", "fig2", "--T", "0.5", "--M", "20", "--paths", "3", "--seed", "2"]
+    assert main(["cloud", *argv, "--out", str(tmp_path / "c.csv")]) == 0
+    assert main(["simulate", *argv, "--out", str(tmp_path / "s.csv")]) == 0
+    full, last = ([line.split(",") for line in (tmp_path / name).read_text().splitlines()[1:]]
+                  for name in ("c.csv", "s.csv"))
+    assert len(full) == 3 * 21 and [row[1] for row in last] == ["20"] * 3
+    # u and agg; v_1, v_2 of a one-row record round differently (see cli._cloud_csv)
+    assert [row[:3] + row[5:] for row in full[20::21]] == [row[:3] + row[5:] for row in last]
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert "record" not in manifest["config"]
+    manifest["argv"] += ["--record", "full"]
+    (tmp_path / "s.csv.manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["rerun", str(tmp_path / "s.csv.manifest.json")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --record full" in capsys.readouterr().err
+
+
 def test_csv_floats_round_trip(tmp_path):
     # every field of a full record parses back to the simulated value bit for bit
     params_path = write_params(tmp_path, **THREE_FACTORS)
     out = tmp_path / "sim.csv"
-    assert main(["simulate", "--params", str(params_path), "--T", "0.5", "--M", "50",
-                 "--paths", "3", "--seed", "3", "--record", "full", "--out", str(out)]) == 0
+    assert main(["cloud", "--params", str(params_path), "--T", "0.5", "--M", "50",
+                 "--paths", "3", "--seed", "3", "--out", str(out)]) == 0
     params = load_params(params_path)
     cloud = simulate(params, build_canonical(params.w, params.x),
                      PathConfig(T=0.5, M=50, n_paths=3, seed=3, record_full=True))
@@ -601,9 +622,9 @@ def _row_formatted_csv(cloud) -> bytes:
 def test_csv_export_matches_the_row_formatter(tmp_path, factors, record, steps, paths):
     params_path = write_params(tmp_path, **factors)
     out = tmp_path / "sim.csv"
-    assert main(["simulate", "--params", str(params_path), "--T", "0.5", "--M", str(steps),
-                 "--paths", str(paths), "--seed", "4", "--record", record,
-                 "--out", str(out)]) == 0
+    command = "cloud" if record == "full" else "simulate"
+    assert main([command, "--params", str(params_path), "--T", "0.5", "--M", str(steps),
+                 "--paths", str(paths), "--seed", "4", "--out", str(out)]) == 0
     params = load_params(params_path)
     cloud = simulate(params, build_canonical(params.w, params.x),
                      PathConfig(T=0.5, M=steps, n_paths=paths, seed=4,
@@ -718,8 +739,8 @@ def test_a_worker_that_dies_without_a_report_exits_2(tmp_path, capsys, monkeypat
 def test_export_bytes_do_not_depend_on_the_process_count(tmp_path, monkeypatch, factors, record,
                                                          steps, paths):
     params_path = write_params(tmp_path, **factors)
-    argv = ["simulate", "--params", str(params_path), "--T", "0.5", "--M", str(steps),
-            "--paths", str(paths), "--seed", "5", "--record", record]
+    argv = ["cloud" if record == "full" else "simulate", "--params", str(params_path),
+            "--T", "0.5", "--M", str(steps), "--paths", str(paths), "--seed", "5"]
     exported = {}
     for cpus in (1, 2, 3):
         monkeypatch.setattr(scheme, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -842,6 +863,26 @@ def test_the_package_pins_openblas_to_one_thread_unless_told(tmp_path, given):
     assert value == (given or "1")
     if given is None:  # numpy's and SciPy's pools started no thread
         assert threads == "1"
+
+
+CONFTEST_THREADS = """
+import os, runpy, sys
+runpy.run_path(sys.argv[1])
+print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_the_tests_fork_from_one_thread_as_the_cli_does(tmp_path):
+    # the conftest imports the package before numpy, so OpenBLAS starts no pool in this
+    # process and the in-process tests fork their workers as the CLI does
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", CONFTEST_THREADS,
+                           str(Path(__file__).with_name("conftest.py"))],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
 
 
 LOADED_MODULES = """

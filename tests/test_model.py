@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from volterra_cone import (
+    AdmissibleMatrix,
     ConeDomain,
     DriftSystem,
     ModelParams,
@@ -117,6 +118,8 @@ def table1_pde(alpha=(3.0, 4.0), beta=1.6, matrix=None):
     (lambda: build_canonical([1.0, 2.0], [1.0]), "nodes must have shape (2,)"),
     (lambda: build_canonical([1.0, 2.0], [10.0, 1.0]), "non-decreasing"),
     (lambda: check_admissible(np.eye(3), *TWO_FACTORS), "Q must have shape (2, 2)"),
+    (lambda: check_admissible([[math.nan, -1.0], [1.0, 2.0]], *TWO_FACTORS), "Q must be finite"),
+    (lambda: check_admissible([[math.inf, -1.0], [1.0, 2.0]], *TWO_FACTORS), "Q must be finite"),
     (lambda: build_q2([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 1.0), "exactly 2 weights"),
     (lambda: q3_bounds(*TWO_FACTORS), "exactly 3 weights"),
     (lambda: build_q3([1.0, 2.0], [1.0, 10.0], 1.0, 2.0), "exactly 3 weights"),
@@ -129,8 +132,9 @@ def table1_pde(alpha=(3.0, 4.0), beta=1.6, matrix=None):
     (lambda: table1_pde(beta=math.inf), "alpha and beta must be finite"),
     (lambda: preset("fig4"), "unknown preset 'fig4'"),
 ], ids=["weights-2d", "weights-empty", "weights-negative", "nodes-short", "nodes-decreasing",
-        "q-shape", "q2-three-weights", "q3-bounds-two-weights", "q3-two-weights", "shift-shape",
-        "point-shape", "v0-2d", "x-inf", "pde-alpha-nan", "pde-beta-inf", "unknown-preset"])
+        "q-shape", "q-nan", "q-inf", "q2-three-weights", "q3-bounds-two-weights", "q3-two-weights",
+        "shift-shape", "point-shape", "v0-2d", "x-inf", "pde-alpha-nan", "pde-beta-inf",
+        "unknown-preset"])
 def test_library_input_checks_raise_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -145,6 +149,14 @@ def test_dynamics_refuse_a_matrix_built_for_another_model():
                  PathConfig(T=1.0, M=50, n_paths=2000, seed=1))
     with pytest.raises(ValueError, match=r"model's w = \[0.4, 1.8\], x = \[0.1, 3.5\]"):
         table1_pde(matrix=build_canonical([1.0, 1.0], [0.5, 2.0]))
+
+
+def test_dynamics_refuse_a_matrix_that_fails_the_row_or_column_condition():
+    # the identity has neither w as its last row nor Q 1 = wbar e_N, so u_N is not the aggregate
+    params, _ = preset("fig2")
+    identity = AdmissibleMatrix(Q=np.eye(2), Qinv=np.eye(2), w=params.w, x=params.x)
+    with pytest.raises(ValueError, match="fails the row or column condition"):
+        TransformedDynamics.from_params(params, ConeDomain(identity))
 
 
 def assert_transformed_closed_form(params, domain):
