@@ -36,20 +36,24 @@ def _check_weights(w) -> Array:
     w_arr = np.asarray(w, dtype=float)
     if w_arr.ndim != 1 or w_arr.size == 0:
         raise ValueError("weights must be a non-empty 1-d array")
+    if not np.all(np.isfinite(w_arr)):
+        raise ValueError(f"weights must be finite, got {w_arr.tolist()}")
     if np.any(w_arr <= 0.0):
         raise ValueError("all weights must be strictly positive")
     return w_arr
 
 
 def _family(w, x, n: int | None = None, name: str = "") -> tuple[Array, Array]:
-    """w and x as float arrays; ValueError unless w > 0 (with ``n``, of size n) and x has w's
-    size, is positive and non-decreasing."""
+    """w and x as float arrays; ValueError unless w is finite and > 0 (with ``n``, of size n)
+    and x has w's size, is finite, positive and non-decreasing."""
     w_arr = _check_weights(w)
     if n is not None and w_arr.size != n:
         raise ValueError(f"{name} requires exactly {n} weights, got {w_arr.size}")
     x_arr = np.asarray(x, dtype=float)
     if x_arr.shape != w_arr.shape:
         raise ValueError(f"nodes must have shape ({w_arr.size},), got {x_arr.shape}")
+    if not np.all(np.isfinite(x_arr)):
+        raise ValueError(f"nodes must be finite, got {x_arr.tolist()}")
     if x_arr[0] <= 0.0 or np.any(np.diff(x_arr) < 0.0):
         raise ValueError("nodes must be strictly positive and non-decreasing")
     return w_arr, x_arr

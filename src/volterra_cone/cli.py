@@ -341,10 +341,8 @@ def _parse_box(text: str) -> tuple[tuple[float, float], ...]:
 def _pde_problem(args, n: int) -> PdeProblem:
     params, matrix = _resolve(args)
     alpha = [float(v) for v in args.alpha.split(",")]
-    return PdeProblem(
-        params=params, matrix=matrix, alpha=alpha, beta=args.beta, T=args.T,
-        box=_parse_box(args.box), n=n, time_scheme=args.scheme,
-    )
+    return PdeProblem(params=params, matrix=matrix, alpha=alpha, beta=args.beta, T=args.T,
+                      box=_parse_box(args.box), n=n)
 
 
 def _pde_rows(reports) -> list[str]:
@@ -385,7 +383,7 @@ def _pde_table(args, problem: PdeProblem, reports, config: dict,
         print(f"blow-up on a stable box: {_blowup_text(reports)}", file=sys.stderr)
         code = EXIT_BLOWUP
     return code, ({"box": list(problem.box), "alpha": args.alpha, "beta": args.beta, "T": args.T,
-                   "scheme": args.scheme, "params": problem.params.to_dict(), **config},
+                   "params": problem.params.to_dict(), **config},
                   {str(out): written},
                   {"timings": {rep.n: rep.timings for rep in reports},
                    "blowup_step": {rep.n: rep.blowup_step for rep in reports},
@@ -479,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--allow-nonadmissible", action="store_true",
                          help="report cone violations instead of failing")
-        # accepted and ignored: old command lines and manifests carry it
+        # accepted and ignored: the sim-wide workload of perfbench/run.py passes --threads 2 and
+        # would exit 2 without it; it goes when the benchmark is rebuilt (ROADMAP item 1)
         sub.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         sub.add_argument("--out", required=True)
         sub.set_defaults(func=cmd_simulation)
@@ -510,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--T", type=float, default=2.0)
         sub.add_argument("--box", default="box1",
                          help="box1|box2|box3 or 'lo1,hi1;lo2,hi2'")
-        sub.add_argument("--scheme", choices=["cn", "ie"], default="cn")
         sub.add_argument("--out", required=True)
         if name == "pde":
             sub.add_argument("--n", type=int, default=64)

@@ -53,7 +53,6 @@ class PdeProblem:
     T: float
     box: tuple[tuple[float, float], ...]
     n: int
-    time_scheme: str = "cn"
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
@@ -70,8 +69,6 @@ class PdeProblem:
             raise ValueError(f"horizon must be finite and > 0, got {self.T}")
         if self.n < 2:
             raise ValueError(f"grid resolution must be >= 2, got {self.n}")
-        if self.time_scheme not in ("cn", "ie"):
-            raise ValueError(f"time_scheme must be 'cn' or 'ie', got {self.time_scheme!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "T", float(self.T))
@@ -169,13 +166,14 @@ def residual_check(problem: PdeProblem, n_samples: int = 100, seed: int = 0) -> 
 def _assemble(problem: PdeProblem):
     """Spatial operator on interior rows acting on the full node vector.
 
-    A sum over axes of 1-D stencils lifted to the grid by Kronecker products
-    and scaled at the nodes by the coefficients of ``problem.dynamics``, the
-    model in u = Q v.  The drift along each axis is discretized in divergence
-    form, the central difference of the coefficient-times-value product
-    corrected by the exact derivative K_ii of that coefficient, read as
-    ``dynamics.A[dim, dim]``; the degenerate last-coordinate diffusion uses
-    the plain central second difference with no regularization.
+    In u = Q v each generator term lies along one axis, so the operator is one
+    band pair per axis, at offsets -stride and +stride of the row-major nodes,
+    around one shared diagonal.  The drift along each axis is discretized in
+    divergence form, the central difference of the coefficient-times-value
+    product corrected by the exact derivative K_ii of that coefficient, read as
+    ``dynamics.A[dim, dim]``; the degenerate last-coordinate diffusion uses the
+    plain central second difference.  Band entries that wrap between grid lines
+    fall only in boundary rows, which are dropped.
     """
     from scipy import sparse
 
@@ -185,21 +183,22 @@ def _assemble(problem: PdeProblem):
     nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     dynamics = problem.dynamics
     drift = dynamics.drift(nodes)
-
-    def along(dim, weights):
-        """The 1-D stencil with these weights on v[i-1], v[i], v[i+1], lifted to axis dim."""
-        one_d = sparse.diags(weights, (-1, 0, 1), shape=(n + 1, n + 1))
-        outer = sparse.identity((n + 1) ** dim)
-        inner = sparse.identity((n + 1) ** (ndim - 1 - dim))
-        return sparse.kron(sparse.kron(outer, one_d), inner, format="csr")
-
-    op = sparse.csr_matrix((len(nodes), len(nodes)))
+    diagonal = np.zeros(len(nodes))
+    bands, offsets = [], []
     for dim, (lo, hi) in enumerate(problem.box):
         h = (hi - lo) / n
-        op += along(dim, (-1.0, 0.0, 1.0)) @ sparse.diags(drift[:, dim] / (2.0 * h))
-        op -= dynamics.A[dim, dim] * sparse.identity(len(nodes))
+        stride = (n + 1) ** (ndim - 1 - dim)
+        flux = drift[:, dim] / (2.0 * h)
+        lower, upper = -flux[:-stride], flux[stride:]  # indexed by the lower of row and column
+        diagonal -= dynamics.A[dim, dim]
         if dim == ndim - 1:
-            op += sparse.diags(dynamics.diffusion(nodes) / h**2) @ along(dim, (1.0, -2.0, 1.0))
+            diffusion = dynamics.diffusion(nodes) / h**2  # scales the row's own stencil
+            lower += diffusion[stride:]
+            upper += diffusion[:-stride]
+            diagonal -= 2.0 * diffusion
+        bands += [lower, upper]
+        offsets += [-stride, stride]
+    op = sparse.diags([diagonal, *bands], [0, *offsets], format="csr")
     interior = np.arange(len(nodes)).reshape((n + 1,) * ndim)[(slice(1, -1),) * ndim].ravel()
     return op[interior], nodes, interior
 
@@ -207,15 +206,14 @@ def _assemble(problem: PdeProblem):
 def solve(problem: PdeProblem) -> SolveReport:
     """March the PDE backward from the terminal data and report the error.
 
-    One theta-step per time level (theta = 1/2 for ``cn``, 1 for ``ie``):
-    (I - theta dt L_II) v_new = v_old + dt (L x - phi), where x mixes the old
-    state and the new boundary data as (1 - theta) old + theta new.  Dirichlet
-    data from the exact solution is imposed on the whole box boundary at every
-    time level.  A blow-up, reported with an infinite L2 error, is the time
-    level and max|v| at which the march stopped: the first level whose max|v|
-    exceeds EARLY_EXIT_MAGNITUDE or is NaN; level n and the last max|v| when
-    the final L2 error is not finite or exceeds BLOWUP_THRESHOLD; level 0 and
-    NaN when the step matrix cannot be factored.
+    One Crank-Nicolson step per time level: (I - dt/2 L_II) v_new = v_old +
+    dt (L x - phi), where x is half the old state plus, on the boundary, half
+    the new boundary data.  Dirichlet data from the exact solution is imposed
+    on the whole box boundary at every time level.  A blow-up, reported with an
+    infinite L2 error, is the time level and max|v| at which the march stopped:
+    the first level whose max|v| exceeds EARLY_EXIT_MAGNITUDE or is NaN; level
+    n and the last max|v| when the final L2 error is not finite or exceeds
+    BLOWUP_THRESHOLD; level 0 and NaN when the step matrix cannot be factored.
     """
     # loaded before any clock starts, so no timing (nor a span around splu) holds the import
     import scipy.sparse.linalg
@@ -230,9 +228,8 @@ def solve(problem: PdeProblem) -> SolveReport:
     phi_int = source_term(problem, nodes[interior])
 
     dt = problem.T / n
-    theta = 0.5 if problem.time_scheme == "cn" else 1.0
     l2, blowup = math.inf, None
-    step_matrix = (scipy.sparse.identity(interior.size) - theta * dt * op[:, interior]).tocsc()
+    step_matrix = (scipy.sparse.identity(interior.size) - 0.5 * dt * op[:, interior]).tocsc()
     # Fill-reducing column order.  The 2-D stencil has a symmetric pattern, so minimum
     # degree on A^T + A suits it: table1 box1 L+U nnz 1.19 M -> 0.65 M at n = 128 and
     # 6.29 M -> 3.38 M at n = 256 (one solve 20.8 -> 11.1 ms) against COLAMD's A^T A.
@@ -249,9 +246,9 @@ def solve(problem: PdeProblem) -> SolveReport:
         clock = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(1, n + 1):
-                mixed = (1.0 - theta) * full
+                mixed = 0.5 * full
                 full[boundary] = manufactured_solution(problem, edge, problem.T - m * dt)
-                mixed[boundary] += theta * full[boundary]
+                mixed[boundary] += 0.5 * full[boundary]
                 v_int = lu.solve(full[interior] + dt * (op @ mixed - phi_int))
                 peak = float(np.max(np.abs(v_int)))  # NaN when any entry is NaN
                 if not peak <= EARLY_EXIT_MAGNITUDE:

@@ -126,6 +126,14 @@ def table1_pde(alpha=(3.0, 4.0), beta=1.6, matrix=None):
     (lambda: ConeDomain(build_canonical(*TWO_FACTORS), shift=[0.0]), "shift must have shape"),
     (lambda: transformed(ConeDomain(build_canonical(*TWO_FACTORS)), [1.0]),
      "point must have shape (2,)"),
+    (lambda: check_admissible(build_canonical(*TWO_FACTORS).Q, [1.0, 2.0], [math.nan, 10.0]),
+     "nodes must be finite"),
+    (lambda: check_admissible(build_canonical(*TWO_FACTORS).Q, [math.nan, 2.0], [1.0, 10.0]),
+     "weights must be finite"),
+    (lambda: check_admissible(build_canonical(*TWO_FACTORS).Q, [1.0, 2.0], [1.0, math.inf]),
+     "nodes must be finite"),
+    (lambda: check_admissible(build_canonical(*TWO_FACTORS).Q, [1.0, math.inf], [1.0, 10.0]),
+     "weights must be finite"),
     (lambda: make_params(v0=[[0.01, 0.001]]), "v0 must be a non-empty 1-d array"),
     (lambda: make_params(x=[1.0, math.inf]), "x contains non-finite entries"),
     (lambda: table1_pde(alpha=(math.nan, 1.0)), "alpha and beta must be finite"),
@@ -133,7 +141,8 @@ def table1_pde(alpha=(3.0, 4.0), beta=1.6, matrix=None):
     (lambda: preset("fig4"), "unknown preset 'fig4'"),
 ], ids=["weights-2d", "weights-empty", "weights-negative", "nodes-short", "nodes-decreasing",
         "q-shape", "q-nan", "q-inf", "q2-three-weights", "q3-bounds-two-weights", "q3-two-weights",
-        "shift-shape", "point-shape", "v0-2d", "x-inf", "pde-alpha-nan", "pde-beta-inf",
+        "shift-shape", "point-shape", "check-x-nan", "check-w-nan", "check-x-inf",
+        "check-w-inf", "v0-2d", "x-inf", "pde-alpha-nan", "pde-beta-inf",
         "unknown-preset"])
 def test_library_input_checks_raise_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
