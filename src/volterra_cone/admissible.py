@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 Array = NDArray[np.float64]
 
-#: absolute tolerance for equality checks on unit-scaled matrix entries
+#: tolerance of the row and column conditions, relative to the largest |entry| of each row of Q
 EQUALITY_TOL = 1e-10
 #: tolerance for the off-diagonal sign condition
 SIGN_TOL = 1e-12
@@ -166,9 +166,7 @@ def check_admissible(Q, w, x, Qinv: Array | None = None) -> AdmissibilityReport:
         raise ValueError(f"Q must be finite, got {q_arr.tolist()}")
     cond = float(np.linalg.cond(q_arr))
     invertible = bool(np.isfinite(cond) and cond < COND_LIMIT)
-    # conditions 2 (the last row of Q is w) and 3 (Q 1 = wbar e_N)
-    row_dev = float(np.max(np.abs(q_arr[n - 1] - w_arr)))
-    col_dev = float(np.max(np.abs(q_arr @ np.ones(n) - np.sum(w_arr) * np.eye(n)[n - 1])))
+    (row_ok, row_dev), (col_ok, col_dev) = _row_and_column(q_arr, w_arr)
 
     offdiag_ok = False
     worst = (0, 0, math.inf)
@@ -193,13 +191,26 @@ def check_admissible(Q, w, x, Qinv: Array | None = None) -> AdmissibilityReport:
     return AdmissibilityReport(
         invertible=invertible,
         cond_estimate=cond,
-        row_ok=bool(row_dev <= EQUALITY_TOL),
+        row_ok=row_ok,
         row_max_dev=row_dev,
-        col_ok=bool(col_dev <= EQUALITY_TOL),
+        col_ok=col_ok,
         col_max_dev=col_dev,
         offdiag_ok=offdiag_ok,
         worst_offdiag=worst,
     )
+
+
+def _row_and_column(q: Array, w: Array) -> tuple[tuple[bool, float], tuple[bool, float]]:
+    """Verdict and max |deviation| of conditions 2 (the last row of Q is w) and 3 (Q 1 = wbar e_N).
+
+    Each row's deviation is held to EQUALITY_TOL times that row's largest |entry|,
+    so the verdict does not depend on the scale of the weights.
+    """
+    scale = EQUALITY_TOL * np.max(np.abs(q), axis=1)
+    row = np.abs(q[-1] - w)
+    col = np.abs(q @ np.ones(w.size) - np.sum(w) * np.eye(w.size)[-1])
+    return ((bool(np.max(row) <= scale[-1]), float(np.max(row))),
+            (bool(np.all(col <= scale)), float(np.max(col))))
 
 
 def _finite(matrix: AdmissibleMatrix, parameters: str) -> AdmissibleMatrix:

@@ -422,9 +422,16 @@ def cmd_rerun(args) -> tuple[int, tuple | None]:
     expected = manifest.get("sha256")
     if args.verify and not isinstance(expected, dict):
         raise ValueError(f"manifest {args.manifest} has no sha256 map to verify against")
-    run = build_parser().parse_args(argv)
+    try:
+        run = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error keeps argparse's exit 2
+        if exc.code:
+            raise
+        raise ValueError(f"manifest {args.manifest} asks for help or the version") from None
     if args.verify and getattr(run, "out", None) is None:
         raise ValueError(f"manifest {args.manifest} runs {argv[0]} without --out")
+    if args.verify and not expected:
+        raise ValueError(f"manifest {args.manifest} lists no digest to verify")
     code, written = _run(run, argv)
     if not args.verify:
         return code, None

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .admissible import _family
+from .admissible import _family, _row_and_column
 from .cone import ConeDomain
 
 Array = NDArray[np.float64]
@@ -271,8 +271,8 @@ class TransformedDynamics(DriftSystem):
             raise ValueError(f"transform matrix is built for w = {matrix.w.tolist()}, "
                              f"x = {matrix.x.tolist()}, not the model's w = {params.w.tolist()}, "
                              f"x = {params.x.tolist()}")
-        report = matrix.report()
-        if not (report.row_ok and report.col_ok):
+        (row_ok, _), (col_ok, _) = _row_and_column(matrix.Q, matrix.w)
+        if not (row_ok and col_ok):
             raise ValueError("transform matrix fails the row or column condition")
         original = DriftSystem.from_params(replace(params, v0=params.v0 - domain.shift))
         with np.errstate(all="ignore"):  # an overflow is reported below, not as a warning

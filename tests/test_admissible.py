@@ -13,6 +13,10 @@ from volterra_cone import (
 )
 
 
+#: weights and nodes of a four-factor model whose weights sum to 1.86e6
+LARGE_WEIGHTS = (102464.65, 871663.849, 130227.018, 756689.902), (17.65, 30.04, 54.19, 86.33)
+
+
 def random_weights_nodes(rng, n):
     w = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), size=n))
     x = np.sort(rng.uniform(0.0, 50.0, size=n))
@@ -90,6 +94,18 @@ def test_singular_matrix_is_reported_not_raised():
     report = check_admissible(np.zeros((2, 2)), [1.0, 2.0], [1.0, 10.0])
     assert not report.invertible
     assert not report.admissible
+
+
+def test_row_and_column_conditions_are_scale_free():
+    # wbar = 1.86e6: Q 1 misses wbar e_N by one ulp of wbar, above an absolute 1e-10
+    w, x = LARGE_WEIGHTS
+    assert build_canonical(w, x).report().admissible
+    # at weights of 1e-9 an absolute 1e-10 would pass a last row 0.1 % off w
+    tiny = np.array([1e-9, 2e-9])
+    q = build_canonical(tiny, [1.0, 10.0]).Q
+    q[-1] *= 1.001
+    report = check_admissible(q, tiny, [1.0, 10.0])
+    assert not report.row_ok and not report.col_ok
 
 
 def test_q2_rate_matrix_matches_display():

@@ -18,7 +18,7 @@ from volterra_cone import (DriftSystem, PathConfig, build_canonical, build_q3, l
 from volterra_cone import cli, pde, scheme
 from volterra_cone.cli import EXPORT_ROWS, _fmt, build_parser, main
 from volterra_cone.floatfmt import format_g17
-from volterra_cone.presets import preset
+from volterra_cone.presets import params_anchored, preset
 
 
 def write_params(tmp_path, name="params.json", **overrides):
@@ -57,6 +57,30 @@ def test_build_q_non_admissible_exits_3(tmp_path):
     assert code == 3
     payload = json.loads(out.read_text())
     assert payload["report"]["admissible"] is False
+
+
+def test_a_model_with_large_weights_builds_and_simulates(tmp_path):
+    # wbar = 1.86e6: its canonical Q 1 misses wbar e_N by one ulp of wbar (2.3e-10)
+    model = params_anchored((102464.65, 871663.849, 130227.018, 756689.902),
+                            (17.65, 30.04, 54.19, 86.33))
+    params = write_params(tmp_path, **model.to_dict())
+    assert main(["build-q", "--params", str(params), "--out", str(tmp_path / "q.json")]) == 0
+    assert main(["simulate", "--params", str(params), "--T", "0.1", "--M", "10", "--paths", "4",
+                 "--out", str(tmp_path / "sim.csv")]) == 0
+
+
+def test_only_build_q_computes_a_condition_number(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.cond was called")
+
+    monkeypatch.setattr(np.linalg, "cond", refuse)
+    assert main(["simulate", "--preset", "fig2", "--M", "10", "--paths", "4",
+                 "--out", str(tmp_path / "sim.csv")]) == 0
+    assert main(["pde", "--preset", "table1", "--n", "8", "--out", str(tmp_path / "pde.csv")]) == 0
+    monkeypatch.undo()
+    assert main(["build-q", "--preset", "fig2", "--out", str(tmp_path / "q.json")]) == 0
+    report = json.loads((tmp_path / "q.json").read_text())["report"]
+    assert report["invertible"]["cond_estimate"] == np.linalg.cond(preset("fig2")[1].Q)
 
 
 def test_missing_params_file_exits_2(tmp_path):
@@ -434,8 +458,14 @@ def test_rerun_without_verify_returns_the_exit_code_of_the_run(tmp_path, capsys)
     ({"argv": ["check-domain", "--preset", "fig2", "--point", 3]}, False, "no argv list"),
     ({"argv": ["check-domain", "--preset", "fig2", "--point", "0.1,0.1"]}, True, "no sha256 map"),
     ({"argv": ["q3-bounds", "--preset", "fig3a"], "sha256": {}}, True, "without --out"),
+    ({"argv": ["--version"], "sha256": {"v.csv": "0" * 64}}, True, "help or the version"),
+    ({"argv": ["--help"], "sha256": {"h.csv": "0" * 64}}, True, "help or the version"),
+    ({"argv": ["simulate", "-h"], "sha256": {"h.csv": "0" * 64}}, True, "help or the version"),
+    # refused before the run, so the output is never written
+    ({"argv": ["simulate", "--preset", "fig2", "--out", "never.csv"], "sha256": {}}, True,
+     "lists no digest"),
 ], ids=["reruns-itself", "list", "argv-with-number", "verify-without-digests",
-        "verify-without-out"])
+        "verify-without-out", "version", "help", "command-help", "verify-without-a-digest"])
 def test_rerun_rejects_a_malformed_manifest(tmp_path, capsys, payload, verify, names):
     manifest = tmp_path / "bad.manifest.json"
     if payload == "self":

@@ -176,8 +176,8 @@ def superlu_fill(monkeypatch, problem) -> int:
 
 
 def test_a_problem_builds_its_transformed_dynamics_once(monkeypatch):
-    # each build audits the matrix (a condition-number SVD): the bounds, the residual check,
-    # the assembly and the source term of one pde run share one
+    # each build checks the row and column conditions and conjugates the drift: the bounds,
+    # the residual check, the assembly and the source term of one pde run share one
     builds = []
     build = TransformedDynamics.from_params
 
