@@ -92,20 +92,21 @@ class AdmissibilityReport:
     col_ok: bool
     col_max_dev: float
     offdiag_ok: bool
-    worst_offdiag: tuple[int, int, float]
+    #: (i, j, G[i, j]) of the largest off-diagonal entry, None when Q has none (N = 1)
+    worst_offdiag: tuple[int, int, float] | None
 
     @property
     def admissible(self) -> bool:
         return self.invertible and self.row_ok and self.col_ok and self.offdiag_ok
 
     def to_dict(self) -> dict:
-        i, j, val = self.worst_offdiag
+        worst = self.worst_offdiag and dict(zip(("i", "j", "value"), self.worst_offdiag))
         return {
             "admissible": self.admissible,
             "invertible": {"ok": self.invertible, "cond_estimate": self.cond_estimate},
             "row_condition": {"ok": self.row_ok, "max_deviation": self.row_max_dev},
             "column_condition": {"ok": self.col_ok, "max_deviation": self.col_max_dev},
-            "offdiag_condition": {"ok": self.offdiag_ok, "worst_entry": {"i": i, "j": j, "value": val}},
+            "offdiag_condition": {"ok": self.offdiag_ok, "worst_entry": worst},
         }
 
 
@@ -168,25 +169,14 @@ def check_admissible(Q, w, x, Qinv: Array | None = None) -> AdmissibilityReport:
     invertible = bool(np.isfinite(cond) and cond < COND_LIMIT)
     (row_ok, row_dev), (col_ok, col_dev) = _row_and_column(q_arr, w_arr)
 
-    offdiag_ok = False
-    worst = (0, 0, math.inf)
-    if n == 1:
-        offdiag_ok = True  # no off-diagonal entries exist
-        worst = (0, 0, -math.inf)
-    elif invertible or Qinv is not None:
-        try:
-            if Qinv is not None:
-                g = (q_arr * x_arr) @ np.asarray(Qinv, dtype=float)
-            else:
-                g = np.linalg.solve(q_arr.T, (q_arr * x_arr).T).T
-        except np.linalg.LinAlgError:
-            g = None
-        if g is not None:
-            off = g.copy()
-            np.fill_diagonal(off, -math.inf)
-            i, j = np.unravel_index(int(np.argmax(off)), off.shape)
-            worst = (int(i), int(j), float(g[i, j]))
-            offdiag_ok = bool(worst[2] <= SIGN_TOL)
+    offdiag_ok, worst = False, (0, 0, math.inf)
+    if invertible or Qinv is not None:
+        g = ((q_arr * x_arr) @ np.asarray(Qinv, dtype=float) if Qinv is not None
+             else np.linalg.solve(q_arr.T, (q_arr * x_arr).T).T)
+        off = np.where(np.eye(n, dtype=bool), -math.inf, g)
+        i, j = np.unravel_index(int(np.argmax(off)), off.shape)  # on the diagonal when N = 1
+        worst = (int(i), int(j), float(g[i, j])) if i != j else None
+        offdiag_ok = worst is None or worst[2] <= SIGN_TOL
 
     return AdmissibilityReport(
         invertible=invertible,

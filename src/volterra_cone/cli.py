@@ -160,8 +160,20 @@ def _write_output(path: Path, chunks) -> tuple[str, int]:
     return digest.hexdigest(), size
 
 
+def _json_text(payload: dict) -> str:
+    """Text of every JSON the CLI prints or writes; a non-finite float is a ValueError (RFC 8259)."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_json(path: Path, payload: dict) -> tuple[str, int]:
-    return _write_output(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
+    return _write_output(path, [_json_text(payload).encode()])
+
+
+def _print_json(payload: dict, out: str | None) -> dict[str, tuple[str, int]]:
+    """Print the JSON text of ``payload``, write it to ``out`` if given: {out: (digest, size)}."""
+    text = _json_text(payload)
+    print(text, end="")
+    return {} if out is None else {out: _write_output(Path(out), [text.encode()])}
 
 
 def _run(args, argv: list[str]) -> tuple[int, dict[str, tuple[str, int]]]:
@@ -245,11 +257,8 @@ def cmd_q3_bounds(args) -> tuple[int, tuple | None]:
         "defaults": {"a": a, "b": b, "a_feasible": bool(a_lo <= a <= a_hi),
                      "b_feasible": bool(b_lo <= b <= b_hi)},
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if not args.out:
-        return EXIT_OK, None
-    out = Path(args.out)
-    return EXIT_OK, ({"params": params.to_dict()}, {str(out): _write_json(out, payload)}, {})
+    written = _print_json(payload, args.out)
+    return EXIT_OK, ({"params": params.to_dict()}, written, {}) if written else None
 
 
 def cmd_simulation(args) -> tuple[int, tuple | None]:
@@ -270,10 +279,7 @@ def cmd_simulation(args) -> tuple[int, tuple | None]:
     with closing(chunks):  # the export workers are reaped however the write ends
         written = {str(out): _write_output(out, chunks)}
     timings = {**cloud.timings, "export_s": time.perf_counter() - exported}
-    audit = cloud.audit()
-    audit_path = Path(str(out) + ".audit.json")
-    written[str(audit_path)] = _write_json(audit_path, audit)
-    print(json.dumps(audit))
+    written.update(_print_json(cloud.audit(), f"{out}.audit.json"))
     code = EXIT_OK
     if cloud.n_violations > 0 and not args.allow_nonadmissible:
         print(f"cone audit failed: {cloud.n_violations} grid states below "
@@ -290,8 +296,12 @@ def cmd_mean_check(args) -> tuple[int, tuple | None]:
     config = PathConfig(T=args.t, M=args.M, n_paths=args.paths, seed=args.seed)
     cloud = simulate(params, matrix, config)
     mc = cloud.aggregates[:, -1]
-    mc_mean = float(np.mean(mc))
-    se = float(np.std(mc, ddof=1) / np.sqrt(mc.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite statistic is named below
+        mc_mean = float(np.mean(mc))
+        se = float(np.std(mc, ddof=1) / np.sqrt(mc.size))
+    if not (np.isfinite(mc_mean) and np.isfinite(se)):
+        raise ValueError(f"the Monte Carlo mean {mc_mean} or its standard error {se} "
+                         f"is not finite")
     exact = float(params.w @ mean_oracle(params, args.t))
     deviation = abs(mc_mean - exact)
     passed = deviation <= (1e-10 * max(1.0, abs(exact)) if params.nu == 0.0 else 3.0 * se)
@@ -304,14 +314,10 @@ def cmd_mean_check(args) -> tuple[int, tuple | None]:
         "deviation": deviation,
         "pass": bool(passed),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
     code = EXIT_OK if passed else EXIT_STATISTICAL
-    if not args.out:
-        return code, None
-    out = Path(args.out)
+    written = _print_json(payload, args.out)
     return code, ({"t": args.t, "M": args.M, "paths": args.paths, "params": params.to_dict()},
-                  {str(out): _write_json(out, payload)},
-                  {"timings": cloud.timings, "workers": cloud.workers})
+                  written, {"timings": cloud.timings, "workers": cloud.workers}) if written else None
 
 
 def cmd_check_domain(args) -> tuple[int, tuple | None]:
@@ -324,7 +330,7 @@ def cmd_check_domain(args) -> tuple[int, tuple | None]:
         "transformed": coords.tolist(),
         "worst_component": float(np.min(coords)),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _print_json(payload, None)
     return EXIT_OK, None
 
 

@@ -159,7 +159,8 @@ def _augmented_exp(a: Array, b: Array, h: float) -> tuple[Array, Array]:
     and F is multiplied back: both are exact, and the squarings, each of
     which may double the relative error, follow ||a h||_1 alone.  |b|_1 is
     summed in units of 2^top, the power of two of max|b|, so it does not
-    overflow while every entry of b is finite.
+    overflow while every entry of b is finite; a b so small that ||a||_1 / 2^top
+    overflows is left unscaled.
     """
     n = b.size
     aug = np.zeros((n + 1, n + 1))
@@ -169,7 +170,7 @@ def _augmented_exp(a: Array, b: Array, h: float) -> tuple[Array, Array]:
         top = math.frexp(float(np.abs(b).max()))[1]
         b_norm = float(np.abs(np.ldexp(b, -top)).sum())  # |b|_1 / 2^top
         power = (math.frexp(b_norm)[1] + top - math.frexp(a_norm)[1] + 1
-                 if 0.0 < a_norm and math.ldexp(a_norm, -top) < b_norm < math.inf else 0)
+                 if 0.0 < a_norm and np.ldexp(a_norm, -top) < b_norm < math.inf else 0)
         aug[:n, n] = np.ldexp(b, -power)
         norm = float(np.abs(aug).sum(axis=0).max()) * h
     if not norm <= 2.0 ** (MAX_SQUARINGS - 1):  # NaN and inf too

@@ -94,7 +94,7 @@ class PdeProblem:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve: final-time nodal L2 error or a blow-up flag.
+    """Outcome of one solve: final-time nodal L2 error or a blow-up.
 
     ``timings`` holds the seconds spent in assembly, factorisation and the
     time loop (``assemble_s``, ``factor_s``, ``steps_s``) and in the whole
@@ -105,10 +105,13 @@ class SolveReport:
 
     n: int
     l2_error: float
-    blow_up: bool
     timings: dict = field(default_factory=dict)
     blowup_step: int | None = None
     blowup_max_abs: float | None = None
+
+    @property
+    def blow_up(self) -> bool:
+        return self.blowup_step is not None
 
 
 def manufactured_solution(problem: PdeProblem, z, t: float):
@@ -264,8 +267,7 @@ def solve(problem: PdeProblem) -> SolveReport:
             l2, blowup = math.inf, (n, peak)
     timings["runtime_s"] = time.perf_counter() - start
     step, peak = blowup or (None, None)
-    return SolveReport(n=n, l2_error=l2, blow_up=blowup is not None, timings=timings,
-                       blowup_step=step, blowup_max_abs=peak)
+    return SolveReport(n=n, l2_error=l2, timings=timings, blowup_step=step, blowup_max_abs=peak)
 
 
 def convergence_study(problem: PdeProblem, n_list) -> list[SolveReport]:

@@ -370,11 +370,14 @@ def _simulate_block(transformed: Array, config: PathConfig, initial: Array, prop
     shift = np.repeat(shift[:, None], width, axis=1)
     work = np.empty_like(state), np.empty((8, width)), np.empty(width, dtype=bool)
     recorded = transformed[first:last]
-    low_now = state.min(axis=0)
-    min_trans = low_now.copy()  # per path, reduced once at the end
-    min_agg = state[-1].copy()
-    violations = width - np.count_nonzero(low_now >= -MEMBERSHIP_TOL)  # NaN counts
-    clamps = bad = 0
+    lows = state.copy()  # running minimum of each coordinate of each path
+    inside = np.empty(state.shape, dtype=bool)
+
+    def outside() -> int:  # paths of state with a coordinate below -MEMBERSHIP_TOL, NaN counts
+        np.greater_equal(state, -MEMBERSHIP_TOL, out=inside)
+        return width - int(np.count_nonzero(np.logical_and.reduce(inside, axis=0)))
+
+    violations, clamps, bad = outside(), 0, 0
     if config.record_full:
         recorded[:, 0] = initial
     timings = {"seed_s": seeded - started, "uniforms_s": time.perf_counter() - seeded,
@@ -398,10 +401,8 @@ def _simulate_block(transformed: Array, config: PathConfig, initial: Array, prop
                 )
             clamps += clamped
             bad += flagged
-            np.minimum.reduce(state, axis=0, out=low_now)
-            np.minimum(min_trans, low_now, out=min_trans)
-            np.minimum(min_agg, state[-1], out=min_agg)
-            violations += width - np.count_nonzero(low_now >= -MEMBERSHIP_TOL)
+            np.minimum(lows, state, out=lows)
+            violations += outside()
             if config.record_full:
                 recorded[:, j + 1] = state.T
         timings["uniforms_s"] += stepped - drawn
@@ -409,7 +410,7 @@ def _simulate_block(transformed: Array, config: PathConfig, initial: Array, prop
 
     if not config.record_full:
         recorded[:, 0] = state.T
-    return {"min_transformed": float(min_trans.min()), "min_aggregate": float(min_agg.min()),
+    return {"min_transformed": float(lows.min()), "min_aggregate": float(lows[-1].min()),
             "n_violations": violations, "sqrt_clamp_count": clamps, "prob_violations": bad,
             **timings}
 

@@ -35,6 +35,9 @@ def test_canonical_single_factor():
     assert m.Q.tolist() == [[2.5]]
     assert m.Qinv.tolist() == [[0.4]]
     assert m.G.tolist() == [[4.0]]
+    report = m.report()
+    assert report.offdiag_ok and report.worst_offdiag is None  # G has no off-diagonal entry
+    assert report.to_dict()["offdiag_condition"]["worst_entry"] is None
 
 
 def test_canonical_inverse_four_factor_pattern():

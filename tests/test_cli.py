@@ -36,6 +36,14 @@ def write_params(tmp_path, name="params.json", **overrides):
     return path
 
 
+def strict_json(text: str):
+    """``json.loads`` of standard JSON only (RFC 8259): Infinity, -Infinity and NaN are refused."""
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON number")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_build_q_canonical(tmp_path):
     params = write_params(tmp_path)
     out = tmp_path / "q.json"
@@ -46,6 +54,15 @@ def test_build_q_canonical(tmp_path):
     assert payload["Q"] == [[1.0, -1.0], [1.0, 2.0]]
     np.testing.assert_array_equal(payload["Qinv"], build_canonical([1.0, 2.0], [1.0, 10.0]).Qinv)
     assert (tmp_path / "q.json.manifest.json").exists()
+
+
+def test_a_one_factor_model_has_no_worst_offdiagonal_entry(tmp_path):
+    params = write_params(tmp_path, w=[2.0], x=[3.0], v0=[0.01])
+    out = tmp_path / "q.json"
+    assert main(["build-q", "--params", str(params), "--out", str(out)]) == 0
+    condition = strict_json(out.read_text())["report"]["offdiag_condition"]
+    assert condition == {"ok": True, "worst_entry": None}
+    strict_json((tmp_path / "q.json.manifest.json").read_text())
 
 
 def test_build_q_non_admissible_exits_3(tmp_path):
@@ -104,6 +121,11 @@ Q3_BOUNDS_OVERFLOW = {**THREE_FACTORS, "w": [1.0, 1.0, 1.0], "x": [1.0, 2.0, 1e1
 ANCHOR_OVERFLOWS = {"w": [1e-300, 1e12], "x": [1e-300, 1e12], "v0": [1e200, 0.5]}
 # x v0 in the drift's constant term overflows
 DRIFT_CONSTANT_OVERFLOWS = {"w": [1.0, 1.0], "theta": 0.1, "v0": [1.0, 1e308]}
+# ||A h||_1 is far past 2^31, and ||A||_1 in units of b's power of two (2^-5) overflows first
+NODE_OUT_OF_REACH = {"w": [1.0], "x": [1e308], "v0": [0.0], "nu": 0.0}
+# every path stays at 1e308, so the sum in the Monte Carlo mean overflows
+INFINITE_STATISTIC = {"w": [1.0], "x": [1.0], "theta": 1e6, "lambda": 1e-320, "nu": 1e-320,
+                      "v0": [1e308]}
 
 
 @pytest.mark.parametrize("argv, overrides, names", [
@@ -170,6 +192,8 @@ DRIFT_CONSTANT_OVERFLOWS = {"w": [1.0, 1.0], "theta": 0.1, "v0": [1.0, 1e308]}
     (["pde", "--n", "8"], DRIFT_CONSTANT_OVERFLOWS, "transformed drift"),
     (["check-domain", "--point", "1"], {}, "point must have shape (2,)"),
     (["pde", "--alpha", "nan,1", "--n", "8"], {}, "alpha and beta must be finite"),
+    (["simulate", "--M", "10", "--paths", "2"], NODE_OUT_OF_REACH, "double-precision reach"),
+    (["mean-check", "--M", "5", "--paths", "3"], INFINITE_STATISTIC, "standard error inf"),
 ], ids=["simulate-T-nan", "simulate-T-inf", "mean-check-t-nan", "pde-T-nan", "pde-T-negative",
         "pde-convergence-T-zero", "pde-box-nan", "check-domain-point-nan",
         "build-q-q3-one-factor", "simulate-theta-nan", "pde-theta-nan", "simulate-lambda-inf",
@@ -188,7 +212,8 @@ DRIFT_CONSTANT_OVERFLOWS = {"w": [1.0, 1.0], "theta": 0.1, "v0": [1.0, 1e308]}
         "build-q-wbar-squared-overflows", "simulate-wbar-squared-overflows",
         "q3-bounds-overflows", "simulate-anchor-divide-overflows",
         "mean-check-anchor-divide-overflows", "check-domain-anchor-divide-overflows",
-        "pde-drift-constant-overflows", "check-domain-point-short", "pde-alpha-nan"])
+        "pde-drift-constant-overflows", "check-domain-point-short", "pde-alpha-nan",
+        "simulate-node-out-of-reach", "mean-check-statistic-infinite"])
 def test_bad_input_exits_2(tmp_path, capsys, argv, overrides, names):
     # a case naming a preset takes its parameters from it: adding --params would be an error
     params = [] if "--preset" in argv else ["--params", str(write_params(tmp_path, **overrides))]
@@ -307,6 +332,13 @@ def test_mean_check_bounds_the_exact_deviation_relative_to_the_mean(tmp_path, ca
     assert payload["deviation"] <= 1e-13 * payload["exact_mean"]
 
 
+def test_mean_check_of_a_tiny_forcing(tmp_path):
+    # theta = 1e-310 is subnormal, so ||A||_1 in units of b's power of two overflows and b stays
+    # unscaled; nu = 0 makes the check exact to 1e-10
+    params = write_params(tmp_path, theta=1e-310, nu=0.0, v0=[0.0, 0.0])
+    assert main(["mean-check", "--params", str(params), "--M", "10", "--paths", "2"]) == 0
+
+
 def test_mean_check_statistical_pass(tmp_path):
     params = write_params(tmp_path)
     assert main(["mean-check", "--params", str(params), "--t", "1.0",
@@ -322,6 +354,11 @@ def test_check_domain(tmp_path, capsys):
     assert main(["check-domain", "--params", str(params), "--point", "0.5,1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["contains"] is False
+    # a negative first coordinate reads as an option unless it is joined to --point by "="
+    assert main(["check-domain", "--params", str(params), "--point=-0.001,0.02"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["contains"] is False
+    assert payload["worst_component"] == pytest.approx(-0.021, rel=1e-12)
 
 
 def test_pde_preset_boxes(tmp_path):
@@ -495,7 +532,7 @@ def test_manifest_records_versions_digests_and_timings(tmp_path, argv, timed):
     # timed: the stage timings the manifest records, per n for the PDE; None where it has none
     out = tmp_path / "run.out"
     assert main([*argv, "--out", str(out)]) == 0
-    manifest = json.loads((tmp_path / "run.out.manifest.json").read_text())
+    manifest = strict_json((tmp_path / "run.out.manifest.json").read_text())
     assert manifest["versions"] == {"python": platform.python_version(),
                                     "numpy": np.__version__, "scipy": scipy.__version__}
     assert set(manifest["sha256"]) == set(manifest["bytes"]) == set(manifest["outputs"])
@@ -503,7 +540,7 @@ def test_manifest_records_versions_digests_and_timings(tmp_path, argv, timed):
         assert manifest["sha256"][path] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert manifest["bytes"][path] == Path(path).stat().st_size
         if path.endswith(".json"):  # audit JSON and mean.json stay free of run telemetry
-            assert not {"timings", "sha256", "versions"} & set(json.loads(Path(path).read_text()))
+            assert not {"timings", "sha256", "versions"} & set(strict_json(Path(path).read_text()))
     assert manifest["command"] == argv[0]
     for clock in ("wall_clock_s", "cpu_clock_s"):
         assert math.isfinite(manifest[clock]) and manifest[clock] >= 0.0, clock
@@ -518,7 +555,7 @@ def test_pde_manifests_record_timings_and_blow_up(tmp_path, capsys):
     out = tmp_path / "box2.csv"
     assert main(["pde", "--preset", "table1", "--box", "box2", "--n", "64",
                  "--out", str(out)]) == 0
-    manifest = json.loads((tmp_path / "box2.csv.manifest.json").read_text())
+    manifest = strict_json((tmp_path / "box2.csv.manifest.json").read_text())
     assert set(manifest["timings"]) == set(manifest["blowup_max_abs"]) == {"64"}
     assert 1 <= manifest["blowup_step"]["64"] <= 64
     peak = manifest["blowup_max_abs"]["64"]
@@ -549,7 +586,7 @@ def test_pde_exits_6_when_the_step_matrix_cannot_be_factored(tmp_path, monkeypat
     out = tmp_path / "box1.csv"
     assert main(["pde", "--preset", "table1", "--box", "box1", "--n", "8",
                  "--out", str(out)]) == 6
-    manifest = json.loads((tmp_path / "box1.csv.manifest.json").read_text())
+    manifest = strict_json((tmp_path / "box1.csv.manifest.json").read_text())
     assert manifest["blowup_step"] == {"8": 0}
     assert manifest["blowup_max_abs"] == {"8": "nan"}
 
