@@ -92,7 +92,8 @@ class AdmissibilityReport:
     col_ok: bool
     col_max_dev: float
     offdiag_ok: bool
-    #: (i, j, G[i, j]) of the largest off-diagonal entry, None when Q has none (N = 1)
+    #: (i, j, G[i, j]) of the largest off-diagonal entry; None when G has none (N = 1) or was
+    #: not computed (a singular Q without ``Qinv``, so ``offdiag_ok`` is False)
     worst_offdiag: tuple[int, int, float] | None
 
     @property
@@ -101,9 +102,10 @@ class AdmissibilityReport:
 
     def to_dict(self) -> dict:
         worst = self.worst_offdiag and dict(zip(("i", "j", "value"), self.worst_offdiag))
+        cond = self.cond_estimate if math.isfinite(self.cond_estimate) else None  # JSON has no inf
         return {
             "admissible": self.admissible,
-            "invertible": {"ok": self.invertible, "cond_estimate": self.cond_estimate},
+            "invertible": {"ok": self.invertible, "cond_estimate": cond},
             "row_condition": {"ok": self.row_ok, "max_deviation": self.row_max_dev},
             "column_condition": {"ok": self.col_ok, "max_deviation": self.col_max_dev},
             "offdiag_condition": {"ok": self.offdiag_ok, "worst_entry": worst},
@@ -169,7 +171,7 @@ def check_admissible(Q, w, x, Qinv: Array | None = None) -> AdmissibilityReport:
     invertible = bool(np.isfinite(cond) and cond < COND_LIMIT)
     (row_ok, row_dev), (col_ok, col_dev) = _row_and_column(q_arr, w_arr)
 
-    offdiag_ok, worst = False, (0, 0, math.inf)
+    offdiag_ok, worst = False, None
     if invertible or Qinv is not None:
         g = ((q_arr * x_arr) @ np.asarray(Qinv, dtype=float) if Qinv is not None
              else np.linalg.solve(q_arr.T, (q_arr * x_arr).T).T)

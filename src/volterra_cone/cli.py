@@ -243,8 +243,7 @@ def cmd_build_q(args) -> tuple[int, tuple | None]:
                                 "G": matrix.G.tolist(), "report": report.to_dict()})
     print(f"admissible={report.admissible} -> {out}")
     return (EXIT_OK if report.admissible else EXIT_NONADMISSIBLE), (
-        {"family": args.family, "q": args.q, "a": args.a, "b": args.b,
-         "params": params.to_dict()}, {str(out): written}, {})
+        {"params": params.to_dict()}, {str(out): written}, {})
 
 
 def cmd_q3_bounds(args) -> tuple[int, tuple | None]:
@@ -265,9 +264,8 @@ def cmd_simulation(args) -> tuple[int, tuple | None]:
     """``simulate`` and ``cloud``, which records every step of each path and not just the last."""
     params, matrix = _resolve(args)
     grid = PRESETS[args.preset][2] if args.preset else (1.0, 1000, 1000)
-    horizon = args.T if args.T is not None else grid[0]
-    steps = args.M if args.M is not None else grid[1]
-    paths = args.paths if args.paths is not None else grid[2]
+    horizon, steps, paths = (default if given is None else given
+                             for given, default in zip((args.T, args.M, args.paths), grid))
     config = PathConfig(T=horizon, M=steps, n_paths=paths, seed=args.seed,
                         record_full=args.command == "cloud")
     cloud = simulate(params, matrix, config,
@@ -370,9 +368,8 @@ def _blowup_text(reports) -> str:
                      f"{_fmt(rep.blowup_max_abs)}" for rep in reports if rep.blow_up)
 
 
-def _pde_table(args, problem: PdeProblem, reports, config: dict,
-               summary: str | None = None) -> tuple[int, tuple]:
-    """Write the PDE table and its manifest, and print ``summary`` (the table when it is None).
+def _pde_table(args, problem: PdeProblem, reports, config: dict) -> tuple[int, tuple]:
+    """Write and print the PDE table, and return its record.
 
     Exit 6 when a report blew up on a stable box, one whose last interval
     keeps u_N >= 0.  ``config`` holds the keys of the command's own options.
@@ -383,7 +380,7 @@ def _pde_table(args, problem: PdeProblem, reports, config: dict,
     out = Path(args.out)
     rows = _pde_rows(reports)
     written = _write_output(out, [("\n".join(rows) + "\n").encode()])
-    print("\n".join(rows) if summary is None else summary)
+    print("\n".join(rows))
     code = EXIT_OK
     if problem.box[-1][0] >= 0.0 and any(rep.blow_up for rep in reports):
         print(f"blow-up on a stable box: {_blowup_text(reports)}", file=sys.stderr)
@@ -399,9 +396,7 @@ def _pde_table(args, problem: PdeProblem, reports, config: dict,
 def cmd_pde(args) -> tuple[int, tuple | None]:
     problem = _pde_problem(args, args.n)
     residual = residual_check(problem)
-    report = solve(problem)
-    summary = f"n={report.n} l2_error={_fmt(report.l2_error)} blow_up={report.blow_up}"
-    return _pde_table(args, problem, [report], {"n": args.n, "residual_check": residual}, summary)
+    return _pde_table(args, problem, [solve(problem)], {"n": args.n, "residual_check": residual})
 
 
 def cmd_pde_convergence(args) -> tuple[int, tuple | None]:

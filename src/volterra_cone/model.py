@@ -140,14 +140,13 @@ def load_params(path: str | Path) -> ModelParams:
 def kernel_eval(params: ModelParams, t):
     """Evaluate the exponential-sum kernel ``sum_i w_i exp(-x_i t)``.
 
-    Accepts a scalar or an array of times, all of which must be >= 0.
-    The result is strictly positive and non-increasing in t.
+    Takes a time or an array of times, all >= 0, and returns t's shape (a numpy
+    float for one time), strictly positive and non-increasing in t.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise ValueError("kernel_eval requires t >= 0")
-    vals = np.exp(-np.multiply.outer(t_arr, params.x)) @ params.w
-    return float(vals) if np.isscalar(t) or t_arr.ndim == 0 else vals
+    return np.exp(-np.multiply.outer(t_arr, params.x)) @ params.w
 
 
 def _augmented_exp(a: Array, b: Array, h: float) -> tuple[Array, Array]:

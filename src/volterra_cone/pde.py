@@ -115,27 +115,25 @@ class SolveReport:
 
 
 def manufactured_solution(problem: PdeProblem, z, t: float):
-    """Exact solution 1 + sum_i alpha_i z_i^2 + beta t."""
+    """Exact solution 1 + sum_i alpha_i z_i^2 + beta t at a point or the rows of ``z``."""
     z_arr = np.asarray(z, dtype=float)
-    vals = 1.0 + (z_arr * z_arr) @ problem.alpha + problem.beta * float(t)
-    return float(vals) if z_arr.ndim == 1 else vals
+    return 1.0 + (z_arr * z_arr) @ problem.alpha + problem.beta * float(t)
 
 
 def source_term(problem: PdeProblem, z):
-    """Fabricated source that makes the manufactured solution exact.
+    """Fabricated source that makes the manufactured solution exact, at a point or the rows of ``z``.
 
     Applies the generator of :class:`TransformedDynamics` to the exact
     solution; :func:`residual_check` validates it in original coordinates.
     """
-    z_arr = np.atleast_2d(np.asarray(z, dtype=float))
+    z_arr = np.asarray(z, dtype=float)
     dynamics = problem.dynamics
     grad = 2.0 * problem.alpha * z_arr
-    vals = (
+    return (
         problem.beta
-        + np.einsum("ki,ki->k", grad, dynamics.drift(z_arr))
+        + np.einsum("...i,...i->...", grad, dynamics.drift(z_arr))
         + 2.0 * problem.alpha[-1] * dynamics.diffusion(z_arr)
     )
-    return float(vals[0]) if np.asarray(z).ndim == 1 else vals
 
 
 def residual_check(problem: PdeProblem, n_samples: int = 100, seed: int = 0) -> float:

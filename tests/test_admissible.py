@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -38,6 +39,16 @@ def test_canonical_single_factor():
     report = m.report()
     assert report.offdiag_ok and report.worst_offdiag is None  # G has no off-diagonal entry
     assert report.to_dict()["offdiag_condition"]["worst_entry"] is None
+
+
+def test_a_singular_matrix_without_its_inverse_reports_standard_json():
+    # G is not computed, so there is no worst entry, and the condition is not met
+    report = check_admissible(np.zeros((2, 2)), [1, 2], [1, 10])
+    assert report.worst_offdiag is None and not report.offdiag_ok
+    assert not report.invertible and not report.admissible
+    payload = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+    assert payload["invertible"] == {"ok": False, "cond_estimate": None}
+    assert payload["offdiag_condition"] == {"ok": False, "worst_entry": None}
 
 
 def test_canonical_inverse_four_factor_pattern():

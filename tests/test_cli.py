@@ -76,6 +76,25 @@ def test_build_q_non_admissible_exits_3(tmp_path):
     assert payload["report"]["admissible"] is False
 
 
+def test_build_q_records_the_model_and_leaves_its_options_to_argv(tmp_path):
+    # fig2's own matrix is canonical and ignores --q, so a non-finite --q is not recorded
+    # (the q2 family, which uses it, refuses it: case build-q-q2-q-nan of test_bad_input_exits_2)
+    out = tmp_path / "q.json"
+    argv = ["build-q", "--preset", "fig2", "--q", "nan", "--out", str(out)]
+    assert main(argv) == 0
+    manifest = strict_json((tmp_path / "q.json.manifest.json").read_text())
+    assert manifest["config"] == {"params": preset("fig2")[0].to_dict()}
+    assert manifest["argv"] == argv
+    assert main(["rerun", "--verify", str(tmp_path / "q.json.manifest.json")]) == 0
+
+
+def test_a_command_without_a_model_exits_2(tmp_path, capsys):
+    out = tmp_path / "q.json"
+    assert main(["build-q", "--out", str(out)]) == 2
+    assert "either --params FILE or --preset NAME is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_model_with_large_weights_builds_and_simulates(tmp_path):
     # wbar = 1.86e6: its canonical Q 1 misses wbar e_N by one ulp of wbar (2.3e-10)
     model = params_anchored((102464.65, 871663.849, 130227.018, 756689.902),
@@ -375,6 +394,13 @@ def test_pde_preset_boxes(tmp_path):
     row2 = out2.read_text().splitlines()[1].split(",")
     assert row2[1] == "inf"
     assert row2[3] == "true"
+
+
+def test_pde_prints_the_table_it_writes(tmp_path, capsys):
+    out = tmp_path / "pde.csv"
+    assert main(["pde", "--preset", "table1", "--box", "box2", "--n", "64",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_pde_box3_converges_with_larger_error_than_box1(tmp_path):

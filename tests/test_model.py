@@ -53,6 +53,16 @@ def test_kernel_rejects_negative_time():
         kernel_eval(make_params(), -0.1)
 
 
+@pytest.mark.parametrize("name", ["table1", "fig3a"])
+def test_kernel_of_one_time_is_entry_0_of_a_batch_of_one(name):
+    # one body serves one time and many: a float equal bit for bit to the one-row batch
+    params = preset(name)[0]
+    times = np.random.default_rng(0).uniform(0.0, 5.0, size=2000).tolist()
+    values = [kernel_eval(params, t) for t in times]
+    assert all(isinstance(value, float) for value in values)
+    assert values == [kernel_eval(params, [t])[0] for t in times]
+
+
 def test_kernel_vectorized_and_monotone():
     params = make_params()
     ts = np.sort(np.random.default_rng(0).uniform(0.0, 5.0, size=200))

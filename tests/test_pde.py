@@ -81,6 +81,19 @@ def test_source_term_reduces_to_beta():
     assert source_term(tilted, z0) == pytest.approx(tilted.beta, abs=1e-12)
 
 
+@pytest.mark.parametrize("make_problem", [table1_problem, fig3a_problem], ids=["table1", "fig3a"])
+def test_one_point_is_entry_0_of_a_batch_of_one(make_problem):
+    # one body serves one point and many: a float equal bit for bit to the one-row batch
+    problem = make_problem()
+    lo, hi = np.array(problem.box).T
+    points = np.random.default_rng(1).uniform(lo, hi, size=(2000, lo.size))
+    for evaluate in (lambda z: manufactured_solution(problem, z, 0.7),
+                     lambda z: source_term(problem, z)):
+        values = [evaluate(z) for z in points]
+        assert all(isinstance(value, float) for value in values)
+        assert values == [evaluate(z[None])[0] for z in points]
+
+
 def test_residual_vanishes_for_consistent_pair():
     assert residual_check(table1_problem(), n_samples=100, seed=0) <= 1e-10
 

@@ -39,6 +39,17 @@ def table1_params():
     return ModelParams(w=[0.4, 1.8], x=[0.1, 3.5], theta=0.8, lam=1.2, nu=0.7, v0=[0.2, 0.3])
 
 
+def test_a_path_generator_seed_holds_four_uint64_words_only():
+    seed_seq = scheme._path_generators(1, 0, 1)[0].bit_generator.seed_seq
+    with pytest.raises(ValueError, match="holds 4 uint64 words, asked for 8"):
+        seed_seq.generate_state(8)
+
+
+def test_one_usable_cpu_without_sched_getaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert scheme._usable_cpus() == 1
+
+
 def rk4(system, z, T, steps):
     dt = T / steps
     rhs = lambda v: system.A @ v + system.b
