@@ -101,24 +101,28 @@ class AdmissibilityReport:
         return self.invertible and self.row_ok and self.col_ok and self.offdiag_ok
 
     def to_dict(self) -> dict:
+        def number(value: float) -> float | None:
+            return value if math.isfinite(value) else None  # JSON has no inf or nan
+
         worst = self.worst_offdiag and dict(zip(("i", "j", "value"), self.worst_offdiag))
-        cond = self.cond_estimate if math.isfinite(self.cond_estimate) else None  # JSON has no inf
         return {
             "admissible": self.admissible,
-            "invertible": {"ok": self.invertible, "cond_estimate": cond},
-            "row_condition": {"ok": self.row_ok, "max_deviation": self.row_max_dev},
-            "column_condition": {"ok": self.col_ok, "max_deviation": self.col_max_dev},
+            "invertible": {"ok": self.invertible, "cond_estimate": number(self.cond_estimate)},
+            "row_condition": {"ok": self.row_ok, "max_deviation": number(self.row_max_dev)},
+            "column_condition": {"ok": self.col_ok, "max_deviation": number(self.col_max_dev)},
             "offdiag_condition": {"ok": self.offdiag_ok, "worst_entry": worst},
         }
 
 
+@np.errstate(all="ignore")
 def canonical_inverse(w) -> Array:
     """Closed-form inverse of the canonical matrix built by :func:`build_canonical`.
 
     With partial sums S_j = w_1 + ... + w_j the inverse R has
     R[i, N-1] = 1/S_N for every i, R[i, j] = w_{j+1} / (S_j S_{j+1}) for
     i <= j < N-1 shifted one column left of the diagonal band, the first
-    subdiagonal R[i+1, i] = -1/S_{i+1}, and zeros below that.
+    subdiagonal R[i+1, i] = -1/S_{i+1}, and zeros below that.  ValueError
+    when an entry is not finite (weights so small that 1/S_j overflows).
     """
     w_arr = _check_weights(w)
     n = w_arr.size
@@ -128,6 +132,8 @@ def canonical_inverse(w) -> Array:
     for j in range(n - 1):
         r[: j + 1, j] = w_arr[j + 1] / (s[j] * s[j + 1])
         r[j + 1, j] = -1.0 / s[j + 1]
+    if not np.isfinite(r).all():
+        raise ValueError(f"the canonical inverse is not finite for weights {w_arr.tolist()}")
     return r
 
 
@@ -196,11 +202,13 @@ def _row_and_column(q: Array, w: Array) -> tuple[tuple[bool, float], tuple[bool,
     """Verdict and max |deviation| of conditions 2 (the last row of Q is w) and 3 (Q 1 = wbar e_N).
 
     Each row's deviation is held to EQUALITY_TOL times that row's largest |entry|,
-    so the verdict does not depend on the scale of the weights.
+    so the verdict does not depend on the scale of the weights.  A deviation
+    that overflows is inf, and its condition fails.
     """
     scale = EQUALITY_TOL * np.max(np.abs(q), axis=1)
-    row = np.abs(q[-1] - w)
-    col = np.abs(q @ np.ones(w.size) - np.sum(w) * np.eye(w.size)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = np.abs(q[-1] - w)
+        col = np.abs(q @ np.ones(w.size) - np.sum(w) * np.eye(w.size)[-1])
     return ((bool(np.max(row) <= scale[-1]), float(np.max(row))),
             (bool(np.all(col <= scale)), float(np.max(col))))
 

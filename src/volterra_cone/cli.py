@@ -141,13 +141,14 @@ def _cloud_csv(cloud) -> tuple[int, Iterator[bytes]]:
     return workers, csv()
 
 
-def _write_output(path: Path, chunks) -> tuple[str, int]:
-    """Write the bytes ``chunks`` to ``path``; the SHA-256 hex digest of those bytes and their size.
+def _write_output(path: str | Path, chunks) -> dict[str, tuple[str, int]]:
+    """Write the bytes ``chunks`` to ``path``: {str(Path(path)): (SHA-256 hex digest, size)}.
 
     The parent directory is created first.  Every output of the CLI is
     written here, so a manifest's digests and sizes are of the bytes as
-    written.
+    written, and each output is keyed by its one normalized spelling.
     """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     digest = hashlib.sha256()
     size = 0
@@ -157,7 +158,7 @@ def _write_output(path: Path, chunks) -> tuple[str, int]:
             fh.write(data)
             size += len(data)
             del data  # so the next chunk is built while only one is held
-    return digest.hexdigest(), size
+    return {str(path): (digest.hexdigest(), size)}
 
 
 def _json_text(payload: dict) -> str:
@@ -165,15 +166,10 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_json(path: Path, payload: dict) -> tuple[str, int]:
-    return _write_output(path, [_json_text(payload).encode()])
-
-
-def _print_json(payload: dict, out: str | None) -> dict[str, tuple[str, int]]:
-    """Print the JSON text of ``payload``, write it to ``out`` if given: {out: (digest, size)}."""
-    text = _json_text(payload)
+def _print_output(text: str, out: str | None) -> dict[str, tuple[str, int]]:
+    """Print ``text`` and write it to ``out`` if given: what :func:`_write_output` returns, or {}."""
     print(text, end="")
-    return {} if out is None else {out: _write_output(Path(out), [text.encode()])}
+    return {} if out is None else _write_output(out, [text.encode()])
 
 
 def _run(args, argv: list[str]) -> tuple[int, dict[str, tuple[str, int]]]:
@@ -182,19 +178,20 @@ def _run(args, argv: list[str]) -> tuple[int, dict[str, tuple[str, int]]]:
     A command returns its exit code and either None or its record: its
     config, the map of each output path to the digest and size
     :func:`_write_output` returned, and its telemetry (timings, worker
-    counts, blow-up fields).  A record is written to ``<out>.manifest.json``
-    with the run, the library versions, each output's SHA-256 and size, the
-    wall time and the CPU time (user + system, of this process and of the
-    workers it reaped), and its telemetry enters the manifest as given.
+    counts, blow-up fields).  A record that lists an output, and only such a
+    record, is written to ``<out>.manifest.json`` with the run, the library
+    versions, each output's SHA-256 and size, the wall time and the CPU time
+    (user + system, of this process and of the workers it reaped), and its
+    telemetry enters the manifest as given.
     """
     started, cpu = time.perf_counter(), os.times()
     code, record = args.func(args)
-    if record is None:
+    if record is None or not record[1]:
         return code, {}
     import scipy  # here, for its version only: start-up and --version load no scipy module
 
     config, written, telemetry = record
-    _write_json(Path(f"{Path(args.out)}.manifest.json"), {
+    _write_output(f"{Path(args.out)}.manifest.json", [_json_text({
         "command": args.command,
         "argv": argv,
         "config": config,
@@ -208,7 +205,7 @@ def _run(args, argv: list[str]) -> tuple[int, dict[str, tuple[str, int]]]:
         "wall_clock_s": time.perf_counter() - started,
         "cpu_clock_s": sum(os.times()[:4]) - sum(cpu[:4]),
         **telemetry,
-    })
+    }).encode()])
     return code, written
 
 
@@ -238,12 +235,12 @@ def _resolve(args) -> tuple[ModelParams, AdmissibleMatrix]:
 def cmd_build_q(args) -> tuple[int, tuple | None]:
     params, matrix = _resolve(args)
     report = matrix.report()
-    out = Path(args.out)
-    written = _write_json(out, {"Q": matrix.Q.tolist(), "Qinv": matrix.Qinv.tolist(),
-                                "G": matrix.G.tolist(), "report": report.to_dict()})
-    print(f"admissible={report.admissible} -> {out}")
+    written = _write_output(args.out, [_json_text({
+        "Q": matrix.Q.tolist(), "Qinv": matrix.Qinv.tolist(), "G": matrix.G.tolist(),
+        "report": report.to_dict()}).encode()])
+    print(f"admissible={report.admissible} -> {Path(args.out)}")
     return (EXIT_OK if report.admissible else EXIT_NONADMISSIBLE), (
-        {"params": params.to_dict()}, {str(out): written}, {})
+        {"params": params.to_dict()}, written, {})
 
 
 def cmd_q3_bounds(args) -> tuple[int, tuple | None]:
@@ -256,8 +253,7 @@ def cmd_q3_bounds(args) -> tuple[int, tuple | None]:
         "defaults": {"a": a, "b": b, "a_feasible": bool(a_lo <= a <= a_hi),
                      "b_feasible": bool(b_lo <= b <= b_hi)},
     }
-    written = _print_json(payload, args.out)
-    return EXIT_OK, ({"params": params.to_dict()}, written, {}) if written else None
+    return EXIT_OK, ({"params": params.to_dict()}, _print_output(_json_text(payload), args.out), {})
 
 
 def cmd_simulation(args) -> tuple[int, tuple | None]:
@@ -271,13 +267,12 @@ def cmd_simulation(args) -> tuple[int, tuple | None]:
     cloud = simulate(params, matrix, config,
                      require_initial_in_cone=not args.allow_nonadmissible)
 
-    out = Path(args.out)
     exported = time.perf_counter()
     export_workers, chunks = _cloud_csv(cloud)
     with closing(chunks):  # the export workers are reaped however the write ends
-        written = {str(out): _write_output(out, chunks)}
+        written = _write_output(args.out, chunks)
     timings = {**cloud.timings, "export_s": time.perf_counter() - exported}
-    written.update(_print_json(cloud.audit(), f"{out}.audit.json"))
+    written.update(_print_output(_json_text(cloud.audit()), f"{Path(args.out)}.audit.json"))
     code = EXIT_OK
     if cloud.n_violations > 0 and not args.allow_nonadmissible:
         print(f"cone audit failed: {cloud.n_violations} grid states below "
@@ -312,10 +307,10 @@ def cmd_mean_check(args) -> tuple[int, tuple | None]:
         "deviation": deviation,
         "pass": bool(passed),
     }
-    code = EXIT_OK if passed else EXIT_STATISTICAL
-    written = _print_json(payload, args.out)
-    return code, ({"t": args.t, "M": args.M, "paths": args.paths, "params": params.to_dict()},
-                  written, {"timings": cloud.timings, "workers": cloud.workers}) if written else None
+    return (EXIT_OK if passed else EXIT_STATISTICAL), (
+        {"t": args.t, "M": args.M, "paths": args.paths, "params": params.to_dict()},
+        _print_output(_json_text(payload), args.out),
+        {"timings": cloud.timings, "workers": cloud.workers})
 
 
 def cmd_check_domain(args) -> tuple[int, tuple | None]:
@@ -328,7 +323,7 @@ def cmd_check_domain(args) -> tuple[int, tuple | None]:
         "transformed": coords.tolist(),
         "worst_component": float(np.min(coords)),
     }
-    _print_json(payload, None)
+    _print_output(_json_text(payload), None)
     return EXIT_OK, None
 
 
@@ -349,13 +344,13 @@ def _pde_problem(args, n: int) -> PdeProblem:
                       box=_parse_box(args.box), n=n)
 
 
-def _pde_rows(reports) -> list[str]:
+def _pde_rows(reports) -> str:
+    """The text of the PDE table: a header, then one line per report."""
     rows = ["n,l2_error,order,blow_up"]
-    orders = observed_orders(reports)
-    for rep, order in zip(reports, orders):
+    for rep, order in zip(reports, observed_orders(reports)):
         order_txt = "" if not np.isfinite(order) else _fmt(order)
         rows.append(f"{rep.n},{_fmt(rep.l2_error)},{order_txt},{str(rep.blow_up).lower()}")
-    return rows
+    return "\n".join(rows) + "\n"
 
 
 def _json_float(value: float | None):
@@ -377,17 +372,14 @@ def _pde_table(args, problem: PdeProblem, reports, config: dict) -> tuple[int, t
     and ``blowup_max_abs``, so ``pde`` writes the one-row case of
     ``pde-convergence``.
     """
-    out = Path(args.out)
-    rows = _pde_rows(reports)
-    written = _write_output(out, [("\n".join(rows) + "\n").encode()])
-    print("\n".join(rows))
+    written = _print_output(_pde_rows(reports), args.out)
     code = EXIT_OK
     if problem.box[-1][0] >= 0.0 and any(rep.blow_up for rep in reports):
         print(f"blow-up on a stable box: {_blowup_text(reports)}", file=sys.stderr)
         code = EXIT_BLOWUP
     return code, ({"box": list(problem.box), "alpha": args.alpha, "beta": args.beta, "T": args.T,
                    "params": problem.params.to_dict(), **config},
-                  {str(out): written},
+                  written,
                   {"timings": {rep.n: rep.timings for rep in reports},
                    "blowup_step": {rep.n: rep.blowup_step for rep in reports},
                    "blowup_max_abs": {rep.n: _json_float(rep.blowup_max_abs) for rep in reports}})
@@ -436,8 +428,10 @@ def cmd_rerun(args) -> tuple[int, tuple | None]:
     code, written = _run(run, argv)
     if not args.verify:
         return code, None
+    # a manifest written before every output was keyed by str(Path(path)) may list "./q.json"
     digests = {path: digest for path, (digest, _) in written.items()}
-    differ = [path for path, digest in expected.items() if digests.get(path) != digest]
+    differ = [path for path, digest in expected.items()
+              if digests.get(str(Path(path))) != digest]
     for path in differ:
         print(f"rerun differs from {args.manifest}: {path}", file=sys.stderr)
     return (EXIT_NOT_REPRODUCED if differ else code), None

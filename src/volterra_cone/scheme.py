@@ -143,14 +143,21 @@ def _audit_probabilities(p1: Array, p2: Array, p3: Array) -> int:
 
 
 def three_point_law(x: float, z: float) -> ThreePointLaw:
-    """Three-point law for a single aggregate x >= 0 and variance budget z >= 0."""
+    """Three-point law for a single aggregate x >= 0 and variance budget z >= 0.
+
+    ValueError when the law overflows (x or z near the largest double).
+    """
     x = float(x)
     z = float(z)
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"aggregate must be finite and >= 0, got {x}")
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError(f"variance budget must be finite and >= 0, got {z}")
-    return ThreePointLaw(*(float(row[0]) for row in _law_arrays(np.array([x]), z)))
+    with np.errstate(all="ignore"):  # an overflow is named below
+        law = [float(row[0]) for row in _law_arrays(np.array([x]), z)]
+    if not all(map(math.isfinite, law)):
+        raise ValueError(f"the three-point law of x = {x}, z = {z} is not finite: {law}")
+    return ThreePointLaw(*law)
 
 
 def _strang_step(state: Array, prop: Array, shift: Array, z_budget: float, u: Array,

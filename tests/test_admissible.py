@@ -51,6 +51,17 @@ def test_a_singular_matrix_without_its_inverse_reports_standard_json():
     assert payload["offdiag_condition"] == {"ok": False, "worst_entry": None}
 
 
+def test_row_and_column_deviations_that_overflow_fail_and_report_standard_json():
+    # |Q[-1] - w| and |Q 1 - wbar e_N| overflow for a finite Q far from w; the tests turn a
+    # RuntimeWarning into an error, so none is emitted
+    report = check_admissible([[1, 0], [-1.7e308, 1]], [1.7e308, 1], [1, 2])
+    assert not report.row_ok and not report.col_ok and not report.admissible
+    assert report.row_max_dev == math.inf and report.col_max_dev == math.inf
+    payload = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+    assert payload["row_condition"] == {"ok": False, "max_deviation": None}
+    assert payload["column_condition"] == {"ok": False, "max_deviation": None}
+
+
 def test_canonical_inverse_four_factor_pattern():
     rng = np.random.default_rng(3)
     w = rng.uniform(0.5, 3.0, size=4)

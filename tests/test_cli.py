@@ -485,6 +485,50 @@ def test_rerun_verify_reproduces_every_command(tmp_path, capsys, command):
         assert f"differs from {manifest_path}: {out}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["build-q", "q3-bounds", "mean-check", "simulate", "pde"])
+def test_every_output_is_named_by_one_spelling(tmp_path, monkeypatch, command):
+    # "--out ./x.out" and "--out x.out" name one file, and the manifest keys it as str(Path(...))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *RERUN_CASES[command], "--out", "./x.out"]) == 0
+    manifest = json.loads((tmp_path / "x.out.manifest.json").read_text())
+    assert "x.out" in manifest["outputs"]
+    for key in ("outputs", "sha256", "bytes"):
+        assert [str(Path(path)) for path in manifest[key]] == list(manifest[key])
+
+
+def test_rerun_verifies_a_manifest_that_spells_an_output_with_dot_slash(tmp_path, monkeypatch,
+                                                                         capsys):
+    # manifests written before every output was keyed by its normalized path list "./q.json"
+    monkeypatch.chdir(tmp_path)
+    argv = ["q3-bounds", "--preset", "fig3a", "--out", "./q.json"]
+    assert main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "q.json").read_bytes()).hexdigest()
+    for listed, code in ((digest, 0), ("0" * 64, 7)):
+        (tmp_path / "old.manifest.json").write_text(
+            json.dumps({"argv": argv, "sha256": {"./q.json": listed}}))
+        capsys.readouterr()
+        assert main(["rerun", "--verify", "old.manifest.json"]) == code
+    assert "differs from old.manifest.json: ./q.json" in capsys.readouterr().err
+
+
+def test_a_run_without_an_output_writes_no_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["q3-bounds", "--preset", "fig3a"]) == 0
+    assert main(["mean-check", *RERUN_CASES["mean-check"]]) == 0
+    assert main(["check-domain", "--preset", "fig2", "--point", "1,0.5"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, written", [
+    ("q3-bounds", "x.json"),
+    ("mean-check", "x.json"),
+    ("simulate", "x.json.audit.json"),
+])
+def test_a_json_output_prints_the_text_it_writes(tmp_path, capsys, command, written):
+    assert main([command, *RERUN_CASES[command], "--out", str(tmp_path / "x.json")]) == 0
+    assert capsys.readouterr().out == (tmp_path / written).read_text()
+
+
 def test_rerun_verify_checks_every_output_digest(tmp_path, capsys):
     out = tmp_path / "cloud.csv"
     assert main(["cloud", "--preset", "fig3a", "--T", "0.5", "--M", "30", "--paths", "3",

@@ -18,12 +18,14 @@ from volterra_cone import (
     build_canonical,
     build_q2,
     build_q3,
+    canonical_inverse,
     check_admissible,
     kernel_eval,
     load_params,
     mean_oracle,
     q3_bounds,
     simulate,
+    three_point_law,
     transformed,
 )
 from volterra_cone.presets import PRESETS, preset
@@ -149,11 +151,15 @@ def table1_pde(alpha=(3.0, 4.0), beta=1.6, matrix=None):
     (lambda: table1_pde(alpha=(math.nan, 1.0)), "alpha and beta must be finite"),
     (lambda: table1_pde(beta=math.inf), "alpha and beta must be finite"),
     (lambda: preset("fig4"), "unknown preset 'fig4'"),
+    (lambda: three_point_law(1e308, 1.0), "three-point law of x = 1e+308, z = 1.0 is not finite"),
+    (lambda: three_point_law(1.0, 1e308), "three-point law of x = 1.0, z = 1e+308 is not finite"),
+    (lambda: canonical_inverse([1e-320, 1e-320]), "canonical inverse is not finite"),
 ], ids=["weights-2d", "weights-empty", "weights-negative", "nodes-short", "nodes-decreasing",
         "q-shape", "q-nan", "q-inf", "q2-three-weights", "q3-bounds-two-weights", "q3-two-weights",
         "shift-shape", "point-shape", "check-x-nan", "check-w-nan", "check-x-inf",
         "check-w-inf", "v0-2d", "x-inf", "pde-alpha-nan", "pde-beta-inf",
-        "unknown-preset"])
+        "unknown-preset", "three-point-law-x-overflow", "three-point-law-z-overflow",
+        "canonical-inverse-overflow"])
 def test_library_input_checks_raise_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
