@@ -4,10 +4,12 @@ The time step is a Strang composition: half an exact linear-drift step, a
 moment-matched three-point jump of the aggregate, and another half drift
 step.  Both pieces map the state-space cone into itself, so the composition
 does as well, which keeps every square-root argument non-negative along the
-whole simulation.  One in-place batched step kernel serves the simulator
-in u = Q (v - shift) (:class:`TransformedDynamics`), where the state is
-stored as (N, paths) and the jump moves only the u_N row.  Blocks of paths
-are shared out among forked worker processes, one per usable CPU.
+whole simulation.  One batched step kernel serves the simulator in
+u = Q (v - shift) (:class:`TransformedDynamics`), where the state is stored
+as (N, paths) and the jump moves only the u_N row.  The kernel checks only
+the aggregate at every step; the cone audit and the probability screen run
+once per batch of steps.  Blocks of paths are shared out among forked
+worker processes, one per usable CPU.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ CHUNK_STEPS = 512
 #: most uniforms held at once by the chunk and tile of each worker's block (32 MB), which
 #: shortens wide chunks; W workers hold up to W times this
 CHUNK_DRAWS = 1 << 22
+#: scratch bytes of the per-step states and probabilities a block marches before it audits them
+#: (512 KB, so they stay in cache): 13 steps at 1 000 paths of N = 2, one at BLOCK_PATHS
+BATCH_BYTES = 1 << 19
 #: paths drawn into a contiguous (paths, steps) tile before it is copied into the chunk as
 #: one transposed block (at most 512 KB, so it stays in cache)
 DRAW_TILE = 128
@@ -93,47 +98,62 @@ def _law_arrays(x: Array, z: float, out: Array | None = None) -> Array:
     mass (1, 0, 0) at x1 = 0.  A zero budget z is a point mass at x.
     ``out`` is an (8, len(x)) buffer that receives the six rows and two rows
     of scratch; a new one is made when it is not given.  The rows are built
-    in place by the operations of the closed-form expressions, on the same
-    operands in the same order, so the values are those of the expressions
-    bit for bit.
+    by :func:`_law_rows`, in place, by the operations of the closed-form
+    expressions on the same operands in the same order, so the values are
+    those of the expressions bit for bit.
     """
     x = np.asarray(x, dtype=float)
     if out is None:
         out = np.empty((8,) + x.shape)
-    x1, x2, x3, p1, p2, p3, s, t = out
-    if z == 0.0:
-        out[:3] = x
-        p1.fill(1.0)
-        out[4:6] = 0.0
-        return out[:6]
-    c = SPREAD + 0.75
-    np.multiply(x, 3.0, out=t)
-    np.add(t, c * c * z, out=s)
-    np.sqrt(s, out=s)
-    s *= math.sqrt(z)
-    np.add(x, SPREAD * z, out=x2)
-    np.add(x, c * z, out=x3)
-    x3 += s
-    np.add(x, (2.0 * SPREAD - 1.5) * z, out=x1)
-    x1 /= x3
-    x1 *= x  # = x + c z - s, rationalized
-    t += SPREAD * (SPREAD + 1.5) * z
-    np.multiply(x, 2.0, out=p2)
-    p2 /= t  # 2 x / (3 x + SPREAD (SPREAD + 3/2) z)
-    np.add(s, c * z, out=p3)
-    p3 *= SPREAD
-    p3 += x
-    np.divide(x, p3, out=p3)
-    np.multiply(s, 2.0, out=t)
-    np.divide(z, t, out=t)
-    p3 *= t
-    np.add(x, SPREAD * (1.5 - SPREAD) * z, out=t)
-    s += 0.75 * z
-    t /= s
-    p3 *= t  # x / (x + SPREAD (c z + s)) * z / (2 s) * (x + SPREAD (3/2 - SPREAD) z) / (s + 3/4 z)
-    np.subtract(1.0, p2, out=p1)
-    p1 -= p3
+    _law_rows(x, _law_scalars(z), *out)
     return out[:6]
+
+
+def _law_scalars(z: float) -> tuple | None:
+    """The scalars of :func:`_law_rows` for budget z (None for z = 0) as 0-d float64 arrays.
+
+    A ufunc takes a 0-d array faster than a Python float of the same value.
+    """
+    c = SPREAD + 0.75
+    return None if z == 0.0 else tuple(map(np.array, (
+        3.0, c * c * z, math.sqrt(z), SPREAD * z, c * z, (2.0 * SPREAD - 1.5) * z,
+        SPREAD * (SPREAD + 1.5) * z, 2.0, SPREAD, z, SPREAD * (1.5 - SPREAD) * z, 0.75 * z, 1.0)))
+
+
+def _law_rows(x: Array, k: tuple | None, x1: Array, x2: Array, x3: Array, p1: Array,
+              p2: Array, p3: Array, s: Array, t: Array) -> None:
+    """The rows of :func:`_law_arrays`, in place, from the scalars ``k`` of :func:`_law_scalars`."""
+    if k is None:  # the point mass at x
+        for row, value in zip((x1, x2, x3, p1, p2, p3), (x, x, x, 1.0, 0.0, 0.0)):
+            np.copyto(row, value)
+        return
+    three, ccz, root_z, az, cz, bz, dz, two, spread, z, ez, fz, one = k
+    np.multiply(x, three, t)
+    np.add(t, ccz, s)
+    np.sqrt(s, s)
+    np.multiply(s, root_z, s)
+    np.add(x, az, x2)  # x + SPREAD z
+    np.add(x, cz, x3)
+    np.add(x3, s, x3)  # x + c z + s
+    np.add(x, bz, x1)
+    np.divide(x1, x3, x1)
+    np.multiply(x1, x, x1)  # = x + c z - s, rationalized
+    np.add(t, dz, t)
+    np.multiply(x, two, p2)
+    np.divide(p2, t, p2)  # 2 x / (3 x + SPREAD (SPREAD + 3/2) z)
+    np.add(s, cz, p3)
+    np.multiply(p3, spread, p3)
+    np.add(p3, x, p3)
+    np.divide(x, p3, p3)
+    np.multiply(s, two, t)
+    np.divide(z, t, t)
+    np.multiply(p3, t, p3)
+    np.add(x, ez, t)
+    np.add(s, fz, s)
+    np.divide(t, s, t)
+    np.multiply(p3, t, p3)  # x / (x + SPREAD (c z + s)) * z / (2 s) * (x + SPREAD (3/2 - SPREAD) z) / (s + 3/4 z)
+    np.subtract(one, p2, p1)
+    np.subtract(p1, p3, p1)
 
 
 def _audit_probabilities(p1: Array, p2: Array, p3: Array) -> int:
@@ -160,45 +180,42 @@ def three_point_law(x: float, z: float) -> ThreePointLaw:
     return ThreePointLaw(*law)
 
 
-def _strang_step(state: Array, prop: Array, shift: Array, z_budget: float, u: Array,
-                 work: tuple) -> tuple[float, int, int]:
-    """One Strang step (half drift, jump, half drift) of every column of ``state``, in place.
+def _strang_step(state: Array, out: Array, prop: Array, shift: Array, u: Array,
+                 k: tuple | None, law: tuple, work: tuple) -> tuple[float, int]:
+    """One Strang step (half drift, jump, half drift) of every column of ``state`` into ``out``.
 
-    ``state`` is (N, paths) with the aggregate in its last row, ``(prop, shift)``
-    is the exact half-step drift with ``shift`` of the shape of ``state`` (a
-    column broadcasts, but costs more per step), ``u`` holds one uniform per
-    path and ``work`` is scratch: the mid-step state, the law's (8, paths)
-    rows and a mask of one flag per path.  The jump redraws the aggregate
-    from the three-point law and moves only the last row.  Returns the
-    lowest aggregate before the jump, the clamp count and the probability
-    audit; the exact audit runs only when the probabilities leave [0, 1] by
-    more than PROB_SLACK or are NaN.
+    ``state`` and ``out`` are (N, paths) with the aggregate in their last row
+    (they may be one array), ``(prop, shift)`` is the exact half-step drift
+    with ``shift`` of the shape of ``state`` (a column broadcasts, but costs
+    more per step), ``u`` holds one uniform per path, ``k`` the law's scalars
+    (:func:`_law_scalars`) and ``law`` its eight rows (:func:`_law_rows`).
+    ``work`` is scratch: the mid-step state, a view of its last row and a
+    mask of one flag per path.  The jump redraws the aggregate from the
+    three-point law and moves only the last row.  Returns the lowest
+    aggregate before the jump and the number of aggregates clamped to 0 for
+    the law; the probabilities are left in ``law`` for the caller's audit.
     """
-    mid, law, below = work
-    np.matmul(prop, state, out=mid)
-    mid += shift
-    agg = mid[-1]
-    low = float(agg.min())
-    clamps = 0
+    mid, agg, below = work
+    x1, x2, draw, p1, p2, p3, s, t = law
+    np.matmul(prop, state, mid)
+    np.add(mid, shift, mid)
+    low = float(np.minimum.reduce(agg))
+    clamps, x = 0, agg
     if low < 0.0:
         clamps = int(np.count_nonzero(agg < 0.0))
-        agg = np.maximum(agg, 0.0)
-    x1, x2, draw, p1, p2, p3 = _law_arrays(agg, z_budget, out=law)
-    probs = law[3:6]
-    bad = 0
-    if not (probs.min() >= -PROB_SLACK and probs.max() <= 1.0 + PROB_SLACK):
-        bad = _audit_probabilities(p1, p2, p3)
+        x = np.maximum(agg, 0.0)
+    _law_rows(x, k, *law)
     # draw starts as x3, takes x2 where u < p1 + p2 and then x1 where u < p1
-    np.add(p1, p2, out=law[6])
-    np.less(u, law[6], out=below)
+    np.add(p1, p2, s)
+    np.less(u, s, below)
     np.putmask(draw, below, x2)
-    np.less(u, p1, out=below)
+    np.less(u, p1, below)
     np.putmask(draw, below, x1)
-    draw -= agg
-    mid[-1] += draw
-    np.matmul(prop, mid, out=state)
-    state += shift
-    return low, clamps, bad
+    np.subtract(draw, x, draw)
+    np.add(agg, draw, agg)
+    np.matmul(prop, mid, out)
+    np.add(out, shift, out)
+    return low, clamps
 
 
 @dataclass(frozen=True)
@@ -230,7 +247,9 @@ class SampleCloud:
     ``domain``, the cone of the model's anchor; states and aggregates are
     derived from it.  The minima and ``n_violations`` (states with a
     coordinate below -MEMBERSHIP_TOL) cover every grid state of the run, not
-    only the recorded ones.  ``timings`` holds the seconds spent seeding the
+    only the recorded ones.  They and ``prob_violations`` are taken once per
+    batch of steps, and ``sqrt_clamp_count`` at every step; no value depends
+    on the batch size.  ``timings`` holds the seconds spent seeding the
     paths' generators (``seed_s``), drawing uniforms (``uniforms_s``) and
     stepping (``steps_s``), summed over the blocks of paths that the
     ``workers`` processes marched.
@@ -362,9 +381,15 @@ def _simulate_block(transformed: Array, config: PathConfig, initial: Array, prop
     (:func:`_path_generators`), a chunk of steps at a time into a (steps, paths)
     buffer through a tile of DRAW_TILE paths, so a step's uniforms are a
     contiguous row and the draws do not depend on how paths are split.
-    Returns the block's report: its :meth:`SampleCloud.audit`, over every grid
-    state of its paths, and the seconds spent seeding (``seed_s``), drawing
-    uniforms (``uniforms_s``) and stepping (``steps_s``).
+    Each step of a batch (at least one, at most BATCH_BYTES of states and
+    probabilities) is marched into its own slot and checks its aggregate; a
+    state that left the cone raises a RuntimeError naming the step.  Each
+    batch is then audited at once: the running minima, the violation count,
+    the probability screen (exact count by :func:`_audit_probabilities` when
+    it fails) and the copy into a full record.  Returns the block's report:
+    its :meth:`SampleCloud.audit`, over every grid state of its paths, and
+    the seconds spent seeding (``seed_s``), drawing uniforms (``uniforms_s``)
+    and stepping (``steps_s``).
     """
     started = time.perf_counter()
     generators = _path_generators(config.seed, first, last)
@@ -373,18 +398,27 @@ def _simulate_block(transformed: Array, config: PathConfig, initial: Array, prop
     held = CHUNK_DRAWS // (width + min(width, DRAW_TILE))
     chunk = np.empty((max(1, min(config.M, CHUNK_STEPS, held)), width))
     tile = np.empty((min(width, DRAW_TILE), len(chunk)))
+    n = initial.size
+    batch = max(1, min(len(chunk), BATCH_BYTES // (8 * (n + 3) * width)))
+    slots, probs = np.empty((batch, n, width)), np.empty((batch, 3, width))
     state = np.repeat(initial[:, None], width, axis=1)
     shift = np.repeat(shift[:, None], width, axis=1)
-    work = np.empty_like(state), np.empty((8, width)), np.empty(width, dtype=bool)
+    mid, scratch = np.empty_like(state), np.empty((5, width))
+    work = mid, mid[-1], np.empty(width, dtype=bool)
+    k = _law_scalars(z_budget)
+    laws = [(*scratch[:3], *p, *scratch[3:]) for p in probs]  # p1, p2, p3 in the batch's slot
     recorded = transformed[first:last]
-    lows = state.copy()  # running minimum of each coordinate of each path
-    inside = np.empty(state.shape, dtype=bool)
+    lows = np.full(n, np.inf)  # running minimum of each coordinate
 
-    def outside() -> int:  # paths of state with a coordinate below -MEMBERSHIP_TOL, NaN counts
-        np.greater_equal(state, -MEMBERSHIP_TOL, out=inside)
-        return width - int(np.count_nonzero(np.logical_and.reduce(inside, axis=0)))
+    def audit(states: Array) -> int:  # (step, path) pairs with a coordinate below -MEMBERSHIP_TOL
+        low = np.minimum.reduce(states, axis=(0, 2))
+        np.minimum(lows, low, out=lows)
+        if np.minimum.reduce(low) >= -MEMBERSHIP_TOL:  # NaN fails this and is counted below
+            return 0
+        return len(states) * width - int(np.count_nonzero(np.logical_and.reduce(
+            states >= -MEMBERSHIP_TOL, axis=1)))
 
-    violations, clamps, bad = outside(), 0, 0
+    violations, clamps, bad = audit(state[None]), 0, 0
     if config.record_full:
         recorded[:, 0] = initial
     timings = {"seed_s": seeded - started, "uniforms_s": time.perf_counter() - seeded,
@@ -400,24 +434,28 @@ def _simulate_block(transformed: Array, config: PathConfig, initial: Array, prop
                 generator.random(out=row[:steps])
             rows[:, start:start + len(group)] = tile[:len(group), :steps].T
         stepped = time.perf_counter()
-        for j, u in enumerate(rows, start=begin):
-            low, clamped, flagged = _strang_step(state, prop, shift, z_budget, u, work)
-            if not low >= -MEMBERSHIP_TOL:  # NaN is outside the cone too
-                raise RuntimeError(
-                    f"aggregate {low} is not >= -{MEMBERSHIP_TOL} at step {j}, state left the cone"
-                )
-            clamps += clamped
-            bad += flagged
-            np.minimum(lows, state, out=lows)
-            violations += outside()
+        for start in range(begin, begin + steps, batch):
+            uniforms = rows[start - begin:start - begin + batch]
+            for j, (u, out, law) in enumerate(zip(uniforms, slots, laws), start=start):
+                low, clamped = _strang_step(state, out, prop, shift, u, k, law, work)
+                if not low >= -MEMBERSHIP_TOL:  # NaN is outside the cone too
+                    raise RuntimeError(f"aggregate {low} is not >= -{MEMBERSHIP_TOL} at step {j}, "
+                                       "state left the cone")
+                clamps += clamped
+                state = out
+            done, p = slots[:len(uniforms)], probs[:len(uniforms)]
+            violations += audit(done)
+            if not (np.minimum.reduce(p, axis=None) >= -PROB_SLACK
+                    and np.maximum.reduce(p, axis=None) <= 1.0 + PROB_SLACK):
+                bad += _audit_probabilities(*p.swapaxes(0, 1))
             if config.record_full:
-                recorded[:, j + 1] = state.T
+                recorded[:, start + 1:start + len(done) + 1] = done.transpose(2, 0, 1)
         timings["uniforms_s"] += stepped - drawn
         timings["steps_s"] += time.perf_counter() - stepped
 
     if not config.record_full:
         recorded[:, 0] = state.T
-    return {"min_transformed": float(lows.min()), "min_aggregate": float(lows[-1].min()),
+    return {"min_transformed": float(lows.min()), "min_aggregate": float(lows[-1]),
             "n_violations": violations, "sqrt_clamp_count": clamps, "prob_violations": bad,
             **timings}
 

@@ -320,6 +320,31 @@ def test_simulate_deterministic_csv(tmp_path):
     assert audit["prob_violations"] == 0
 
 
+@pytest.mark.parametrize("argv, csv_sha256, audit_sha256", [
+    (["simulate", "--preset", "fig2", "--T", "1", "--M", "200", "--paths", "300", "--seed", "1"],
+     "23d7a2a3a73932226bf4f26b03ca751db09a8979c97997a39c5782618d91d70d",
+     "5fdf9960df53536c0dde058ec042e91fd16002c36c9544752cababf38da83710"),
+    (["cloud", "--preset", "fig3c", "--allow-nonadmissible", "--T", "2", "--M", "600",
+      "--paths", "40", "--seed", "2"],
+     "2243549e88af2b78db8a9a138e5816301b831f56568ec015ae9b002a04e0fb84",
+     "805c9040cc01ef09f2d7c19c93006140d51e469f5b1c520c6daf2e9ff75a85c5"),
+], ids=["simulate-fig2", "cloud-fig3c-escape"])
+def test_simulation_outputs_keep_their_bytes(tmp_path, argv, csv_sha256, audit_sha256):
+    """``volterra-cone <argv> --out c.csv`` writes c.csv and c.csv.audit.json with these SHA-256.
+
+    The digests are those the commands wrote at commit c28e7bb, whose step kernel audited
+    the cone after every step.  The kernel audits batches of steps, and at the default
+    budget fig2's 300 paths march 200 steps in batches of 43, and fig3c's 40 paths, which
+    escape the cone, march 600 steps in batches of 273, 239 and 88.
+    """
+    out = tmp_path / "c.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    audit = tmp_path / "c.csv.audit.json"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+    assert hashlib.sha256(audit.read_bytes()).hexdigest() == audit_sha256
+    assert (json.loads(audit.read_text())["n_violations"] > 0) == (argv[0] == "cloud")
+
+
 def test_simulate_nonadmissible_audit(tmp_path):
     out = tmp_path / "bad.csv"
     args = ["simulate", "--preset", "fig3c", "--T", "10.0", "--M", "4000",

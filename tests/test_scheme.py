@@ -25,7 +25,7 @@ from volterra_cone import (
 )
 from volterra_cone import scheme
 from volterra_cone.cone import MEMBERSHIP_TOL, contains, transformed
-from volterra_cone.presets import preset
+from volterra_cone.presets import params_anchored, preset
 from volterra_cone.scheme import SPREAD, _audit_probabilities, _law_arrays
 
 
@@ -316,8 +316,10 @@ def test_simulate_is_worker_count_independent(monkeypatch):
     step = scheme._strang_step
 
     def counting(*args):  # one clamp and one bad probability per block and step
-        low, clamps, bad = step(*args)
-        return low, clamps + 1, bad + 1
+        low, clamps = step(*args)
+        p3 = args[6][5]  # the step's law rows, which the batch's audit reads afterwards
+        p3[0] = 2.0
+        return low, clamps + 1
 
     monkeypatch.setattr(scheme, "_strang_step", counting)
     pids = forked_pids(monkeypatch)
@@ -623,6 +625,94 @@ def test_simulate_aborts_when_the_state_leaves_the_cone(monkeypatch, start):
     with pytest.raises(RuntimeError, match="at step 0, state left the cone"):
         simulate(params, build_canonical(params.w, params.x), config, initial_state=initial,
                  require_initial_in_cone=False)
+
+
+def batched(monkeypatch, steps, width, factors):
+    """Batches of ``steps`` steps (None: the default budget) for blocks of ``width`` paths.
+
+    Returns the list of the output slots the step kernel writes, one per step.
+    """
+    if steps is not None:
+        monkeypatch.setattr(scheme, "BATCH_BYTES", steps * 8 * (factors + 3) * width)
+    step = scheme._strang_step
+    slots = []
+
+    def recorded(*args):
+        slots.append(args[1].ctypes.data)
+        return step(*args)
+
+    monkeypatch.setattr(scheme, "_strang_step", recorded)
+    return slots
+
+
+@pytest.mark.parametrize("case", ["fig3c-escape", "wide-block"])
+def test_batches_of_steps_give_one_cloud_and_one_audit(monkeypatch, case):
+    # batches of 1 and 3 steps (M is not a multiple of 3) and of the default budget
+    if case == "fig3c-escape":  # one batch of all 200 steps by default
+        params, matrix = preset("fig3c")
+        config = PathConfig(T=10.0, M=200, n_paths=17, seed=21, record_full=True)
+        default = config.M
+    else:  # one step of four factors at BLOCK_PATHS wide is more than the default budget
+        w, x = (1.0, 2.0, 3.0, 4.0), (1.0, 5.0, 25.0, 125.0)
+        params, matrix = params_anchored(w, x), build_canonical(w, x)
+        config = PathConfig(T=1.0, M=7, n_paths=scheme.BLOCK_PATHS, seed=3, record_full=True)
+        default = 1
+    clouds = []
+    for steps in (1, 3, None):
+        with monkeypatch.context() as patched:
+            slots = batched(patched, steps, config.n_paths, len(params.w))
+            clouds.append(simulate(params, matrix, config, require_initial_in_cone=False))
+        assert len(set(slots)) == (steps or default)
+    for cloud in clouds[1:]:
+        np.testing.assert_array_equal(cloud.transformed, clouds[0].transformed)
+        assert cloud.audit() == clouds[0].audit()
+    assert (clouds[0].n_violations > 0) == (case == "fig3c-escape")
+
+
+def test_the_probability_audit_counts_every_step_of_a_batch(monkeypatch):
+    # batches of 3 of M = 10 steps: steps 2 and 3 lie on either side of the first boundary,
+    # and step 9 is the last batch's only step
+    params, matrix = preset("fig2")
+    config = PathConfig(T=1.0, M=10, n_paths=20, seed=5)
+    clean = simulate(params, matrix, config)
+    slots = batched(monkeypatch, 3, config.n_paths, 2)
+    step = scheme._strang_step
+
+    def injected(*args):
+        result = step(*args)
+        p1, p2, p3 = args[6][3:6]  # read by the batch's audit after its last step
+        if len(slots) == 3:
+            p1[0], p2[1] = -0.5, math.nan
+        elif len(slots) in (4, 10):
+            p3[-1] = 1.5
+        return result
+
+    monkeypatch.setattr(scheme, "_strang_step", injected)
+    cloud = simulate(params, matrix, config)
+    assert len(set(slots)) == 3
+    assert clean.prob_violations == 0
+    assert cloud.prob_violations == 4
+    np.testing.assert_array_equal(cloud.transformed, clean.transformed)
+
+
+def test_a_nan_in_a_batch_stops_the_march_at_its_step(monkeypatch):
+    # batches of 4 steps: the state after step 5 is the middle of the second batch
+    params, matrix = preset("fig2")
+    config = PathConfig(T=1.0, M=10, n_paths=20, seed=5)
+    slots = batched(monkeypatch, 4, config.n_paths, 2)
+    step = scheme._strang_step
+
+    def poisoned(*args):
+        result = step(*args)
+        if len(slots) == 5:
+            args[1][:, 0] = math.nan
+        return result
+
+    monkeypatch.setattr(scheme, "_strang_step", poisoned)
+    with pytest.raises(RuntimeError, match=r"^aggregate nan is not >= -1e-09 at step 5, state left "
+                                           r"the cone$"):
+        simulate(params, matrix, config)
+    assert len(slots) == 6
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3a"])
