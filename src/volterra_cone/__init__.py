@@ -30,6 +30,7 @@ from .cone import (
     transformed,
 )
 from .model import DriftSystem, ModelParams, TransformedDynamics, kernel_eval, load_params
+from .oracle import mean_oracle
 from .pde import (
     PdeProblem,
     SolveReport,
@@ -44,7 +45,6 @@ from .scheme import (
     PathConfig,
     SampleCloud,
     ThreePointLaw,
-    mean_oracle,
     simulate,
     three_point_law,
 )

@@ -32,9 +32,10 @@ from .admissible import (AdmissibleMatrix, build_canonical, build_q2, build_q3, 
                          q3_defaults)
 from .cone import MEMBERSHIP_TOL, ConeDomain, contains, original, transformed
 from .model import ModelParams, load_params
+from .oracle import mean_oracle
 from .pde import PdeProblem, convergence_study, observed_orders, residual_check, solve
 from .presets import PDE_BOXES, PRESETS, preset
-from .scheme import PathConfig, forked_map, mean_oracle, process_count, simulate
+from .scheme import PathConfig, forked_map, process_count, simulate
 
 EXIT_OK = 0
 EXIT_INVALID = 2

@@ -29,7 +29,7 @@ from numpy.typing import NDArray
 
 from .admissible import AdmissibleMatrix
 from .cone import MEMBERSHIP_TOL, ConeDomain, contains, original, transformed
-from .model import DriftSystem, ModelParams, TransformedDynamics
+from .model import ModelParams, TransformedDynamics
 
 Array = NDArray[np.float64]
 
@@ -87,28 +87,6 @@ class ThreePointLaw:
         return (float(pr @ pts), float(pr @ pts**2), float(pr @ pts**3))
 
 
-def _law_arrays(x: Array, z: float, out: Array | None = None) -> Array:
-    """Rows x1, x2, x3, p1, p2, p3: support points and probabilities of the three-point law.
-
-    Closed form of the Lagrange weights for the centred moments E[d] = 0 and
-    E[d^2] = x z (the support makes the third moment hold), with
-    c = SPREAD + 3/4 and s = sqrt(z (3x + c^2 z)).  Every factor is a ratio
-    of like magnitudes, so p1 in [1/6, 1], p2 in [0, 2/3] and p3 in [0, 1/6]
-    hold to rounding for any x >= 0 and z > 0, and x = 0 gives the point
-    mass (1, 0, 0) at x1 = 0.  A zero budget z is a point mass at x.
-    ``out`` is an (8, len(x)) buffer that receives the six rows and two rows
-    of scratch; a new one is made when it is not given.  The rows are built
-    by :func:`_law_rows`, in place, by the operations of the closed-form
-    expressions on the same operands in the same order, so the values are
-    those of the expressions bit for bit.
-    """
-    x = np.asarray(x, dtype=float)
-    if out is None:
-        out = np.empty((8,) + x.shape)
-    _law_rows(x, _law_scalars(z), *out)
-    return out[:6]
-
-
 def _law_scalars(z: float) -> tuple | None:
     """The scalars of :func:`_law_rows` for budget z (None for z = 0) as 0-d float64 arrays.
 
@@ -122,7 +100,18 @@ def _law_scalars(z: float) -> tuple | None:
 
 def _law_rows(x: Array, k: tuple | None, x1: Array, x2: Array, x3: Array, p1: Array,
               p2: Array, p3: Array, s: Array, t: Array) -> None:
-    """The rows of :func:`_law_arrays`, in place, from the scalars ``k`` of :func:`_law_scalars`."""
+    """Rows x1, x2, x3, p1, p2, p3 of the three-point law of each x, in place; s, t are scratch.
+
+    Closed form of the Lagrange weights for the centred moments E[d] = 0 and
+    E[d^2] = x z (the support makes the third moment hold), with
+    c = SPREAD + 3/4 and s = sqrt(z (3x + c^2 z)).  Every factor is a ratio
+    of like magnitudes, so p1 in [1/6, 1], p2 in [0, 2/3] and p3 in [0, 1/6]
+    hold to rounding for any x >= 0 and z > 0, and x = 0 gives the point
+    mass (1, 0, 0) at x1 = 0.  ``k`` holds the scalars of :func:`_law_scalars`
+    for the budget z, None for z = 0: the point mass at x.  The rows are built
+    by the operations of the closed-form expressions in their order, so they
+    are those of the expressions bit for bit.
+    """
     if k is None:  # the point mass at x
         for row, value in zip((x1, x2, x3, p1, p2, p3), (x, x, x, 1.0, 0.0, 0.0)):
             np.copyto(row, value)
@@ -173,8 +162,10 @@ def three_point_law(x: float, z: float) -> ThreePointLaw:
         raise ValueError(f"aggregate must be finite and >= 0, got {x}")
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError(f"variance budget must be finite and >= 0, got {z}")
+    rows = np.empty((8, 1))
     with np.errstate(all="ignore"):  # an overflow is named below
-        law = [float(row[0]) for row in _law_arrays(np.array([x]), z)]
+        _law_rows(np.array([x]), _law_scalars(z), *rows)
+    law = rows[:6, 0].tolist()
     if not all(map(math.isfinite, law)):
         raise ValueError(f"the three-point law of x = {x}, z = {z} is not finite: {law}")
     return ThreePointLaw(*law)
@@ -594,15 +585,3 @@ def simulate(
     timings = {stage: report.pop(stage) for stage in ("seed_s", "uniforms_s", "steps_s")}
     return SampleCloud(paths, **report, config=config, domain=domain, timings=timings,
                        workers=workers)
-
-
-def mean_oracle(params: ModelParams, t: float) -> Array:
-    """Exact expectation of the state at time t from the anchor ``params.v0``.
-
-    The mean solves the same linear drift ODE that the splitting integrates
-    exactly, so it provides an independent check of the Monte Carlo average.
-    """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    prop, forcing = DriftSystem.from_params(params).propagators(t)
-    return prop @ params.v0 + forcing

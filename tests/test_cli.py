@@ -345,6 +345,15 @@ def test_simulation_outputs_keep_their_bytes(tmp_path, argv, csv_sha256, audit_s
     assert (json.loads(audit.read_text())["n_violations"] > 0) == (argv[0] == "cloud")
 
 
+def test_mean_check_output_keeps_its_bytes(tmp_path):
+    """``mean-check`` writes the SHA-256 it wrote at commit 193e312, exact mean included."""
+    out = tmp_path / "m.json"
+    assert main(["mean-check", "--preset", "fig2", "--t", "1", "--M", "200", "--paths", "300",
+                 "--seed", "1", "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "17a391ee831467688d3f6b017d63f27deb7990484d0f2b60a375faaa638eee5d")
+
+
 def test_simulate_nonadmissible_audit(tmp_path):
     out = tmp_path / "bad.csv"
     args = ["simulate", "--preset", "fig3c", "--T", "10.0", "--M", "4000",

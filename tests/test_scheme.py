@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from volterra_cone import (
     ConeDomain,
@@ -18,25 +16,15 @@ from volterra_cone import (
     PathConfig,
     TransformedDynamics,
     build_canonical,
-    canonical_anchor,
     mean_oracle,
     simulate,
     three_point_law,
 )
 from volterra_cone import scheme
 from volterra_cone.cone import MEMBERSHIP_TOL, contains, transformed
+from volterra_cone.oracle import aggregate_second_moment, drift_flow, laplace_transform
 from volterra_cone.presets import params_anchored, preset
-from volterra_cone.scheme import SPREAD, _audit_probabilities, _law_arrays
-
-
-def fig2_params(nu=0.3):
-    w = np.array([1.0, 2.0])
-    x = np.array([1.0, 10.0])
-    return ModelParams(w=w, x=x, theta=0.02, lam=0.3, nu=nu, v0=canonical_anchor(w, x, 0.02))
-
-
-def table1_params():
-    return ModelParams(w=[0.4, 1.8], x=[0.1, 3.5], theta=0.8, lam=1.2, nu=0.7, v0=[0.2, 0.3])
+from volterra_cone.scheme import SPREAD, _audit_probabilities
 
 
 def test_a_path_generator_seed_holds_four_uint64_words_only():
@@ -62,14 +50,8 @@ def rk4(system, z, T, steps):
     return z
 
 
-def ode_step(system, z, h):
-    """Exact solution of the linear drift ODE after time h from state z."""
-    prop, shift = system.propagators(h)
-    return prop @ z + shift
-
-
 def test_drift_system_entries():
-    params = fig2_params()
+    params = preset("fig2")[0]
     system = DriftSystem.from_params(params)
     n = params.n_factors
     for i in range(n):
@@ -80,12 +62,12 @@ def test_drift_system_entries():
 
 
 def test_zero_step_propagators():
-    system = DriftSystem.from_params(fig2_params())
+    system = DriftSystem.from_params(preset("fig2")[0])
     prop, shift = system.propagators(0.0)
     np.testing.assert_array_equal(prop, np.eye(2))
     np.testing.assert_array_equal(shift, np.zeros(2))
     z = np.array([0.3, 0.4])
-    np.testing.assert_array_equal(ode_step(system, z, 0.0), z)
+    np.testing.assert_array_equal(drift_flow(system, z, 0.0), z)
 
 
 def test_ode_step_decoupled_closed_form():
@@ -95,21 +77,21 @@ def test_ode_step_decoupled_closed_form():
     h = 0.37
     fixed = params.v0 + params.theta / params.x
     expected = fixed + (z - fixed) * np.exp(-params.x * h)
-    np.testing.assert_allclose(ode_step(system, z, h), expected, atol=1e-13)
+    np.testing.assert_allclose(drift_flow(system, z, h), expected, atol=1e-13)
 
 
 def test_ode_step_against_fine_integrator():
-    system = DriftSystem.from_params(table1_params())
+    system = DriftSystem.from_params(preset("table1")[0])
     z = np.array([0.5, 0.7])
-    got = ode_step(system, z, 1e-3)
+    got = drift_flow(system, z, 1e-3)
     reference = rk4(system, z.copy(), 1e-3, 1000)
     assert np.max(np.abs(got - reference)) <= 1e-10
 
 
 def test_ode_step_rejects_negative_step():
-    system = DriftSystem.from_params(fig2_params())
+    system = DriftSystem.from_params(preset("fig2")[0])
     with pytest.raises(ValueError):
-        ode_step(system, np.zeros(2), -0.1)
+        drift_flow(system, np.zeros(2), -0.1)
 
 
 def test_three_point_law_zero_budget_is_point_mass():
@@ -201,7 +183,7 @@ def test_probability_audit_counts_violations():
 
 def test_probability_audit_counts_nan():
     with np.errstate(over="ignore", invalid="ignore"):
-        law = _law_arrays(np.array([1.6e308]), 1e-3)
+        law = reference_law(np.array([1.6e308]), 1e-3)
     assert np.isnan(law[3:5]).all()  # p1 and p2
     assert _audit_probabilities(*law[3:6]) == 2
 
@@ -224,8 +206,7 @@ def test_path_generators_match_numpy_streams(seed):
 
 def test_strang_step_preserves_cone():
     # one step of five paths from each of 2 000 random cone states and step sizes
-    params = fig2_params()
-    matrix = build_canonical(params.w, params.x)
+    params, matrix = preset("fig2")
     rng = np.random.default_rng(13)
     points = rng.uniform(0.0, 0.2, size=(2_000, 2)) @ matrix.Qinv.T
     for seed, (v, h) in enumerate(zip(points, rng.uniform(0.0, 0.1, size=2_000))):
@@ -236,20 +217,19 @@ def test_strang_step_preserves_cone():
 
 
 def test_simulate_deterministic_limit_matches_ode_steps():
-    params = fig2_params(nu=0.0)
-    matrix = build_canonical(params.w, params.x)
+    params, matrix = preset("fig2")
+    params = replace(params, nu=0.0)
     config = PathConfig(T=1.0, M=64, n_paths=1, seed=5, record_full=True)
     cloud = simulate(params, matrix, config)
     system = DriftSystem.from_params(params)
     state = params.v0.copy()
     for j in range(config.M + 1):
         assert np.max(np.abs(cloud.states[0, j] - state)) <= 1e-10
-        state = ode_step(system, state, config.T / config.M)
+        state = drift_flow(system, state, config.T / config.M)
 
 
 def test_simulate_is_seed_deterministic():
-    params = fig2_params()
-    matrix = build_canonical(params.w, params.x)
+    params, matrix = preset("fig2")
     config = PathConfig(T=1.0, M=200, n_paths=16, seed=99, record_full=True)
     first = simulate(params, matrix, config)
     second = simulate(params, matrix, config)
@@ -551,16 +531,14 @@ def test_simulate_memory_does_not_grow_with_the_batch_of_each_worker(monkeypatch
 
 
 def test_simulate_rejects_initial_state_outside_cone():
-    params = fig2_params()
-    matrix = build_canonical(params.w, params.x)
+    params, matrix = preset("fig2")
     config = PathConfig(T=1.0, M=10, n_paths=2, seed=0)
     with pytest.raises(ValueError):
         simulate(params, matrix, config, initial_state=np.array([0.01, 0.03]))
 
 
 def test_simulate_terminal_recording_shape():
-    params = fig2_params()
-    matrix = build_canonical(params.w, params.x)
+    params, matrix = preset("fig2")
     cloud = simulate(params, matrix, PathConfig(T=1.0, M=50, n_paths=8, seed=3))
     assert cloud.states.shape == (8, 1, 2)
     assert cloud.steps.tolist() == [50]
@@ -568,8 +546,7 @@ def test_simulate_terminal_recording_shape():
 
 
 def test_simulate_corruption_hook_changes_result(skip_final_half_drift):
-    params = fig2_params()
-    matrix = build_canonical(params.w, params.x)
+    params, matrix = preset("fig2")
     config = PathConfig(T=1.0, M=50, n_paths=8, seed=3)
     clean = simulate(params, matrix, config)
     skip_final_half_drift()
@@ -578,8 +555,7 @@ def test_simulate_corruption_hook_changes_result(skip_final_half_drift):
 
 
 def test_simulate_rejects_matrix_failing_row_or_column_condition():
-    params = fig2_params()
-    good = build_canonical(params.w, params.x)
+    params, good = preset("fig2")
     config = PathConfig(T=1.0, M=10, n_paths=2, seed=0)
     row_q = np.array([[1.0, -1.0], [1.5, 1.5]])  # Q @ 1 = wbar e_N, last row not w
     col_q = np.array([[1.0, 0.0], [1.0, 2.0]])  # last row w, Q @ 1 != wbar e_N
@@ -610,7 +586,7 @@ def test_membership_and_audit_share_one_tolerance(u1, inside):
 
 @pytest.mark.parametrize("start", ["negative-aggregate", "nan"])
 def test_simulate_aborts_when_the_state_leaves_the_cone(monkeypatch, start):
-    params = fig2_params()
+    params, matrix = preset("fig2")
     config = PathConfig(T=1.0, M=10, n_paths=2, seed=0)
     initial = np.array([-1.0, -1.0]) if start == "negative-aggregate" else params.v0
     if start == "nan":  # a NaN aggregate is outside the cone too
@@ -623,8 +599,7 @@ def test_simulate_aborts_when_the_state_leaves_the_cone(monkeypatch, start):
 
         monkeypatch.setattr(DriftSystem, "propagators", poisoned)
     with pytest.raises(RuntimeError, match="at step 0, state left the cone"):
-        simulate(params, build_canonical(params.w, params.x), config, initial_state=initial,
-                 require_initial_in_cone=False)
+        simulate(params, matrix, config, initial_state=initial, require_initial_in_cone=False)
 
 
 def batched(monkeypatch, steps, width, factors):
@@ -726,16 +701,15 @@ def test_mean_oracle_reaches_the_stationary_mean(name):
 
 
 def test_simulate_rejects_non_finite_initial_state():
-    params = fig2_params()
+    params, matrix = preset("fig2")
     config = PathConfig(T=1.0, M=10, n_paths=2, seed=0)
     with pytest.raises(ValueError, match="finite"):
-        simulate(params, build_canonical(params.w, params.x), config,
+        simulate(params, matrix, config,
                  initial_state=[math.nan, 0.01], require_initial_in_cone=False)
 
 
 def test_simulate_monte_carlo_mean_matches_oracle():
-    params = fig2_params()
-    matrix = build_canonical(params.w, params.x)
+    params, matrix = preset("fig2")
     config = PathConfig(T=1.0, M=200, n_paths=4000, seed=17)
     cloud = simulate(params, matrix, config)
     terminal = cloud.aggregates[:, -1]
@@ -763,7 +737,7 @@ def test_path_config_validation():
 
 
 def test_mean_oracle_values():
-    params = fig2_params()
+    params = preset("fig2")[0]
     for t in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             mean_oracle(params, t)
@@ -775,15 +749,14 @@ def test_mean_oracle_values():
     np.testing.assert_allclose(mean_oracle(lam0, t), expected, atol=1e-13)
 
 
-def test_law_arrays_vectorized_matches_scalar():
-    rng = np.random.default_rng(19)
-    xs = rng.uniform(0.0, 5.0, size=50)
-    z = 0.03
-    x1, x2, x3, p1, p2, p3 = _law_arrays(xs, z)
-    for i, x in enumerate(xs):
-        law = three_point_law(float(x), z)
-        assert law.x1 == pytest.approx(float(x1[i]), abs=1e-15)
-        assert law.p2 == pytest.approx(float(p2[i]), abs=1e-15)
+def test_three_point_law_is_the_closed_form_bit_for_bit():
+    # the scalar law is the step kernel's rows, so it must be the closed form bit for bit
+    xs = np.concatenate([[0.0], np.random.default_rng(19).uniform(0.0, 5.0, size=50),
+                         np.logspace(-300.0, 300.0, 200)])
+    for z in (0.03, 1e-6, 2.5):
+        laws = [three_point_law(x, z) for x in xs]
+        np.testing.assert_array_equal([law.support + law.probabilities for law in laws],
+                                      np.transpose(reference_law(xs, z)))
 
 
 def test_simulate_in_cone_of_shifted_anchor():
@@ -797,28 +770,6 @@ def test_simulate_in_cone_of_shifted_anchor():
     assert np.all(np.abs(np.mean(terminal, axis=0) - mean_oracle(params, 1.0)) <= 4.0 * stderr)
 
 
-def aggregate_second_moment(params, t):
-    """Exact E[(w @ v_t)^2]: one expm of the linear ODE of m = E[v] and P = E[v v^T].
-
-    dm/dt = A m + b and dP/dt = A P + P A^T + b m^T + m b^T + nu^2 (w @ m) 1 1^T,
-    with P flattened row-major, so vec(A P) = (A x I) vec(P), vec(P A^T) = (I x A) vec(P).
-    """
-    system = DriftSystem.from_params(params)
-    a, b, w = system.A, system.b, params.w
-    n = params.n_factors
-    eye = np.eye(n)
-    size = n + n * n + 1  # m, vec(P), constant 1
-    gen = np.zeros((size, size))
-    gen[:n, :n] = a
-    gen[:n, -1] = b
-    gen[n:-1, :n] = (np.kron(b[:, None], eye) + np.kron(eye, b[:, None])
-                     + params.nu**2 * np.outer(np.ones(n * n), w))
-    gen[n:-1, n:-1] = np.kron(a, eye) + np.kron(eye, a)
-    start = np.concatenate([params.v0, np.outer(params.v0, params.v0).ravel(), [1.0]])
-    second = (expm(gen * t) @ start)[n:-1].reshape(n, n)
-    return float(w @ second @ w)
-
-
 @pytest.mark.parametrize("name", ["fig2", "fig3a"])
 def test_simulate_second_moment_matches_oracle(name):
     params, matrix = preset(name)
@@ -826,29 +777,6 @@ def test_simulate_second_moment_matches_oracle(name):
     squares = cloud.aggregates[:, -1] ** 2
     stderr = float(np.std(squares, ddof=1) / math.sqrt(squares.size))
     assert abs(float(np.mean(squares)) - aggregate_second_moment(params, 1.0)) <= 4.0 * stderr
-
-
-def laplace_transform(params, matrix, a, t):
-    """Exact E[exp(-a @ u_t)] for the coordinates u = Q (v - shift) that simulate marches.
-
-    u is affine: du = (K u + c) dt + sigma sqrt(u_N) e_N dW with sigma^2 the variance
-    rate, so E[exp(-a @ u_t)] = exp(phi(t) + psi(t) @ u_0), where the Riccati system
-    psi' = K^T psi + sigma^2 psi_N^2 e_N / 2, phi' = c @ psi, psi(0) = -a, phi(0) = 0.
-    """
-    domain = ConeDomain.for_initial_state(matrix, params.v0)
-    dynamics = TransformedDynamics.from_params(params, domain)
-    k, c = dynamics.A, dynamics.b
-    n = c.size
-
-    def riccati(_, y):
-        psi = y[:n]
-        dpsi = k.T @ psi
-        dpsi[-1] += 0.5 * dynamics.variance_rate * psi[-1] ** 2
-        return np.append(dpsi, c @ psi)
-
-    end = solve_ivp(riccati, (0.0, t), np.append(-np.asarray(a, dtype=float), 0.0),
-                    rtol=1e-12, atol=1e-14).y[:, -1]
-    return math.exp(end[n] + end[:n] @ (matrix.Q @ (params.v0 - domain.shift)))
 
 
 @pytest.mark.parametrize("name, arguments", [
