@@ -39,22 +39,30 @@ def mean_oracle(params: ModelParams, t: float) -> Array:
 def aggregate_second_moment(params: ModelParams, t: float) -> float:
     """Exact E[(w @ v_t)^2] from the drift flow of the linear ODE of m = E[v] and P = E[v v^T].
 
-    dm/dt = A m + b and dP/dt = A P + P A^T + b m^T + m b^T + nu^2 (w @ m) 1 1^T,
-    with P flattened row-major, so vec(A P) = (A x I) vec(P), vec(P A^T) = (I x A) vec(P).
+    dm/dt = A m + b and dP/dt = A P + P A^T + b m^T + m b^T + nu^2 (w @ m) 1 1^T.  P is
+    symmetric, so the unknowns are m and P_ij for i <= j (N + N(N+1)/2, not N + N^2): the
+    entry (i, j) of A P + P A^T is sum_k A_ik P_kj + A_jk P_ik, each P_kl read from its
+    upper-triangle slot.  Returns sum_{i <= j} (2 - delta_ij) w_i w_j P_ij.
     """
     system = DriftSystem.from_params(params)
     a, b, w = system.A, system.b, params.w
     n = params.n_factors
-    eye = np.eye(n)
-    gen = np.zeros((n + n * n, n + n * n))  # m, vec(P)
+    rows, cols = np.triu_indices(n)
+    entry = np.arange(rows.size)
+    slot = np.empty((n, n), dtype=int)  # the upper-triangle slot of P_kl and of P_lk
+    slot[rows, cols] = slot[cols, rows] = entry
+    gen = np.zeros((n + entry.size, n + entry.size))  # m, then P_ij for i <= j
     gen[:n, :n] = a
-    gen[n:, :n] = (np.kron(b[:, None], eye) + np.kron(eye, b[:, None])
-                   + params.nu**2 * np.outer(np.ones(n * n), w))
-    gen[n:, n:] = np.kron(a, eye) + np.kron(eye, a)
-    forcing = np.concatenate([b, np.zeros(n * n)])
-    start = np.concatenate([params.v0, np.outer(params.v0, params.v0).ravel()])
-    second = drift_flow(DriftSystem(A=gen, b=forcing), start, t)[n:].reshape(n, n)
-    return float(w @ second @ w)
+    upper, coupling = gen[n:, n:], gen[n:, :n]
+    np.add.at(upper, (entry[:, None], slot[:, cols].T), a[rows])
+    np.add.at(upper, (entry[:, None], slot[rows]), a[cols])
+    coupling += params.nu**2 * w
+    np.add.at(coupling, (entry, cols), b[rows])
+    np.add.at(coupling, (entry, rows), b[cols])
+    forcing = np.concatenate([b, np.zeros(entry.size)])
+    start = np.concatenate([params.v0, params.v0[rows] * params.v0[cols]])
+    second = drift_flow(DriftSystem(A=gen, b=forcing), start, t)[n:]
+    return float(np.sum(np.where(rows == cols, 1.0, 2.0) * w[rows] * w[cols] * second))
 
 
 def laplace_transform(params: ModelParams, matrix: AdmissibleMatrix, a, t: float) -> float:

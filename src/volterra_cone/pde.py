@@ -234,9 +234,15 @@ def solve(problem: PdeProblem) -> SolveReport:
     # degree on A^T + A suits it: table1 box1 L+U nnz 1.19 M -> 0.65 M at n = 128 and
     # 6.29 M -> 3.38 M at n = 256 (one solve 20.8 -> 11.1 ms) against COLAMD's A^T A.
     # In 3-D it fills more (fig3a on [0,4]^3, n = 16, T = 2: 0.86 M -> 2.14 M), so COLAMD stays.
+    # In 2-D, panel 1 and relax 1 drop SuperLU's 20-column panel workspace: at n = 256 the fill
+    # (3.38 M) and one solve (7.2 ms) stay, the factor takes 218 ms instead of 289 ms, and its
+    # peak above the RSS it leaves falls from 21.5 MiB to 0.  The 3-D factor keeps the defaults
+    # (panel 20, relax 10): panel 1 slowed fig3a's factor at n = 24 from 1.0 to 1.4 s.
+    options = ({"permc_spec": "MMD_AT_PLUS_A", "panel_size": 1, "relax": 1}
+               if len(problem.box) == 2 else {"permc_spec": "COLAMD"})
     clock = time.perf_counter()
     try:
-        lu = splu(step_matrix, permc_spec="MMD_AT_PLUS_A" if len(problem.box) == 2 else "COLAMD")
+        lu = splu(step_matrix, **options)
     except RuntimeError:
         blowup = (0, math.nan)
     timings["factor_s"] = time.perf_counter() - clock

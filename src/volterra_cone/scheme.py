@@ -387,7 +387,8 @@ def _simulate_block(transformed: Array, config: PathConfig, initial: Array, prop
     seeded = time.perf_counter()
     width = last - first
     held = CHUNK_DRAWS // (width + min(width, DRAW_TILE))
-    chunk = np.empty((max(1, min(config.M, CHUNK_STEPS, held)), width))
+    calls = -(-config.M // max(1, min(config.M, CHUNK_STEPS, held)))  # generator calls per path
+    chunk = np.empty((-(-config.M // calls), width))  # the fewest steps that make that many calls
     tile = np.empty((min(width, DRAW_TILE), len(chunk)))
     n = initial.size
     batch = max(1, min(len(chunk), BATCH_BYTES // (8 * (n + 3) * width)))

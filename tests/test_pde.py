@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +213,45 @@ def test_superlu_ordering_keeps_the_fill_low(monkeypatch):
     # minimum degree on A^T + A in 2-D (COLAMD: 1.19 M), COLAMD in 3-D (minimum degree: 2.14 M)
     assert superlu_fill(monkeypatch, table1_problem(n=128)) < 0.8e6
     assert superlu_fill(monkeypatch, replace(fig3a_problem(n=16), T=2.0)) < 1.0e6
+
+
+FACTOR_TRANSIENT = """
+import os, resource
+from volterra_cone import PdeProblem, pde
+from volterra_cone.presets import PDE_BOXES, preset
+
+original, transients = pde.splu, []
+
+
+def measured(*args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    factor = original(*args, **kwargs)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    with open("/proc/self/statm") as statm:
+        resident = int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    transients.append(peak - max(before, resident))
+    return factor
+
+
+pde.splu = measured
+params, matrix = preset("table1")
+pde.solve(PdeProblem(params=params, matrix=matrix, alpha=(3.0, 4.0), beta=1.6, T=2.0,
+                     box=PDE_BOXES["box1"], n=128))
+print(*transients)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_the_2d_factor_holds_no_transient_memory(tmp_path):
+    # SuperLU's default 20-column panel workspace took 5.3 MiB above both the peak before the
+    # factor and the RSS it leaves at n = 128 (21.5 MiB at n = 256).  A fresh interpreter,
+    # because this one's peak, reached by earlier tests, would hide the transient.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", FACTOR_TRANSIENT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    (transient,) = map(int, proc.stdout.split())
+    assert transient < 2**20, f"the factor peaked {transient / 2**20:.2f} MiB above its RSS"
 
 
 def test_ordering_keeps_the_table1_errors():

@@ -470,7 +470,8 @@ def reference_simulate(params, matrix, config, u0=None):
 ], ids=["fig2", "fig3c-escape", "table1-shifted"])
 def test_simulate_matches_row_major_reference_bit_for_bit(monkeypatch, name, escape):
     # small blocks, tiles and chunks, so 43 paths span several blocks, each drawn through
-    # tiles of 3, 3 and 2 or 1 paths, and M = 2 chunks + 37 steps
+    # tiles of 3, 3 and 2 or 1 paths, and M = 69 steps take five calls of at most 16 steps,
+    # made by chunks of 14, 14, 14, 14 and 13
     monkeypatch.setattr(scheme, "BLOCK_PATHS", 8)
     monkeypatch.setattr(scheme, "DRAW_TILE", 3)
     monkeypatch.setattr(scheme, "CHUNK_STEPS", 16)
@@ -501,15 +502,15 @@ def test_simulate_matches_row_major_reference_when_aggregates_clamp(monkeypatch)
     assert cloud.sqrt_clamp_count >= config.n_paths
 
 
-def traced_peak_of_two_blocks_each(monkeypatch, cpus):
-    """The traced peak of simulating fig2 with 20 000 x ``cpus`` paths x 2 000 steps."""
+def traced_peak_of_two_blocks_each(monkeypatch, cpus, M):
+    """The traced peak of simulating fig2 with 20 000 x ``cpus`` paths x M steps."""
     # this process marches two blocks of 10 000 paths in a row, so a block's chunk and
     # generators kept past its end show in its peak; forked workers are not traced
     monkeypatch.setattr(scheme, "_usable_cpus", lambda: cpus)
     params, matrix = preset("fig2")
     tracemalloc.start()
     try:
-        cloud = simulate(params, matrix, PathConfig(T=1.0, M=2000, n_paths=cpus * 20_000, seed=6))
+        cloud = simulate(params, matrix, PathConfig(T=1.0, M=M, n_paths=cpus * 20_000, seed=6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -520,14 +521,21 @@ def traced_peak_of_two_blocks_each(monkeypatch, cpus):
 
 def test_simulate_memory_does_not_grow_with_the_batch(monkeypatch):
     # the whole 20 000 x 2 000 uniform matrix alone would be 320 MB
-    peak = traced_peak_of_two_blocks_each(monkeypatch, 1)
+    peak = traced_peak_of_two_blocks_each(monkeypatch, 1, 2000)
     assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_simulate_memory_does_not_grow_with_the_batch_of_each_worker(monkeypatch):
     # four blocks: this process marches blocks 0 and 2, the forked worker 1 and 3
-    peak = traced_peak_of_two_blocks_each(monkeypatch, 2)
+    peak = traced_peak_of_two_blocks_each(monkeypatch, 2, 2000)
     assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
+
+
+def test_a_block_chunk_holds_no_idle_steps(monkeypatch):
+    # at most 414 steps of 10 000 paths fit CHUNK_DRAWS, so 1 000 steps take 3 generator
+    # calls per path, and 334 steps make them: a 414-step chunk (41.4 MiB traced) idles
+    peak = traced_peak_of_two_blocks_each(monkeypatch, 1, 1000)
+    assert peak < 38 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_simulate_rejects_initial_state_outside_cone():
